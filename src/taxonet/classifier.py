@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 from pathlib import Path
 
-from .errors import EmptyValidation, SingleClassDataset
+from .errors import EmptyValidation, MalformedFile, SingleClassDataset
 from .features import SparseVector, TfidfModel, load_tfidf, save_tfidf, vectorize_edge
 from .graph import WcnGraph
 from .labeling import EdgeDataset, Label, LabeledEdge
@@ -155,8 +155,12 @@ def save_model(model: LinearEdgeModel, path: str | Path) -> None:
 def load_model(path: str | Path) -> LinearEdgeModel:
     path = Path(path)
     with open(path, encoding="utf-8") as fh:
-        data = json.load(fh)
-    tfidf = load_tfidf(path.with_name(data["tfidf_ref"]))
-    cfg = TrainConfig(**data["config"])
-    weights = {int(c): float(v) for c, v in data["weights"]}
-    return LinearEdgeModel(tfidf, weights, float(data["bias"]), cfg)
+        try:
+            data = json.load(fh)
+            tfidf_path = path.with_name(data["tfidf_ref"])
+            cfg = TrainConfig(**data["config"])
+            weights = {int(c): float(v) for c, v in data["weights"]}
+            bias = float(data["bias"])
+        except (KeyError, TypeError, ValueError) as exc:
+            raise MalformedFile(path, f"bad model file: {type(exc).__name__}: {exc}") from None
+    return LinearEdgeModel(load_tfidf(tfidf_path), weights, bias, cfg)

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from pathlib import Path
 
@@ -145,7 +144,7 @@ def _cmd_induce(args: argparse.Namespace) -> int:
     model_cc = load_model(args.model_cc)
     icfg = InductionConfig(k=k, epsilon=epsilon, uniform=uniform)
     weighted = weigh_edges(graph, model_ec, model_cc, icfg)
-    taxonomy, report = induce(projected, weighted, icfg, threads=args.threads)
+    taxonomy, report = induce(projected, weighted, icfg)
     save_taxonomy(taxonomy, args.out)
     report_path = args.report or args.out + ".report.json"
     _write_json(report_path, report.to_dict())
@@ -266,8 +265,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--epsilon", type=float, help="probability clamp floor (default: 1e-06)")
     p.add_argument("--uniform", action=argparse.BooleanOptionalAction,
                    help="set every edge weight to 1 instead of classifier scores")
-    p.add_argument("--threads", type=int, default=os.cpu_count() or 1,
-                   help="search parallelism; output is identical for any value")
     p.add_argument("--config", help="optional JSON config file; flags override it")
     p.set_defaults(func=_cmd_induce)
 

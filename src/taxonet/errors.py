@@ -13,6 +13,13 @@ class MalformedRow(TaxonetError):
         self.reason = reason
 
 
+class MalformedFile(TaxonetError):
+    def __init__(self, path, reason):
+        super().__init__(f"{path}: {reason}")
+        self.path = path
+        self.reason = reason
+
+
 class DuplicateNodeId(TaxonetError):
     def __init__(self, node_id):
         super().__init__(f"duplicate node id: {node_id!r}")

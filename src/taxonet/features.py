@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
 
-from .errors import EmptyVocabulary
+from .errors import EmptyVocabulary, MalformedFile
 
 DEFAULT_NGRAM_SIZES = frozenset({2, 3, 4, 5, 6})
 
@@ -172,4 +172,7 @@ def save_tfidf(model: TfidfModel, path: str | Path) -> None:
 
 def load_tfidf(path: str | Path) -> TfidfModel:
     with open(path, encoding="utf-8") as fh:
-        return TfidfModel.from_dict(json.load(fh))
+        try:
+            return TfidfModel.from_dict(json.load(fh))
+        except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
+            raise MalformedFile(path, f"bad TFIDF file: {type(exc).__name__}: {exc}") from None

@@ -95,20 +95,13 @@ class WcnGraph:
                 raise SelfLoop(child)
             if child not in self.nodes or parent not in self.nodes:
                 raise UnknownNodeInEdge(child, parent)
-            self._check_kinds(child, parent)
+            edge_kind(self, child, parent)
             if (child, parent) in seen:
                 logger.warning("duplicate edge dropped: %s -> %s", child, parent)
                 continue
             seen.add((child, parent))
             self._parents.setdefault(child, []).append(parent)
         self._edge_set = seen
-
-    def _check_kinds(self, child: str, parent: str) -> None:
-        ck = self.nodes[child].kind
-        pk = self.nodes[parent].kind
-        if pk is NodeKind.ENTITY:
-            detail = "entity->entity" if ck is NodeKind.ENTITY else "category->entity"
-            raise ForbiddenEdgeKind(child, parent, detail)
 
     def parents(self, child: str) -> list[str]:
         return self._parents.get(child, [])
@@ -196,6 +189,14 @@ class Taxonomy:
         return ids
 
 
+def coverage(graph: WcnGraph, taxonomy: Taxonomy, kind: NodeKind) -> float:
+    """Share of the graph's nodes of this kind that have a hypernym."""
+    ids = graph.node_ids(kind)
+    if not ids:
+        return 0.0
+    return sum(1 for n in ids if taxonomy.covered(n)) / len(ids)
+
+
 class InterlangMap:
     """1:1 partial mapping between target-language and source-language ids."""
 
@@ -223,13 +224,19 @@ class InterlangMap:
         return sorted(self._to_source.items())
 
 
-def _rows(path: Path, n_cols: int) -> Iterator[tuple[int, list[str]]]:
+def _rows(path: Path, *n_cols: int) -> Iterator[tuple[int, list[str]]]:
+    """Split each line on tabs; every row needs one of `n_cols` nonempty columns."""
+    expected = " or ".join(map(str, n_cols))
     with open(path, encoding="utf-8", newline="\n") as fh:
         for line_no, line in enumerate(fh, start=1):
             line = line.rstrip("\n")
+            if line.endswith("\r"):
+                raise MalformedRow(path, line_no, "line ends in CR; files must use LF line ends")
+            if line_no == 1 and line.startswith("\ufeff"):
+                raise MalformedRow(path, line_no, "file starts with a UTF-8 byte order mark")
             cols = line.split("\t")
-            if len(cols) != n_cols or any(c == "" for c in cols):
-                raise MalformedRow(path, line_no, f"expected {n_cols} nonempty columns, got {line!r}")
+            if len(cols) not in n_cols or any(c == "" for c in cols):
+                raise MalformedRow(path, line_no, f"expected {expected} nonempty columns, got {line!r}")
             yield line_no, cols
 
 
@@ -279,34 +286,30 @@ def load_taxonomy(path: str | Path) -> Taxonomy:
     """
     path = Path(path)
     best: dict[tuple[str, str], TaxoEdge] = {}
-    with open(path, encoding="utf-8", newline="\n") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            cols = line.rstrip("\n").split("\t")
-            if len(cols) not in (2, 3, 4) or cols[0] == "" or cols[1] == "":
-                raise MalformedRow(path, line_no, f"bad taxonomy row {line!r}")
-            child, parent = cols[0], cols[1]
-            score = 1.0
-            provenance = Provenance.PROJECTED
-            if len(cols) >= 3:
-                try:
-                    score = float(cols[2])
-                except ValueError:
-                    raise MalformedRow(path, line_no, f"bad score {cols[2]!r}") from None
-            if len(cols) == 4:
-                try:
-                    provenance = Provenance(cols[3])
-                except ValueError:
-                    raise MalformedRow(path, line_no, f"bad provenance {cols[3]!r}") from None
+    for line_no, cols in _rows(path, 2, 3, 4):
+        child, parent = cols[0], cols[1]
+        score = 1.0
+        provenance = Provenance.PROJECTED
+        if len(cols) >= 3:
             try:
-                edge = TaxoEdge(child, parent, score, provenance)
-            except ValueError as exc:
-                raise MalformedRow(path, line_no, str(exc)) from None
-            pair = (child, parent)
-            if pair in best:
-                logger.warning("duplicate taxonomy edge %s, keeping max score", pair)
-                if edge.score <= best[pair].score:
-                    continue
-            best[pair] = edge
+                score = float(cols[2])
+            except ValueError:
+                raise MalformedRow(path, line_no, f"bad score {cols[2]!r}") from None
+        if len(cols) == 4:
+            try:
+                provenance = Provenance(cols[3])
+            except ValueError:
+                raise MalformedRow(path, line_no, f"bad provenance {cols[3]!r}") from None
+        try:
+            edge = TaxoEdge(child, parent, score, provenance)
+        except ValueError as exc:
+            raise MalformedRow(path, line_no, str(exc)) from None
+        pair = (child, parent)
+        if pair in best:
+            logger.warning("duplicate taxonomy edge %s, keeping max score", pair)
+            if edge.score <= best[pair].score:
+                continue
+        best[pair] = edge
     return Taxonomy(best.values())
 
 

@@ -9,28 +9,29 @@ lexicographically smallest node sequence, making results total-ordered.
 
 Comparing float products (or summed -log costs) can invert genuinely equal
 probabilities through rounding, so path comparisons here use exact dyadic
-arithmetic: every float is num / 2**exp with integers, products stay
-exact, and the tie rules fire exactly when values are mathematically
-equal. Maximizing the product is then provably identical to minimizing
-the -log sum.
+arithmetic: every edge probability is converted once to integers
+(num, exp) with value num / 2**exp, products stay exact, and the tie rules
+fire exactly when values are mathematically equal. Maximizing the product
+is then provably identical to minimizing the -log sum.
 
-The k-best search is a deviation (spur) search over loopless paths. Its
-1-best subroutine runs a value-only Dijkstra from the target set over
-reversed edges, then reconstructs the lexicographically smallest optimal
-path greedily forward; target nodes are absorbing, so no path passes
-through one target on the way to another.
+The k-best search is a deviation (spur) search over loopless paths, and
+one finder serves every start of an `induce` call. Its 1-best subroutine
+runs a value-only Dijkstra from the target set over reversed edges, then
+reconstructs the lexicographically smallest optimal path greedily forward;
+target nodes are absorbing, so no path passes through one target on the
+way to another.
 """
 
 from __future__ import annotations
 
 import heapq
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
-from fractions import Fraction
+from dataclasses import asdict, dataclass
 
 from .classifier import LinearEdgeModel, predict_proba
 from .errors import EmptyProjectedTaxonomy, ProjectedEdgeNotInGraph
-from .graph import EdgeKind, NodeKind, Provenance, TaxoEdge, Taxonomy, WcnGraph, edge_kind
+from .graph import (
+    EdgeKind, NodeKind, Provenance, TaxoEdge, Taxonomy, WcnGraph, coverage, edge_kind,
+)
 
 
 @dataclass(frozen=True)
@@ -46,83 +47,48 @@ class InductionConfig:
             raise ValueError("epsilon must be in (0, 1)")
 
 
-class Dyadic:
-    """Exact nonnegative dyadic rational: num / 2**exp.
+class _Cost:
+    """A path's exact probability num / 2**exp, and its hop count.
 
-    Floats are dyadic, so conversion is lossless; products and comparisons
-    never round. Not normalized (no gcd), which keeps multiplication to a
-    single integer multiply.
+    Floats are dyadic, so every edge probability converts losslessly and
+    products of them never round. Ordered best first: higher probability,
+    then fewer hops. Only `<` is defined, so heap comparisons make a single
+    Python call; two costs of equal value are not `==` unless identical.
     """
 
-    __slots__ = ("num", "exp")
+    __slots__ = ("num", "exp", "hops")
 
-    def __init__(self, num: int, exp: int):
+    def __init__(self, num: int, exp: int, hops: int):
         self.num = num
         self.exp = exp
-
-    @classmethod
-    def from_float(cls, x: float) -> "Dyadic":
-        if x < 0.0:
-            raise ValueError("negative probability")
-        num, den = x.as_integer_ratio()
-        return cls(num, den.bit_length() - 1)
-
-    def __mul__(self, other: "Dyadic") -> "Dyadic":
-        return Dyadic(self.num * other.num, self.exp + other.exp)
-
-    def _aligned(self, other: "Dyadic") -> tuple[int, int]:
-        if self.exp >= other.exp:
-            return self.num, other.num << (self.exp - other.exp)
-        return self.num << (other.exp - self.exp), other.num
-
-    def __eq__(self, other):
-        if not isinstance(other, Dyadic):
-            return NotImplemented
-        a, b = self._aligned(other)
-        return a == b
-
-    def __lt__(self, other: "Dyadic") -> bool:
-        a, b = self._aligned(other)
-        return a < b
-
-    def __gt__(self, other: "Dyadic") -> bool:
-        a, b = self._aligned(other)
-        return a > b
-
-    def __float__(self) -> float:
-        return float(Fraction(self.num, 1 << self.exp))
-
-    def __repr__(self):
-        return f"Dyadic({self.num}, {self.exp})"
-
-
-_ONE = Dyadic(1, 0)
-
-
-class _Cost:
-    """Path value ordered by probability descending, then hops ascending."""
-
-    __slots__ = ("prob", "hops")
-
-    def __init__(self, prob: Dyadic, hops: int):
-        self.prob = prob
         self.hops = hops
 
-    def extend(self, p: Dyadic) -> "_Cost":
-        return _Cost(self.prob * p, self.hops + 1)
-
-    def __eq__(self, other):
-        if not isinstance(other, _Cost):
-            return NotImplemented
-        return self.hops == other.hops and self.prob == other.prob
-
     def __lt__(self, other: "_Cost") -> bool:
-        if self.prob != other.prob:
-            return self.prob > other.prob
+        a, b = self.num, other.num
+        shift = self.exp - other.exp
+        if shift > 0:
+            b <<= shift
+        elif shift < 0:
+            a <<= -shift
+        if a != b:
+            return a > b
         return self.hops < other.hops
 
-    def __repr__(self):
-        return f"_Cost({float(self.prob)}, hops={self.hops})"
+    def then(self, other: "_Cost") -> "_Cost":
+        """This path followed by `other`: probabilities multiply, hops add."""
+        return _Cost(self.num * other.num, self.exp + other.exp, self.hops + other.hops)
+
+    def probability(self) -> float:
+        # int true division rounds correctly, however large the operands
+        return self.num / (1 << self.exp)
+
+
+_EMPTY_PATH = _Cost(1, 0, 0)
+
+
+def _edge_cost(p: float) -> _Cost:
+    num, den = p.as_integer_ratio()
+    return _Cost(num, den.bit_length() - 1, 1)
 
 
 @dataclass(frozen=True)
@@ -182,35 +148,35 @@ def weigh_edges(
 
 
 class _PathFinder:
-    """k-best simple paths from one start to an absorbing target set."""
+    """k-best simple paths from any start to one shared absorbing target set.
+
+    Edge probabilities are converted to exact costs once, and the base
+    distances to the shared target set are computed once and reused by
+    every start outside it. A start that is itself a target searches the
+    rest of the set instead, in this same finder.
+    """
 
     def __init__(self, weighted: WeightedGraph, targets: frozenset[str]):
         self.weighted = weighted
         self.targets = targets
-        self._edge_prob: dict[tuple[str, str], Dyadic] = {
-            e: Dyadic.from_float(p) for e, p in weighted.prob.items()
-        }
+        self._edge_cost = {e: _edge_cost(p) for e, p in weighted.prob.items()}
         self._base_dist: dict[str, _Cost] | None = None
 
-    def base_dist(self) -> dict[str, _Cost]:
-        if self._base_dist is None:
-            self._base_dist = self._dist(frozenset(), frozenset())
-        return self._base_dist
-
     def _dist(
-        self, banned_nodes: frozenset[str], banned_edges: frozenset[tuple[str, str]]
+        self,
+        targets: frozenset[str],
+        banned_nodes: frozenset[str] = frozenset(),
+        banned_edges: frozenset[tuple[str, str]] = frozenset(),
     ) -> dict[str, _Cost]:
         """Best (probability, hops) from every node to the target set.
 
-        Dijkstra over reversed edges; values only. Dropping a node into a
-        cycle always costs hops, so walk-optima equal simple-path optima
-        and no simplicity bookkeeping is needed here.
+        Dijkstra over reversed edges; values only, so the pop order among
+        equal costs does not matter. Dropping a node into a cycle always
+        costs hops, so walk-optima equal simple-path optima and no
+        simplicity bookkeeping is needed here.
         """
         dist: dict[str, _Cost] = {}
-        heap: list[tuple[_Cost, str]] = []
-        for t in sorted(self.targets):
-            if t not in banned_nodes:
-                heap.append((_Cost(_ONE, 0), t))
+        heap = [(_EMPTY_PATH, t) for t in sorted(targets) if t not in banned_nodes]
         heapq.heapify(heap)
         while heap:
             cost, node = heapq.heappop(heap)
@@ -219,36 +185,36 @@ class _PathFinder:
             dist[node] = cost
             for child in self.weighted.children_of(node):
                 # Targets absorb: a path never continues through one.
-                if child in dist or child in self.targets or child in banned_nodes:
+                if child in dist or child in targets or child in banned_nodes:
                     continue
                 if (child, node) in banned_edges:
                     continue
-                heapq.heappush(heap, (cost.extend(self._edge_prob[(child, node)]), child))
+                heapq.heappush(heap, (self._edge_cost[(child, node)].then(cost), child))
         return dist
 
     def _best_path(
         self,
         start: str,
-        banned_nodes: frozenset[str],
-        banned_edges: frozenset[tuple[str, str]],
-        dist: dict[str, _Cost] | None = None,
+        targets: frozenset[str],
+        dist: dict[str, _Cost],
+        banned_nodes: frozenset[str] = frozenset(),
+        banned_edges: frozenset[tuple[str, str]] = frozenset(),
     ) -> tuple[_Cost, tuple[str, ...]] | None:
         """Total-order minimum path from start, or None if unreachable.
 
-        Walks forward from start along cost-tight edges, picking the
-        smallest node id at each step; that yields the lexicographic
-        minimum among the (probability, hops)-optimal paths, and any
-        tight walk is automatically simple.
+        `dist` must come from `_dist` with the same targets and bans. Walks
+        forward from start along cost-tight edges, picking the smallest
+        node id at each step; that yields the lexicographic minimum among
+        the (probability, hops)-optimal paths, and any tight walk is
+        automatically simple.
         """
-        if dist is None:
-            dist = self._dist(banned_nodes, banned_edges)
         total = dist.get(start)
         if total is None:
             return None
         nodes = [start]
         remaining = total
         current = start
-        while current not in self.targets:
+        while current not in targets:
             step = None
             for parent in self.weighted.parents(current):
                 if parent in banned_nodes or (current, parent) in banned_edges:
@@ -258,7 +224,8 @@ class _PathFinder:
                     continue
                 if step is not None and parent >= step[0]:
                     continue
-                if d.prob * self._edge_prob[(current, parent)] == remaining.prob:
+                via = self._edge_cost[(current, parent)].then(d)
+                if not (via < remaining or remaining < via):
                     step = (parent, d)
             if step is None:  # cannot happen when dist[start] is finite
                 raise RuntimeError(f"no cost-tight edge out of {current!r}")
@@ -267,24 +234,38 @@ class _PathFinder:
         return total, tuple(nodes)
 
     def top_k(self, start: str, k: int) -> list[ScoredPath]:
-        first = self._best_path(start, frozenset(), frozenset(), dist=self.base_dist())
+        if start in self.targets:
+            # A node can appear in the taxonomy only as a parent and still
+            # lack a hypernym of its own; it must not be its own target.
+            targets = self.targets - {start}
+            dist = self._dist(targets)
+        else:
+            targets = self.targets
+            if self._base_dist is None:
+                self._base_dist = self._dist(targets)
+            dist = self._base_dist
+        first = self._best_path(start, targets, dist)
         if first is None:
             return []
         accepted = [first]
         candidates: list[tuple[_Cost, tuple[str, ...]]] = []
         seen = {first[1]}
         while len(accepted) < k:
-            base_cost, base_nodes = accepted[-1]
-            prefix = [_ONE]
-            for child, parent in zip(base_nodes, base_nodes[1:]):
-                prefix.append(prefix[-1] * self._edge_prob[(child, parent)])
+            _, base_nodes = accepted[-1]
+            prefix = [_EMPTY_PATH]
+            for edge in zip(base_nodes, base_nodes[1:]):
+                prefix.append(prefix[-1].then(self._edge_cost[edge]))
             for j in range(len(base_nodes) - 1):
                 root = base_nodes[: j + 1]
                 banned_nodes = frozenset(base_nodes[:j])
                 banned_edges = frozenset(
                     (p[j], p[j + 1]) for _, p in accepted if p[: j + 1] == root
                 )
-                spur = self._best_path(base_nodes[j], banned_nodes, banned_edges)
+                spur = self._best_path(
+                    base_nodes[j], targets,
+                    self._dist(targets, banned_nodes, banned_edges),
+                    banned_nodes, banned_edges,
+                )
                 if spur is None:
                     continue
                 spur_cost, spur_nodes = spur
@@ -292,14 +273,24 @@ class _PathFinder:
                 if cand_nodes in seen:
                     continue
                 seen.add(cand_nodes)
-                cand_cost = _Cost(prefix[j] * spur_cost.prob, j + spur_cost.hops)
-                heapq.heappush(candidates, (cand_cost, cand_nodes))
+                candidates.append((prefix[j].then(spur_cost), cand_nodes))
             if not candidates:
                 break
-            accepted.append(heapq.heappop(candidates))
+            accepted.append(_pop_best(candidates))
         return [
-            ScoredPath(nodes, float(cost.prob), cost.hops) for cost, nodes in accepted
+            ScoredPath(nodes, cost.probability(), cost.hops) for cost, nodes in accepted
         ]
+
+
+def _pop_best(candidates: list[tuple[_Cost, tuple[str, ...]]]) -> tuple[_Cost, tuple[str, ...]]:
+    """Remove and return the best candidate; equal costs go to the smaller node sequence."""
+    best = 0
+    for i in range(1, len(candidates)):
+        cost, nodes = candidates[i]
+        best_cost, best_nodes = candidates[best]
+        if cost < best_cost or (not best_cost < cost and nodes < best_nodes):
+            best = i
+    return candidates.pop(best)
 
 
 def top_k_paths(
@@ -330,29 +321,20 @@ class InductionReport:
     uniform: bool
 
     def to_dict(self) -> dict:
-        return {
-            "entity_coverage": self.entity_coverage,
-            "category_coverage": self.category_coverage,
-            "uncovered": self.uncovered,
-            "edges_added": self.edges_added,
-            "k": self.k,
-            "uniform": self.uniform,
-        }
+        return asdict(self)
 
 
 def induce(
     projected: Taxonomy,
     weighted: WeightedGraph,
     cfg: InductionConfig = InductionConfig(),
-    threads: int = 1,
 ) -> tuple[Taxonomy, InductionReport]:
     """Extend the projected taxonomy with best-path edges per uncovered node.
 
     The target set (all nodes touched by the projected taxonomy) is frozen
-    before iteration, so per-node searches are independent and the result
-    does not depend on node order or thread count; results merge in
-    ascending node id order. An edge found by several paths keeps its
-    maximum score.
+    before iteration, and one path finder serves every start, so per-node
+    searches are independent and the result does not depend on node order.
+    An edge found by several paths keeps its maximum score.
     """
     if len(projected) == 0:
         raise EmptyProjectedTaxonomy("projected taxonomy has no edges")
@@ -361,32 +343,14 @@ def induce(
         if not graph.has_edge(edge.child, edge.parent):
             raise ProjectedEdgeNotInGraph(edge.child, edge.parent)
 
-    targets = frozenset(projected.node_ids())
-    finder = _PathFinder(weighted, targets)
-    finder.base_dist()  # materialize before any parallel use
-    starts = [n for n in graph.node_ids() if not projected.covered(n)]
-
-    def search(start: str) -> list[ScoredPath]:
-        if start in targets:
-            # A node can appear in the taxonomy only as a parent and still
-            # lack a hypernym of its own; it must not be its own target.
-            rest = targets - {start}
-            if not rest:
-                return []
-            return _PathFinder(weighted, rest).top_k(start, cfg.k)
-        return finder.top_k(start, cfg.k)
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(search, starts))
-    else:
-        results = [search(s) for s in starts]
-
+    finder = _PathFinder(weighted, frozenset(projected.node_ids()))
     edges: dict[tuple[str, str], TaxoEdge] = {
         (e.child, e.parent): e for e in projected.edges()
     }
-    for paths in results:
-        for path in paths:
+    for start in graph.node_ids():
+        if projected.covered(start):
+            continue
+        for path in finder.top_k(start, cfg.k):
             for child, parent in path.edges():
                 pair = (child, parent)
                 existing = edges.get(pair)
@@ -395,8 +359,8 @@ def induce(
 
     final = Taxonomy(edges.values())
     report = InductionReport(
-        entity_coverage=_coverage(graph, final, NodeKind.ENTITY),
-        category_coverage=_coverage(graph, final, NodeKind.CATEGORY),
+        entity_coverage=coverage(graph, final, NodeKind.ENTITY),
+        category_coverage=coverage(graph, final, NodeKind.CATEGORY),
         uncovered=[n for n in graph.node_ids() if not final.covered(n)],
         edges_added=len(final) - len(projected),
         k=cfg.k,
@@ -410,10 +374,3 @@ def wcn_baseline(graph: WcnGraph) -> Taxonomy:
     return Taxonomy(
         TaxoEdge(child, parent, 1.0, Provenance.INDUCED) for child, parent in graph.edges()
     )
-
-
-def _coverage(graph: WcnGraph, taxonomy: Taxonomy, kind: NodeKind) -> float:
-    ids = graph.node_ids(kind)
-    if not ids:
-        return 0.0
-    return sum(1 for n in ids if taxonomy.covered(n)) / len(ids)

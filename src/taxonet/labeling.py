@@ -14,7 +14,7 @@ from enum import Enum
 from pathlib import Path
 
 from .errors import MalformedRow, ProjectedEdgeNotInGraph
-from .graph import EdgeKind, Taxonomy, WcnGraph, edge_kind
+from .graph import EdgeKind, Taxonomy, WcnGraph, _rows, edge_kind
 from .rng import SplitMix64
 
 logger = logging.getLogger(__name__)
@@ -109,14 +109,9 @@ def save_labeled_edges(edges: list[LabeledEdge], path: str | Path) -> None:
 def load_labeled_edges(path: str | Path) -> list[LabeledEdge]:
     path = Path(path)
     edges = []
-    with open(path, encoding="utf-8", newline="\n") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            cols = line.rstrip("\n").split("\t")
-            if len(cols) != 3 or "" in cols:
-                raise MalformedRow(path, line_no, f"bad labeled edge row {line!r}")
-            try:
-                label = Label(cols[2])
-            except ValueError:
-                raise MalformedRow(path, line_no, f"unknown label {cols[2]!r}") from None
-            edges.append(LabeledEdge(cols[0], cols[1], label))
+    for line_no, (child, parent, label) in _rows(path, 3):
+        try:
+            edges.append(LabeledEdge(child, parent, Label(label)))
+        except ValueError:
+            raise MalformedRow(path, line_no, f"unknown label {label!r}") from None
     return edges

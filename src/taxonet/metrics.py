@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .errors import EmptyGold, EmptyPathSet, EmptyTaxonomy, InsufficientNodes, MalformedRow
-from .graph import NodeKind, Taxonomy, WcnGraph
+from .graph import NodeKind, Taxonomy, WcnGraph, _rows
 from .labeling import Label
 from .rng import SplitMix64
 
@@ -148,16 +148,11 @@ def load_gold(edges_path: str | Path, nodes_path: str | Path) -> GoldEdgeSet:
         sampled = frozenset(line.rstrip("\n") for line in fh if line.rstrip("\n"))
     edges_path = Path(edges_path)
     judgments: dict[tuple[str, str], Label] = {}
-    with open(edges_path, encoding="utf-8", newline="\n") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            cols = line.rstrip("\n").split("\t")
-            if len(cols) != 3 or "" in cols:
-                raise MalformedRow(edges_path, line_no, f"bad gold row {line!r}")
-            try:
-                label = Label(cols[2])
-            except ValueError:
-                raise MalformedRow(edges_path, line_no, f"bad label {cols[2]!r}") from None
-            judgments[(cols[0], cols[1])] = label
+    for line_no, (child, parent, label) in _rows(edges_path, 3):
+        try:
+            judgments[(child, parent)] = Label(label)
+        except ValueError:
+            raise MalformedRow(edges_path, line_no, f"bad label {label!r}") from None
     return GoldEdgeSet(sampled, judgments)
 
 

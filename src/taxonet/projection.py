@@ -11,9 +11,11 @@ induction phase fills in the rest.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
-from .graph import InterlangMap, NodeKind, Provenance, TaxoEdge, Taxonomy, WcnGraph
+from .graph import (
+    InterlangMap, NodeKind, Provenance, TaxoEdge, Taxonomy, WcnGraph, coverage,
+)
 
 
 @dataclass(frozen=True)
@@ -35,13 +37,7 @@ class ProjectionReport:
     edges_added: int
 
     def to_dict(self) -> dict:
-        return {
-            "entity_coverage": self.entity_coverage,
-            "category_coverage": self.category_coverage,
-            "skipped_no_equivalent": self.skipped_no_equivalent,
-            "skipped_no_path": self.skipped_no_path,
-            "edges_added": self.edges_added,
-        }
+        return asdict(self)
 
 
 def collect_ancestors(taxonomy: Taxonomy, node: str, k1: int) -> set[str]:
@@ -150,17 +146,11 @@ def project(
 
     taxonomy = Taxonomy(edges.values())
     report = ProjectionReport(
-        entity_coverage=_coverage(target_graph, taxonomy, NodeKind.ENTITY),
-        category_coverage=_coverage(target_graph, taxonomy, NodeKind.CATEGORY),
+        entity_coverage=coverage(target_graph, taxonomy, NodeKind.ENTITY),
+        category_coverage=coverage(target_graph, taxonomy, NodeKind.CATEGORY),
         skipped_no_equivalent=skipped_no_equivalent,
         skipped_no_path=skipped_no_path,
         edges_added=len(taxonomy),
     )
     return taxonomy, report
 
-
-def _coverage(graph: WcnGraph, taxonomy: Taxonomy, kind: NodeKind) -> float:
-    ids = graph.node_ids(kind)
-    if not ids:
-        return 0.0
-    return sum(1 for n in ids if taxonomy.covered(n)) / len(ids)

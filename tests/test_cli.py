@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -18,6 +19,12 @@ def run(capsys, *argv):
         code = exc.code
     captured = capsys.readouterr()
     return code, captured.out
+
+
+def run_err(capsys, *argv):
+    """Like run, but returns standard error instead of standard output."""
+    code = main(list(argv))
+    return code, capsys.readouterr().err
 
 
 def project_args(paths, out, **extra):
@@ -162,7 +169,7 @@ class TestInduce:
     def test_report_fields(self, trained_world, tmp_path, capsys):
         _, paths, projected, models = trained_world
         out = tmp_path / "final.tsv"
-        code, _ = run(capsys, *induce_args(paths, projected, models, out, k=1, threads=1))
+        code, _ = run(capsys, *induce_args(paths, projected, models, out, k=1))
         assert code == 0
         report = json.loads((tmp_path / "final.tsv.report.json").read_text())
         assert report["k"] == 1 and report["uniform"] is False
@@ -175,14 +182,14 @@ class TestInduce:
     def test_uniform_ignores_models(self, trained_world, tmp_path, capsys):
         _, paths, projected, models = trained_world
         out_a, out_b = tmp_path / "a.tsv", tmp_path / "b.tsv"
-        argv = induce_args(paths, projected, models, out_a, uniform=None, threads=1)
+        argv = induce_args(paths, projected, models, out_a, uniform=None)
         assert run(capsys, *argv)[0] == 0
         # swap the two models; with --uniform the output must not change
         swapped = [
             s.replace("model.ec.json", "model.XX.json")
              .replace("model.cc.json", "model.ec.json")
              .replace("model.XX.json", "model.cc.json")
-            for s in induce_args(paths, projected, models, out_b, uniform=None, threads=1)
+            for s in induce_args(paths, projected, models, out_b, uniform=None)
         ]
         assert run(capsys, *swapped)[0] == 0
         assert out_a.read_bytes() == out_b.read_bytes()
@@ -190,9 +197,87 @@ class TestInduce:
     def test_k2_output_superset_of_k1(self, trained_world, tmp_path, capsys):
         _, paths, projected, models = trained_world
         out1, out2 = tmp_path / "k1.tsv", tmp_path / "k2.tsv"
-        assert run(capsys, *induce_args(paths, projected, models, out1, k=1, threads=1))[0] == 0
-        assert run(capsys, *induce_args(paths, projected, models, out2, k=2, threads=1))[0] == 0
+        assert run(capsys, *induce_args(paths, projected, models, out1, k=1))[0] == 0
+        assert run(capsys, *induce_args(paths, projected, models, out2, k=2))[0] == 0
         assert load_taxonomy(out1).edge_pairs() <= load_taxonomy(out2).edge_pairs()
+
+
+# sha256 of taxonomy.tsv and its report for the trained_world pipeline at
+# k=1 and k=3. The CLI promises byte-identical output, so these change only
+# with an output change that CHANGES.md names.
+GOLDEN = {
+    1: ("cf064eac57d952a8583fee87c38e1554ee86aeb0f6af19077b824c6ddc424aab",
+        "7948c3f3b74754f20349634e976b1c0e8f6b679fa977b4e912e894499c440ad9"),
+    3: ("efd850738f33b10c8e61043cade44ee156d8c0cbfb6bd7acbe2f80ebc6f9dfc3",
+        "672c6b13c4a8d1203bb6b6d09684beb97d4daa4bc674ec8ee8619ec519398596"),
+}
+
+
+@pytest.mark.parametrize("k", sorted(GOLDEN))
+def test_induce_golden_bytes(trained_world, tmp_path, capsys, k):
+    _, paths, projected, models = trained_world
+    out = tmp_path / "final.tsv"
+    assert run(capsys, *induce_args(paths, projected, models, out, k=k))[0] == 0
+    digests = tuple(
+        hashlib.sha256(p.read_bytes()).hexdigest()
+        for p in (out, tmp_path / "final.tsv.report.json")
+    )
+    assert digests == GOLDEN[k]
+
+
+class TestBadInput:
+    @pytest.mark.parametrize("name", ["nodes", "edges"])
+    def test_crlf_line_ends_rejected(self, world_files, tmp_path, capsys, name):
+        _, paths = world_files
+        bad = tmp_path / f"{name}.tsv"
+        bad.write_bytes(paths[name].read_bytes().replace(b"\n", b"\r\n"))
+        argv = project_args({**paths, name: bad}, tmp_path / "o.tsv")
+        code, err = run_err(capsys, *argv)
+        assert code == 2
+        assert f"{bad}:1: line ends in CR" in err
+
+    def test_byte_order_mark_rejected(self, world_files, tmp_path, capsys):
+        _, paths = world_files
+        bad = tmp_path / "langlinks.tsv"
+        bad.write_bytes(b"\xef\xbb\xbf" + paths["langlinks"].read_bytes())
+        argv = project_args({**paths, "langlinks": bad}, tmp_path / "o.tsv")
+        code, err = run_err(capsys, *argv)
+        assert code == 2
+        assert f"{bad}:1: file starts with a UTF-8 byte order mark" in err
+
+    @pytest.mark.parametrize("edit", [
+        lambda d: d.pop("tfidf_ref"),
+        lambda d: d.update(bias="high"),
+        lambda d: d.update(weights=7),
+        lambda d: d["config"].update(momentum=0.9),
+    ])
+    def test_broken_model_file(self, trained_world, tmp_path, capsys, edit):
+        _, paths, projected, models = trained_world
+        data = json.loads((models / "model.ec.json").read_text(encoding="utf-8"))
+        edit(data)
+        for name in ("model.ec.json", "model.cc.json", "model.cc.tfidf.json"):
+            (tmp_path / name).write_bytes((models / name).read_bytes())
+        (tmp_path / "model.ec.json").write_text(json.dumps(data), encoding="utf-8")
+        code, err = run_err(capsys, *induce_args(paths, projected, tmp_path, tmp_path / "o.tsv"))
+        assert code == 2
+        assert err.startswith(f"error: {tmp_path / 'model.ec.json'}: bad model file")
+
+    @pytest.mark.parametrize("edit", [
+        lambda d: d.pop("n_docs"),
+        lambda d: d["spec"].update(mode="phoneme"),
+        lambda d: d.update(vocab=[["ab"]]),
+        lambda d: d["vocab"][0].__setitem__(1, -1),  # idf divides by 1 + df
+    ])
+    def test_broken_tfidf_file(self, trained_world, tmp_path, capsys, edit):
+        _, paths, projected, models = trained_world
+        data = json.loads((models / "model.cc.tfidf.json").read_text(encoding="utf-8"))
+        edit(data)
+        for name in ("model.ec.json", "model.ec.tfidf.json", "model.cc.json"):
+            (tmp_path / name).write_bytes((models / name).read_bytes())
+        (tmp_path / "model.cc.tfidf.json").write_text(json.dumps(data), encoding="utf-8")
+        code, err = run_err(capsys, *induce_args(paths, projected, tmp_path, tmp_path / "o.tsv"))
+        assert code == 2
+        assert err.startswith(f"error: {tmp_path / 'model.cc.tfidf.json'}: bad TFIDF file")
 
 
 class TestEvaluate:
