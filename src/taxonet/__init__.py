@@ -77,6 +77,7 @@ from .metrics import (
     edge_metrics,
     load_gold,
     load_paths,
+    max_depth_sampled,
     path_metrics,
     sample_eval_nodes,
     save_gold,

@@ -16,7 +16,7 @@ from pathlib import Path
 
 from .errors import EmptyValidation, MalformedFile, SingleClassDataset
 from .features import SparseVector, TfidfModel, load_tfidf, save_tfidf, vectorize_edge
-from .graph import WcnGraph
+from .graph import EdgeKind, WcnGraph
 from .labeling import EdgeDataset, Label, LabeledEdge
 from .rng import SplitMix64
 
@@ -45,13 +45,22 @@ def _sigmoid(z: float) -> float:
 
 
 class LinearEdgeModel:
-    """Sparse linear model over concatenated child/parent TFIDF vectors."""
+    """Sparse linear model over concatenated child/parent TFIDF vectors,
+    trained for one edge kind."""
 
-    def __init__(self, tfidf: TfidfModel, weights: dict[int, float], bias: float, hyper: TrainConfig):
+    def __init__(
+        self,
+        tfidf: TfidfModel,
+        weights: dict[int, float],
+        bias: float,
+        hyper: TrainConfig,
+        kind: EdgeKind,
+    ):
         self.tfidf = tfidf
         self.weights = weights
         self.bias = bias
         self.hyper = hyper
+        self.kind = kind
 
     def decision(self, x: SparseVector) -> float:
         w = self.weights
@@ -59,6 +68,7 @@ class LinearEdgeModel:
 
     def to_dict(self, tfidf_ref: str) -> dict:
         return {
+            "kind": self.kind.value,
             "tfidf_ref": tfidf_ref,
             "weights": [[c, self.weights[c]] for c in sorted(self.weights)],
             "bias": self.bias,
@@ -116,7 +126,7 @@ def train_linear(
             step += 1
 
     weights = {c: scale * v for c, v in values.items() if scale * v != 0.0}
-    return LinearEdgeModel(tfidf, weights, bias, cfg)
+    return LinearEdgeModel(tfidf, weights, bias, cfg, dataset.kind)
 
 
 def predict_proba(model: LinearEdgeModel, child_title: str, parent_title: str) -> float:
@@ -152,15 +162,33 @@ def save_model(model: LinearEdgeModel, path: str | Path) -> None:
         fh.write("\n")
 
 
-def load_model(path: str | Path) -> LinearEdgeModel:
+def load_model(path: str | Path, kind: EdgeKind | None = None) -> LinearEdgeModel:
+    """Read a model written by `save_model`, and its TFIDF model.
+
+    The file must name its edge kind, and with `kind` given it must be that
+    one, so a model cannot score the other kind's edges. Every weight
+    column must index the [child | parent] feature vector, [0, 2V).
+    """
     path = Path(path)
     with open(path, encoding="utf-8") as fh:
         try:
             data = json.load(fh)
+            found = EdgeKind(data["kind"])
             tfidf_path = path.with_name(data["tfidf_ref"])
             cfg = TrainConfig(**data["config"])
             weights = {int(c): float(v) for c, v in data["weights"]}
             bias = float(data["bias"])
         except (KeyError, TypeError, ValueError) as exc:
             raise MalformedFile(path, f"bad model file: {type(exc).__name__}: {exc}") from None
-    return LinearEdgeModel(load_tfidf(tfidf_path), weights, bias, cfg)
+    if kind is not None and found is not kind:
+        raise MalformedFile(
+            path, f"bad model file: kind is {found.value!r}, expected {kind.value!r}"
+        )
+    tfidf = load_tfidf(tfidf_path)
+    columns = 2 * tfidf.n_features
+    outside = sorted(c for c in weights if not 0 <= c < columns)
+    if outside:
+        raise MalformedFile(
+            path, f"bad model file: weight column {outside[0]} outside [0, {columns})"
+        )
+    return LinearEdgeModel(tfidf, weights, bias, cfg, found)

@@ -20,9 +20,10 @@ from .features import FeatureMode, FeatureSpec, fit_tfidf
 from .graph import EdgeKind, load_interlang, load_taxonomy, load_wcn, save_taxonomy
 from .induction import InductionConfig, induce, weigh_edges
 from .labeling import EdgeDataset, label_edges, split_by_kind, train_val_split
-from .metrics import branching_factor, edge_metrics, load_gold, load_paths, path_metrics
+from .metrics import (
+    branching_factor, edge_metrics, load_gold, load_paths, max_depth_sampled, path_metrics,
+)
 from .projection import ProjectionConfig, project
-from .rng import SplitMix64
 
 CONFIG_DEFAULTS = {
     "k1": 14,
@@ -140,8 +141,12 @@ def _cmd_induce(args: argparse.Namespace) -> int:
     uniform = _resolve(args, cfg, "uniform")
     graph = load_wcn(args.nodes, args.edges)
     projected = load_taxonomy(args.projected)
-    model_ec = load_model(args.model_ec)
-    model_cc = load_model(args.model_cc)
+    if uniform:  # no edge is scored, so a swapped pair of models is harmless
+        ec_kind = cc_kind = None
+    else:
+        ec_kind, cc_kind = EdgeKind.ENTITY_TO_CATEGORY, EdgeKind.CATEGORY_TO_CATEGORY
+    model_ec = load_model(args.model_ec, ec_kind)
+    model_cc = load_model(args.model_cc, cc_kind)
     icfg = InductionConfig(k=k, epsilon=epsilon, uniform=uniform)
     weighted = weigh_edges(graph, model_ec, model_cc, icfg)
     taxonomy, report = induce(projected, weighted, icfg)
@@ -175,37 +180,13 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
 def _cmd_stats(args: argparse.Namespace) -> int:
     taxonomy = load_taxonomy(args.taxonomy)
     bf = branching_factor(taxonomy)  # raises EmptyTaxonomy -> exit 2
-    covered = sorted(taxonomy.covered_nodes())
-    rng = SplitMix64.keyed(args.seed, "stats-depth")
-    rng.shuffle(covered)
-    max_depth = 0
-    for start in covered[: args.sample]:
-        depth = 1
-        seen = {start}
-        node = start
-        while True:
-            hypernyms = taxonomy.hypernyms(node)
-            if not hypernyms:
-                break
-            # Walk the strongest edge up; ties take the smaller id.
-            best = None
-            for parent in hypernyms:  # sorted by construction
-                score = taxonomy.edge(node, parent).score
-                if best is None or score > best[1]:
-                    best = (parent, score)
-            node = best[0]
-            if node in seen:
-                break
-            seen.add(node)
-            depth += 1
-        max_depth = max(max_depth, depth)
     print(
         json.dumps(
             {
                 "nodes": len(taxonomy.node_ids()),
                 "edges": len(taxonomy),
                 "branching_factor": round(bf, 4),
-                "max_depth_sampled": max_depth,
+                "max_depth_sampled": max_depth_sampled(taxonomy, args.sample, args.seed),
             }
         )
     )

@@ -112,15 +112,28 @@ class TfidfModel:
 
     @classmethod
     def from_dict(cls, data: dict) -> "TfidfModel":
+        """Inverse of `to_dict`; raises TypeError or ValueError on a bad value."""
         raw_spec = data["spec"]
+        sizes = raw_spec["ngram_sizes"] or DEFAULT_NGRAM_SIZES
+        if not all(_is_int(n) for n in sizes):
+            raise TypeError(f"ngram_sizes must hold integers, got {sizes!r}")
+        if not isinstance(raw_spec["lowercase"], bool):
+            raise TypeError(f"lowercase must be true or false, got {raw_spec['lowercase']!r}")
+        if not _is_int(data["n_docs"]):
+            raise TypeError(f"n_docs must be an integer, got {data['n_docs']!r}")
         spec = FeatureSpec(
             mode=FeatureMode(raw_spec["mode"]),
-            ngram_sizes=frozenset(raw_spec["ngram_sizes"] or DEFAULT_NGRAM_SIZES),
+            ngram_sizes=frozenset(sizes),
             lowercase=raw_spec["lowercase"],
         )
         vocabulary = {f: i for i, (f, _) in enumerate(data["vocab"])}
         df = [d for _, d in data["vocab"]]
         return cls(spec, vocabulary, df, data["n_docs"])
+
+
+def _is_int(value) -> bool:
+    """A JSON integer; `bool` subclasses `int` but is not one."""
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def fit_tfidf(titles: list[str], spec: FeatureSpec, min_df: int = 1) -> TfidfModel:

@@ -16,10 +16,14 @@ is then provably identical to minimizing the -log sum.
 
 The k-best search is a deviation (spur) search over loopless paths, and
 one finder serves every start of an `induce` call. Its 1-best subroutine
-runs a value-only Dijkstra from the target set over reversed edges, then
-reconstructs the lexicographically smallest optimal path greedily forward;
-target nodes are absorbing, so no path passes through one target on the
-way to another.
+works inside the start's ancestor cone: the nodes reachable from the start
+through parent edges, stopping at targets, which absorb (no path passes
+through one target on the way to another). A value-only Dijkstra runs over
+the cone's reversed edges from the targets it contains, then the
+lexicographically smallest optimal path is reconstructed greedily forward.
+Every path from a cone node to a target stays inside the cone, so the cone
+distances are the whole graph's, and each search costs the size of the
+cone, not of the graph.
 """
 
 from __future__ import annotations
@@ -113,15 +117,9 @@ class WeightedGraph:
                 raise ValueError(f"edge probability out of (0, 1]: {p}")
         self.graph = graph
         self.prob = prob
-        self._rev: dict[str, list[str]] = {}
-        for child, parent in graph.edges():
-            self._rev.setdefault(parent, []).append(child)
 
     def parents(self, node: str) -> list[str]:
         return self.graph.parents(node)
-
-    def children_of(self, node: str) -> list[str]:
-        return self._rev.get(node, [])
 
 
 def weigh_edges(
@@ -150,64 +148,79 @@ def weigh_edges(
 class _PathFinder:
     """k-best simple paths from any start to one shared absorbing target set.
 
-    Edge probabilities are converted to exact costs once, and the base
-    distances to the shared target set are computed once and reused by
-    every start outside it. A start that is itself a target searches the
-    rest of the set instead, in this same finder.
+    Edge probabilities are converted to exact costs once and shared by
+    every search. Each search, the first path and every Yen spur alike,
+    computes distances only over its start's ancestor cone. A start that
+    is itself a target searches the rest of the set instead, in this same
+    finder.
     """
 
     def __init__(self, weighted: WeightedGraph, targets: frozenset[str]):
         self.weighted = weighted
         self.targets = targets
         self._edge_cost = {e: _edge_cost(p) for e, p in weighted.prob.items()}
-        self._base_dist: dict[str, _Cost] | None = None
 
     def _dist(
         self,
+        start: str,
         targets: frozenset[str],
-        banned_nodes: frozenset[str] = frozenset(),
-        banned_edges: frozenset[tuple[str, str]] = frozenset(),
+        banned_nodes: frozenset[str],
+        banned_edges: frozenset[tuple[str, str]],
     ) -> dict[str, _Cost]:
-        """Best (probability, hops) from every node to the target set.
+        """Best (probability, hops) to the target set from each node of start's cone.
 
-        Dijkstra over reversed edges; values only, so the pop order among
-        equal costs does not matter. Dropping a node into a cycle always
-        costs hops, so walk-optima equal simple-path optima and no
-        simplicity bookkeeping is needed here.
+        The cone is every node reachable from start through unbanned parent
+        edges without passing through a target. Any path from a cone node to
+        a target stays inside it, so these are whole-graph distances. A
+        forward walk collects the cone and its reversed edges, then Dijkstra
+        runs over them from the cone's targets; values only, so the pop
+        order among equal costs does not matter. Dropping a node into a
+        cycle always costs hops, so walk-optima equal simple-path optima
+        and no simplicity bookkeeping is needed here.
         """
-        dist: dict[str, _Cost] = {}
-        heap = [(_EMPTY_PATH, t) for t in sorted(targets) if t not in banned_nodes]
+        children: dict[str, list[str]] = {start: []}
+        stack = [start]
+        while stack:
+            node = stack.pop()
+            if node in targets:  # targets absorb: a path never continues through one
+                continue
+            for parent in self.weighted.parents(node):
+                if parent in banned_nodes or (node, parent) in banned_edges:
+                    continue
+                if parent in children:
+                    children[parent].append(node)
+                else:
+                    children[parent] = [node]
+                    stack.append(parent)
+        heap = [(_EMPTY_PATH, t) for t in children if t in targets]
         heapq.heapify(heap)
+        dist: dict[str, _Cost] = {}
         while heap:
             cost, node = heapq.heappop(heap)
             if node in dist:
                 continue
             dist[node] = cost
-            for child in self.weighted.children_of(node):
-                # Targets absorb: a path never continues through one.
-                if child in dist or child in targets or child in banned_nodes:
-                    continue
-                if (child, node) in banned_edges:
-                    continue
-                heapq.heappush(heap, (self._edge_cost[(child, node)].then(cost), child))
+            for child in children[node]:
+                if child not in dist:
+                    heapq.heappush(heap, (self._edge_cost[(child, node)].then(cost), child))
         return dist
 
     def _best_path(
         self,
         start: str,
         targets: frozenset[str],
-        dist: dict[str, _Cost],
         banned_nodes: frozenset[str] = frozenset(),
         banned_edges: frozenset[tuple[str, str]] = frozenset(),
     ) -> tuple[_Cost, tuple[str, ...]] | None:
         """Total-order minimum path from start, or None if unreachable.
 
-        `dist` must come from `_dist` with the same targets and bans. Walks
-        forward from start along cost-tight edges, picking the smallest
-        node id at each step; that yields the lexicographic minimum among
-        the (probability, hops)-optimal paths, and any tight walk is
-        automatically simple.
+        Walks forward from start along cost-tight edges, picking the
+        smallest node id at each step; that yields the lexicographic
+        minimum among the (probability, hops)-optimal paths, and any tight
+        walk is automatically simple. Every unbanned parent of a node on
+        the walk lies in start's cone, so `_dist` covers it.
         """
+        dist = self._dist(start, targets, banned_nodes, banned_edges)
         total = dist.get(start)
         if total is None:
             return None
@@ -234,17 +247,12 @@ class _PathFinder:
         return total, tuple(nodes)
 
     def top_k(self, start: str, k: int) -> list[ScoredPath]:
-        if start in self.targets:
+        targets = self.targets
+        if start in targets:
             # A node can appear in the taxonomy only as a parent and still
             # lack a hypernym of its own; it must not be its own target.
-            targets = self.targets - {start}
-            dist = self._dist(targets)
-        else:
-            targets = self.targets
-            if self._base_dist is None:
-                self._base_dist = self._dist(targets)
-            dist = self._base_dist
-        first = self._best_path(start, targets, dist)
+            targets = targets - {start}
+        first = self._best_path(start, targets)
         if first is None:
             return []
         accepted = [first]
@@ -261,11 +269,7 @@ class _PathFinder:
                 banned_edges = frozenset(
                     (p[j], p[j + 1]) for _, p in accepted if p[: j + 1] == root
                 )
-                spur = self._best_path(
-                    base_nodes[j], targets,
-                    self._dist(targets, banned_nodes, banned_edges),
-                    banned_nodes, banned_edges,
-                )
+                spur = self._best_path(base_nodes[j], targets, banned_nodes, banned_edges)
                 if spur is None:
                     continue
                 spur_cost, spur_nodes = spur

@@ -127,6 +127,37 @@ def branching_factor(taxonomy: Taxonomy) -> float:
     return sum(len(taxonomy.hypernyms(n)) for n in covered) / len(covered)
 
 
+def max_depth_sampled(taxonomy: Taxonomy, sample: int, seed: int) -> int:
+    """Longest strongest-edge chain, in nodes, over a seeded sample of covered nodes.
+
+    From each sampled node the walk climbs its highest-scoring hypernym,
+    ties taking the smaller id, until a node has no hypernym or repeats.
+    """
+    covered = sorted(taxonomy.covered_nodes())
+    SplitMix64.keyed(seed, "stats-depth").shuffle(covered)
+    max_depth = 0
+    for start in covered[:sample]:
+        depth = 1
+        seen = {start}
+        node = start
+        while True:
+            hypernyms = taxonomy.hypernyms(node)
+            if not hypernyms:
+                break
+            best = None
+            for parent in hypernyms:  # sorted by construction
+                score = taxonomy.edge(node, parent).score
+                if best is None or score > best[1]:
+                    best = (parent, score)
+            node = best[0]
+            if node in seen:
+                break
+            seen.add(node)
+            depth += 1
+        max_depth = max(max_depth, depth)
+    return max_depth
+
+
 def sample_eval_nodes(
     graph: WcnGraph, n_entities: int, n_categories: int, seed: int
 ) -> set[str]:
@@ -143,9 +174,7 @@ def sample_eval_nodes(
 
 def load_gold(edges_path: str | Path, nodes_path: str | Path) -> GoldEdgeSet:
     """Read gold_edges.tsv (child, parent, isa|notisa) + sampled node list."""
-    nodes_path = Path(nodes_path)
-    with open(nodes_path, encoding="utf-8", newline="\n") as fh:
-        sampled = frozenset(line.rstrip("\n") for line in fh if line.rstrip("\n"))
+    sampled = frozenset(node for _, (node,) in _rows(Path(nodes_path), 1))
     edges_path = Path(edges_path)
     judgments: dict[tuple[str, str], Label] = {}
     for line_no, (child, parent, label) in _rows(edges_path, 3):

@@ -110,14 +110,16 @@ class TestTrainLinear:
 class TestPredictProba:
     def test_zero_model_is_half(self):
         tfidf = fit_tfidf(["aa"], WORD)
-        model = LinearEdgeModel(tfidf, {}, 0.0, TrainConfig())
+        model = LinearEdgeModel(tfidf, {}, 0.0, TrainConfig(), EdgeKind.ENTITY_TO_CATEGORY)
         assert predict_proba(model, "aa", "aa") == 0.5
         assert predict_proba(model, "zz", "zz") == 0.5
 
     def test_monotone_in_positive_feature(self):
         tfidf = fit_tfidf(["aa bb"], WORD)
         col_parent_aa = tfidf.vocabulary["aa"] + tfidf.n_features
-        model = LinearEdgeModel(tfidf, {col_parent_aa: 2.0}, 0.0, TrainConfig())
+        model = LinearEdgeModel(
+            tfidf, {col_parent_aa: 2.0}, 0.0, TrainConfig(), EdgeKind.ENTITY_TO_CATEGORY
+        )
         assert predict_proba(model, "x", "aa") > predict_proba(model, "x", "bb")
 
     def test_strictly_inside_unit_interval(self):
@@ -133,6 +135,7 @@ class TestPredictProba:
             {c: 3.0 * w for c, w in model.weights.items()},
             3.0 * model.bias,
             model.hyper,
+            model.kind,
         )
         for e in dataset.train + dataset.validation:
             a = predict_proba(model, graph.title(e.child), graph.title(e.parent)) >= 0.5
@@ -154,7 +157,7 @@ class TestValidationAccuracy:
 
     def test_tie_counts_as_positive(self):
         tfidf = fit_tfidf(["aa"], WORD)
-        model = LinearEdgeModel(tfidf, {}, 0.0, TrainConfig())  # always 0.5
+        model = LinearEdgeModel(tfidf, {}, 0.0, TrainConfig(), EdgeKind.ENTITY_TO_CATEGORY)  # always 0.5
         nodes = [Node("c", NodeKind.ENTITY, "aa"), Node("p", NodeKind.CATEGORY, "aa")]
         graph = WcnGraph(nodes, [("c", "p")])
         edges = [LabeledEdge("c", "p", Label.ISA), LabeledEdge("c", "p", Label.NOT_ISA)]

@@ -250,12 +250,16 @@ class TestBadInput:
         lambda d: d.update(bias="high"),
         lambda d: d.update(weights=7),
         lambda d: d["config"].update(momentum=0.9),
+        lambda d: d.pop("kind"),
+        lambda d: d.update(kind="ce"),
+        lambda d: d["weights"].append([10**6, 1.0]),  # column past 2V
+        lambda d: d["weights"].append([-1, 1.0]),
     ])
     def test_broken_model_file(self, trained_world, tmp_path, capsys, edit):
         _, paths, projected, models = trained_world
         data = json.loads((models / "model.ec.json").read_text(encoding="utf-8"))
         edit(data)
-        for name in ("model.ec.json", "model.cc.json", "model.cc.tfidf.json"):
+        for name in ("model.ec.tfidf.json", "model.cc.json", "model.cc.tfidf.json"):
             (tmp_path / name).write_bytes((models / name).read_bytes())
         (tmp_path / "model.ec.json").write_text(json.dumps(data), encoding="utf-8")
         code, err = run_err(capsys, *induce_args(paths, projected, tmp_path, tmp_path / "o.tsv"))
@@ -267,6 +271,9 @@ class TestBadInput:
         lambda d: d["spec"].update(mode="phoneme"),
         lambda d: d.update(vocab=[["ab"]]),
         lambda d: d["vocab"][0].__setitem__(1, -1),  # idf divides by 1 + df
+        lambda d: d["spec"].update(lowercase="no"),
+        lambda d: d["spec"].update(ngram_sizes=[2, 2.5]),
+        lambda d: d.update(n_docs=1.5),
     ])
     def test_broken_tfidf_file(self, trained_world, tmp_path, capsys, edit):
         _, paths, projected, models = trained_world
@@ -278,6 +285,31 @@ class TestBadInput:
         code, err = run_err(capsys, *induce_args(paths, projected, tmp_path, tmp_path / "o.tsv"))
         assert code == 2
         assert err.startswith(f"error: {tmp_path / 'model.cc.tfidf.json'}: bad TFIDF file")
+
+    def test_swapped_models_rejected(self, trained_world, tmp_path, capsys):
+        _, paths, projected, models = trained_world
+        argv = induce_args(paths, projected, models, tmp_path / "o.tsv")
+        ec, cc = argv.index("--model-ec") + 1, argv.index("--model-cc") + 1
+        argv[ec], argv[cc] = argv[cc], argv[ec]
+        code, err = run_err(capsys, *argv)
+        assert code == 2
+        assert err.startswith(
+            f"error: {models / 'model.cc.json'}: bad model file: kind is 'cc', expected 'ec'"
+        )
+        assert not (tmp_path / "o.tsv").exists()
+
+    def test_crlf_sampled_nodes_rejected(self, tmp_path, capsys):
+        (tmp_path / "taxo.tsv").write_text("x\ta\n", encoding="utf-8")
+        (tmp_path / "gold.tsv").write_text("x\ta\tisa\n", encoding="utf-8")
+        (tmp_path / "nodes.txt").write_bytes(b"x\r\n")
+        code, err = run_err(
+            capsys, "evaluate", "edges",
+            "--taxonomy", str(tmp_path / "taxo.tsv"),
+            "--gold", str(tmp_path / "gold.tsv"),
+            "--nodes-file", str(tmp_path / "nodes.txt"),
+        )
+        assert code == 2
+        assert f"{tmp_path / 'nodes.txt'}:1: line ends in CR" in err
 
 
 class TestEvaluate:

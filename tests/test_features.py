@@ -5,7 +5,7 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
-from taxonet.errors import EmptyVocabulary
+from taxonet.errors import EmptyVocabulary, MalformedFile
 from taxonet.features import (
     FeatureMode,
     FeatureSpec,
@@ -179,3 +179,21 @@ def test_model_json_roundtrip(tmp_path):
     assert again.idf == model.idf
     assert again.n_docs == model.n_docs
     assert again.spec == model.spec
+
+
+@pytest.mark.parametrize("edit", [
+    lambda d: d["spec"].update(lowercase="no"),
+    lambda d: d["spec"].update(lowercase=1),
+    lambda d: d["spec"].update(ngram_sizes=[2, 3.5]),
+    lambda d: d["spec"].update(ngram_sizes=[True, 3]),
+    lambda d: d["spec"].update(ngram_sizes=[0, 3]),
+    lambda d: d.update(n_docs=2.0),
+    lambda d: d.update(n_docs="2"),
+])
+def test_mistyped_spec_values_rejected(tmp_path, edit):
+    save_tfidf(fit_tfidf(["Entraîneur sportif"], CHAR), tmp_path / "m.json")
+    data = json.loads((tmp_path / "m.json").read_text(encoding="utf-8"))
+    edit(data)
+    (tmp_path / "m.json").write_text(json.dumps(data), encoding="utf-8")
+    with pytest.raises(MalformedFile):
+        load_tfidf(tmp_path / "m.json")

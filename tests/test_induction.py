@@ -8,6 +8,7 @@ from taxonet import Node, NodeKind, Provenance, TaxoEdge, Taxonomy, WcnGraph
 from taxonet.classifier import LinearEdgeModel, TrainConfig
 from taxonet.errors import EmptyProjectedTaxonomy, ProjectedEdgeNotInGraph
 from taxonet.features import FeatureMode, FeatureSpec, fit_tfidf
+from taxonet.graph import EdgeKind
 from taxonet.induction import (
     InductionConfig,
     _PathFinder,
@@ -30,9 +31,14 @@ def category_graph(edge_probs: dict[tuple[str, str], float]) -> WeightedGraph:
     return WeightedGraph(graph, dict(edge_probs))
 
 
-def constant_model(bias: float) -> LinearEdgeModel:
+def constant_model(bias: float, kind: EdgeKind) -> LinearEdgeModel:
     tfidf = fit_tfidf(["stub"], FeatureSpec(FeatureMode.WORD))
-    return LinearEdgeModel(tfidf, {}, bias, TrainConfig())
+    return LinearEdgeModel(tfidf, {}, bias, TrainConfig(), kind)
+
+
+def constant_models(bias_ec: float, bias_cc: float) -> tuple[LinearEdgeModel, LinearEdgeModel]:
+    return (constant_model(bias_ec, EdgeKind.ENTITY_TO_CATEGORY),
+            constant_model(bias_cc, EdgeKind.CATEGORY_TO_CATEGORY))
 
 
 class TestWeighEdges:
@@ -46,7 +52,7 @@ class TestWeighEdges:
 
     def test_uniform_sets_everything_to_one(self):
         weighted = weigh_edges(
-            self.graph(), constant_model(5.0), constant_model(-5.0),
+            self.graph(), *constant_models(5.0, -5.0),
             InductionConfig(uniform=True),
         )
         assert set(weighted.prob.values()) == {1.0}
@@ -54,14 +60,14 @@ class TestWeighEdges:
     def test_routing_by_edge_kind(self):
         sig = lambda z: 1.0 / (1.0 + math.exp(-z))
         weighted = weigh_edges(
-            self.graph(), constant_model(1.0), constant_model(-1.0), InductionConfig()
+            self.graph(), *constant_models(1.0, -1.0), InductionConfig()
         )
         assert weighted.prob[("e", "c1")] == pytest.approx(sig(1.0))
         assert weighted.prob[("c1", "c2")] == pytest.approx(sig(-1.0))
 
     def test_degenerate_scores_clamped(self):
         weighted = weigh_edges(
-            self.graph(), constant_model(-1000.0), constant_model(1000.0),
+            self.graph(), *constant_models(-1000.0, 1000.0),
             InductionConfig(epsilon=1e-6),
         )
         assert weighted.prob[("e", "c1")] == 1e-6
@@ -172,6 +178,59 @@ class TestTopKPaths:
                     assert Fraction(*path.probability.as_integer_ratio()) == _round_frac(prob)
                     checked += node in everything
         assert checked > 150
+
+    def test_k5_every_start_of_sparse_graphs_against_bruteforce(self):
+        # sparse graphs give each start a cone well short of the whole graph;
+        # one finder serves every start, as in induce, and uniform weights
+        # make candidates tie so hops and node order decide
+        rng = random.Random(2468)
+        checked = 0
+        for i in range(60):
+            weighted, _, targets = random_instance(
+                rng, max_nodes=14, p_edge=rng.uniform(0.1, 0.15), uniform=i % 3 == 0
+            )
+            finder = _PathFinder(weighted, frozenset(targets))
+            for node in weighted.graph.node_ids():
+                expected = enumerate_paths(weighted, node, targets - {node})[:5]
+                got = finder.top_k(node, 5)
+                assert [(p.nodes, p.hops) for p in got] == [(n, h) for _, h, n in expected]
+                for path, (prob, _, _) in zip(got, expected):
+                    assert Fraction(*path.probability.as_integer_ratio()) == _round_frac(prob)
+                checked += len(got)
+        assert checked > 300
+
+    def test_search_touches_only_the_start_cone(self):
+        # s climbs to target t through a and b; a long chain x00 -> ... ->
+        # x39 hangs below a and t, where s cannot reach it
+        probs = {("s", "a"): 0.9, ("s", "b"): 0.5, ("a", "t"): 0.6,
+                 ("b", "t"): 0.9, ("a", "b"): 0.7, ("t", "u"): 0.9}
+        for i in range(40):
+            probs[(f"x{i:02d}", "a")] = 0.8
+            probs[(f"x{i:02d}", "t")] = 0.3
+            if i:
+                probs[(f"x{i - 1:02d}", f"x{i:02d}")] = 0.9
+        weighted = category_graph(probs)
+
+        class Recording(WeightedGraph):
+            def __init__(self, graph, prob):
+                super().__init__(graph, prob)
+                self.touched: set[str] = set()
+
+            def parents(self, node):
+                self.touched.add(node)
+                return super().parents(node)
+
+            def children_of(self, node):
+                # a reverse search over the whole graph would walk down from
+                # t through this; a cone search has no use for it
+                self.touched.add(node)
+                return [c for c, p in self.graph.edges() if p == node]
+
+        recording = Recording(weighted.graph, weighted.prob)
+        got = _PathFinder(recording, frozenset({"t"})).top_k("s", 3)
+        assert [p.nodes for p in got] == [n for _, _, n in enumerate_paths(weighted, "s", {"t"})]
+        assert len(got) == 3
+        assert recording.touched <= {"s", "a", "b"}  # t absorbs, so u is never reached
 
     def test_max_product_equals_min_log_sum_choice(self):
         # duality: the exact-product argmax matches a -log float argmin on

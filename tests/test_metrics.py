@@ -18,6 +18,7 @@ from taxonet.metrics import (
     edge_metrics,
     load_gold,
     load_paths,
+    max_depth_sampled,
     path_metrics,
     sample_eval_nodes,
     save_gold,
@@ -166,6 +167,31 @@ class TestBranchingFactor:
             branching_factor(Taxonomy([]))
 
 
+class TestMaxDepthSampled:
+    def test_tie_takes_the_smaller_id(self):
+        # from a, b and c tie; b leads on through d to e, c ends at once
+        taxonomy = Taxonomy([
+            TaxoEdge("a", "c", 0.5), TaxoEdge("a", "b", 0.5),
+            TaxoEdge("b", "d"), TaxoEdge("d", "e"),
+        ])
+        assert max_depth_sampled(taxonomy, sample=10, seed=0) == 4  # a b d e
+
+    def test_strongest_edge_wins(self):
+        taxonomy = Taxonomy([
+            TaxoEdge("a", "b", 0.4), TaxoEdge("a", "z", 0.6), TaxoEdge("b", "c"),
+        ])
+        assert max_depth_sampled(taxonomy, sample=10, seed=0) == 2  # a z, or b c
+
+    def test_cycle_stops(self):
+        taxonomy = Taxonomy([TaxoEdge("a", "b"), TaxoEdge("b", "c"), TaxoEdge("c", "a")])
+        assert max_depth_sampled(taxonomy, sample=10, seed=0) == 3
+
+    def test_sample_bounds_the_starts(self):
+        taxonomy = Taxonomy([TaxoEdge("a", "b"), TaxoEdge("b", "c"), TaxoEdge("x", "y")])
+        depths = {max_depth_sampled(taxonomy, sample=1, seed=s) for s in range(20)}
+        assert depths == {2, 3}  # one start: x or b give 2, a gives 3
+
+
 def kind_graph(n_entities, n_categories):
     nodes = [Node(f"e{i}", NodeKind.ENTITY, f"e{i}") for i in range(n_entities)]
     nodes += [Node(f"c{i}", NodeKind.CATEGORY, f"c{i}") for i in range(n_categories)]
@@ -220,6 +246,18 @@ class TestFileFormats:
         (tmp_path / "bad2.jsonl").write_text("not json\n", encoding="utf-8")
         with pytest.raises(MalformedRow):
             load_paths(tmp_path / "bad2.jsonl")
+
+    @pytest.mark.parametrize("nodes, line_no", [
+        (b"x\r\ny\r\n", 1),
+        (b"x\n\ny\n", 2),
+        (b"x\ty\n", 1),
+    ])
+    def test_malformed_sampled_nodes(self, tmp_path, nodes, line_no):
+        (tmp_path / "n.txt").write_bytes(nodes)
+        (tmp_path / "g.tsv").write_text("x\ta\tisa\n", encoding="utf-8")
+        with pytest.raises(MalformedRow) as info:
+            load_gold(tmp_path / "g.tsv", tmp_path / "n.txt")
+        assert info.value.line_no == line_no
 
     def test_malformed_gold(self, tmp_path):
         (tmp_path / "n.txt").write_text("x\n", encoding="utf-8")
