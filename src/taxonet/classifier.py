@@ -5,6 +5,15 @@ calibrated probabilities directly - the induction phase multiplies them
 along paths. Two independent models are trained per run, one for
 entity->category edges and one for category->category edges, each with
 its own TFIDF vocabulary.
+
+Training, validation and edge weighing read each title's vector from its
+TFIDF model's cache (`TfidfModel.half`), so a title is vectorized once per
+model, not once per edge. A logit still sums `w.get(c, 0.0) * v` over the
+child entries, then the parent entries: the sequence `decision` sums for
+`vectorize_edge`. It is never regrouped into per-title partial sums. The
+same floats summed in the same order by the builtin `sum` give the same
+bits on every Python version; a regrouped sum can differ in the last bit,
+and from Python 3.12 `sum` also compensates its rounding.
 """
 
 from __future__ import annotations
@@ -12,10 +21,12 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from itertools import chain, repeat
+from operator import add, mul, sub, truediv
 from pathlib import Path
 
 from .errors import EmptyValidation, MalformedFile, SingleClassDataset
-from .features import SparseVector, TfidfModel, load_tfidf, save_tfidf, vectorize_edge
+from .features import SparseVector, TfidfModel, _is_int, load_tfidf, save_tfidf
 from .graph import EdgeKind, WcnGraph
 from .labeling import EdgeDataset, Label, LabeledEdge
 from .rng import SplitMix64
@@ -42,6 +53,11 @@ def _sigmoid(z: float) -> float:
         return 1.0 / (1.0 + math.exp(-z))
     e = math.exp(z)
     return e / (1.0 + e)
+
+
+def _dot(weights: dict[int, float], cols, vals) -> float:
+    """sum(weights.get(c, 0.0) * v) over the entries, in their order."""
+    return sum(map(mul, map(weights.get, cols, repeat(0.0)), vals))
 
 
 class LinearEdgeModel:
@@ -95,13 +111,18 @@ def train_linear(
         raise SingleClassDataset(
             f"training split needs both labels, got {[l.value for l in labels]}"
         )
-    samples = [
-        (
-            vectorize_edge(tfidf, graph.title(e.child), graph.title(e.parent)),
-            1.0 if e.label is Label.ISA else 0.0,
-        )
-        for e in dataset.train
-    ]
+    # A sample is the child half, the parent half with its columns moved to
+    # [V, 2V) (once per parent title), and the label.
+    offset = tfidf.n_features
+    shifted: dict[str, tuple[tuple[int, ...], tuple[float, ...]]] = {}
+    samples = []
+    for e in dataset.train:
+        title = graph.title(e.parent)
+        if title not in shifted:
+            cols, vals = tfidf.half(title)
+            shifted[title] = (tuple(map(add, cols, repeat(offset))), vals)
+        y = 1.0 if e.label is Label.ISA else 0.0
+        samples.append((tfidf.half(graph.title(e.child)), shifted[title], y))
 
     values: dict[int, float] = {}
     scale = 1.0
@@ -112,17 +133,23 @@ def train_linear(
         order = list(range(len(samples)))
         SplitMix64.keyed(cfg.seed, "sgd", epoch).shuffle(order)
         for i in order:
-            x, y = samples[i]
-            z = scale * sum(values.get(c, 0.0) * v for c, v in x.entries) + bias
+            (child_cols, child_vals), (parent_cols, parent_vals), y = samples[i]
+            dot = _dot(values, chain(child_cols, parent_cols), chain(child_vals, parent_vals))
+            z = scale * dot + bias
             grad = _sigmoid(z) - y
             lr = lr0 / (1.0 + cfg.l2_lambda * lr0 * step)
             scale *= max(0.0, 1.0 - lr * cfg.l2_lambda)
             if scale < 1e-9:
                 values = {c: v * scale for c, v in values.items()}
                 scale = 1.0
-            for c, v in x.entries:
-                values[c] = values.get(c, 0.0) - lr * grad * v / scale
-            bias -= lr * grad
+            # values[c] = values.get(c, 0.0) - (lr * grad) * v / scale for each
+            # entry; no column repeats within a sample, so one update per half
+            # reads the same old values a loop over the entries would.
+            g = lr * grad
+            for cols, vals in ((child_cols, child_vals), (parent_cols, parent_vals)):
+                steps = map(truediv, map(mul, repeat(g), vals), repeat(scale))
+                values.update(zip(cols, map(sub, map(values.get, cols, repeat(0.0)), steps)))
+            bias -= g
             step += 1
 
     weights = {c: scale * v for c, v in values.items() if scale * v != 0.0}
@@ -130,9 +157,16 @@ def train_linear(
 
 
 def predict_proba(model: LinearEdgeModel, child_title: str, parent_title: str) -> float:
-    """Probability that the edge is is-a."""
-    x = vectorize_edge(model.tfidf, child_title, parent_title)
-    return _sigmoid(model.decision(x))
+    """Probability that the edge is is-a.
+
+    Equal, bit for bit, to
+    `_sigmoid(model.decision(vectorize_edge(model.tfidf, child_title, parent_title)))`.
+    """
+    tfidf = model.tfidf
+    child_cols, child_vals = tfidf.half(child_title)
+    parent_cols, parent_vals = tfidf.half(parent_title)
+    cols = chain(child_cols, map(add, parent_cols, repeat(tfidf.n_features)))
+    return _sigmoid(_dot(model.weights, cols, chain(child_vals, parent_vals)) + model.bias)
 
 
 def validation_accuracy(
@@ -158,8 +192,24 @@ def save_model(model: LinearEdgeModel, path: str | Path) -> None:
     tfidf_ref = path.name.removesuffix(".json") + ".tfidf.json"
     save_tfidf(model.tfidf, path.with_name(tfidf_ref))
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(model.to_dict(tfidf_ref), fh, ensure_ascii=False)
+        # One dumps call: json.dump never uses the C encoder.
+        fh.write(json.dumps(model.to_dict(tfidf_ref), ensure_ascii=False))
         fh.write("\n")
+
+
+def _column(value) -> int:
+    if not _is_int(value):
+        raise TypeError(f"weight column must be an integer, got {value!r}")
+    return value
+
+
+def _number(value, what: str) -> float:
+    """A JSON number as a float; a bool, NaN or an infinity is not one."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError(f"{what} must be a number, got {value!r}")
+    if not math.isfinite(value):
+        raise ValueError(f"{what} must be finite, got {value!r}")
+    return float(value)
 
 
 def load_model(path: str | Path, kind: EdgeKind | None = None) -> LinearEdgeModel:
@@ -167,7 +217,9 @@ def load_model(path: str | Path, kind: EdgeKind | None = None) -> LinearEdgeMode
 
     The file must name its edge kind, and with `kind` given it must be that
     one, so a model cannot score the other kind's edges. Every weight
-    column must index the [child | parent] feature vector, [0, 2V).
+    column must be a JSON integer indexing the [child | parent] feature
+    vector, [0, 2V), and every weight value and the bias a finite JSON
+    number.
     """
     path = Path(path)
     with open(path, encoding="utf-8") as fh:
@@ -176,9 +228,9 @@ def load_model(path: str | Path, kind: EdgeKind | None = None) -> LinearEdgeMode
             found = EdgeKind(data["kind"])
             tfidf_path = path.with_name(data["tfidf_ref"])
             cfg = TrainConfig(**data["config"])
-            weights = {int(c): float(v) for c, v in data["weights"]}
-            bias = float(data["bias"])
-        except (KeyError, TypeError, ValueError) as exc:
+            weights = {_column(c): _number(v, "weight") for c, v in data["weights"]}
+            bias = _number(data["bias"], "bias")
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise MalformedFile(path, f"bad model file: {type(exc).__name__}: {exc}") from None
     if kind is not None and found is not kind:
         raise MalformedFile(

@@ -5,6 +5,13 @@ runs collapsed to a single space), so they deliberately cross word
 boundaries; that is where most of the sub-word morphological signal for
 hypernym detection lives. Word features are plain whitespace-delimited
 bags of tokens.
+
+Each title's vector depends only on the title and its TFIDF model, and an
+edge's vector is the child's vector beside the parent's. `TfidfModel.half`
+therefore vectorizes each title once per model and keeps the result as a
+(columns, values) pair, the per-title half that training, validation and
+edge weighing read. `vectorize_title` and `vectorize_edge` recompute from
+scratch and stay the reference definitions.
 """
 
 from __future__ import annotations
@@ -82,7 +89,8 @@ class TfidfModel:
     """Vocabulary + smoothed idf weights fitted on a title corpus.
 
     Columns are assigned in lexicographic feature order, which makes the
-    model independent of corpus order.
+    model independent of corpus order. Vocabulary and idf are fixed once
+    the model is built, which is what lets `half` cache title vectors.
     """
 
     def __init__(self, spec: FeatureSpec, vocabulary: dict[str, int], df: list[int], n_docs: int):
@@ -91,10 +99,23 @@ class TfidfModel:
         self.df = df
         self.n_docs = n_docs
         self.idf = [math.log((1 + n_docs) / (1 + d)) + 1.0 for d in df]
+        self._halves: dict[str, tuple[tuple[int, ...], tuple[float, ...]]] = {}
 
     @property
     def n_features(self) -> int:
         return len(self.vocabulary)
+
+    def half(self, title: str) -> tuple[tuple[int, ...], tuple[float, ...]]:
+        """`vectorize_title(self, title)` as (columns, values), cached per title.
+
+        The cache lives as long as the model and keeps every title asked for.
+        """
+        half = self._halves.get(title)
+        if half is None:
+            entries = vectorize_title(self, title).entries
+            half = (tuple(c for c, _ in entries), tuple(v for _, v in entries))
+            self._halves[title] = half
+        return half
 
     def to_dict(self) -> dict:
         sizes = sorted(self.spec.ngram_sizes) if self.spec.mode is FeatureMode.CHAR_NGRAM else None
@@ -179,7 +200,8 @@ def vectorize_edge(model: TfidfModel, child_title: str, parent_title: str) -> Sp
 
 def save_tfidf(model: TfidfModel, path: str | Path) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(model.to_dict(), fh, ensure_ascii=False)
+        # One dumps call: json.dump never uses the C encoder.
+        fh.write(json.dumps(model.to_dict(), ensure_ascii=False))
         fh.write("\n")
 
 
@@ -187,5 +209,5 @@ def load_tfidf(path: str | Path) -> TfidfModel:
     with open(path, encoding="utf-8") as fh:
         try:
             return TfidfModel.from_dict(json.load(fh))
-        except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
+        except (KeyError, TypeError, ValueError, ArithmeticError) as exc:
             raise MalformedFile(path, f"bad TFIDF file: {type(exc).__name__}: {exc}") from None

@@ -225,6 +225,27 @@ def test_induce_golden_bytes(trained_world, tmp_path, capsys, k):
     assert digests == GOLDEN[k]
 
 
+# sha256 of every file `train` writes for the trained_world pipeline. Model
+# files hold each weight as its repr, so these also pin SGD to the last bit,
+# which taxonomy.tsv's six-decimal scores hide.
+TRAIN_GOLDEN = {
+    "model.ec.json": "87e130065163e8851fc5dc3088582ec7ddcb3a39bf10bb6fa6eae48a12eced36",
+    "model.ec.tfidf.json": "130ab0c31db7c28f7da6305de4f78bc9d76be7d0aed6dea4057a56cdc8c8cf5d",
+    "metrics.ec.json": "e3583b549dd4e7287c81c585e6e98ee2f275e8c733ef6afefc8eef87c2b6eb7c",
+    "model.cc.json": "69a980262d32a880608a62b7cd2ebd43c691adf57f93ddca8caacfe574af0dc4",
+    "model.cc.tfidf.json": "401977ab132bd87412a43f3ec28afe49811cafdee71b91c8aa6da53c2031d78e",
+    "metrics.cc.json": "e7cadd8c49996358135a59ac8dc115f10756fe78d515284249d8a5e8a9ebc9e4",
+}
+
+
+def test_train_golden_bytes(trained_world):
+    _, _, _, out_dir = trained_world
+    digests = {
+        name: hashlib.sha256((out_dir / name).read_bytes()).hexdigest() for name in TRAIN_GOLDEN
+    }
+    assert digests == TRAIN_GOLDEN
+
+
 class TestBadInput:
     @pytest.mark.parametrize("name", ["nodes", "edges"])
     def test_crlf_line_ends_rejected(self, world_files, tmp_path, capsys, name):
@@ -254,6 +275,12 @@ class TestBadInput:
         lambda d: d.update(kind="ce"),
         lambda d: d["weights"].append([10**6, 1.0]),  # column past 2V
         lambda d: d["weights"].append([-1, 1.0]),
+        lambda d: d["weights"][0].__setitem__(0, 0.7),  # column not an integer
+        lambda d: d["weights"][0].__setitem__(1, "1.5"),
+        lambda d: d["weights"][0].__setitem__(1, True),
+        lambda d: d.update(bias="0.5"),
+        lambda d: d.update(bias=float("nan")),
+        lambda d: d.update(bias=10**400),  # overflows a float
     ])
     def test_broken_model_file(self, trained_world, tmp_path, capsys, edit):
         _, paths, projected, models = trained_world
@@ -274,6 +301,7 @@ class TestBadInput:
         lambda d: d["spec"].update(lowercase="no"),
         lambda d: d["spec"].update(ngram_sizes=[2, 2.5]),
         lambda d: d.update(n_docs=1.5),
+        lambda d: d.update(n_docs=10**400),  # idf overflows a float
     ])
     def test_broken_tfidf_file(self, trained_world, tmp_path, capsys, edit):
         _, paths, projected, models = trained_world

@@ -162,6 +162,23 @@ class TestVectorize:
         upper = math.sqrt(sum(x * x for c, x in v.entries if c >= model.n_features))
         assert abs(lower - 1.0) < 1e-9 and abs(upper - 1.0) < 1e-9
 
+    def test_cached_half_equals_fresh_vector(self):
+        model = fit_tfidf(["Auguste", "Empereur romain", "Empereur"], CHAR)
+        for title in ("Empereur romain", "Auguste", "zz", "Empereur romain"):
+            cols, vals = model.half(title)
+            assert tuple(zip(cols, vals)) == vectorize_title(model, title).entries
+        assert model.half("Auguste") is model.half("Auguste")
+
+    def test_half_cache_is_per_model(self):
+        title = "Empereur romain"
+        small = fit_tfidf([title], CHAR)
+        large = fit_tfidf(["Roma", "Empereur", "romain"], CHAR)
+        small.half(title)
+        for model in (large, small):
+            cols, vals = model.half(title)
+            assert tuple(zip(cols, vals)) == vectorize_title(model, title).entries
+        assert small.half(title) != large.half(title)
+
     def test_entries_strictly_increasing(self):
         model = fit_tfidf(["aa bb cc"], WORD)
         v = vectorize_edge(model, "cc aa", "bb aa")

@@ -4,11 +4,25 @@ from fractions import Fraction
 
 import pytest
 
-from taxonet import Node, NodeKind, Provenance, TaxoEdge, Taxonomy, WcnGraph
-from taxonet.classifier import LinearEdgeModel, TrainConfig
+from taxonet import (
+    EdgeDataset,
+    Node,
+    NodeKind,
+    ProjectionConfig,
+    Provenance,
+    TaxoEdge,
+    Taxonomy,
+    WcnGraph,
+    label_edges,
+    project,
+    split_by_kind,
+    train_linear,
+    train_val_split,
+)
+from taxonet.classifier import LinearEdgeModel, TrainConfig, _sigmoid
 from taxonet.errors import EmptyProjectedTaxonomy, ProjectedEdgeNotInGraph
-from taxonet.features import FeatureMode, FeatureSpec, fit_tfidf
-from taxonet.graph import EdgeKind
+from taxonet.features import FeatureMode, FeatureSpec, fit_tfidf, vectorize_edge
+from taxonet.graph import EdgeKind, edge_kind
 from taxonet.induction import (
     InductionConfig,
     _PathFinder,
@@ -21,6 +35,7 @@ from taxonet.induction import (
 from taxonet.metrics import branching_factor
 
 from oracles import bfs_min_hops, enumerate_paths, random_instance
+from worldgen import build_world
 
 
 def category_graph(edge_probs: dict[tuple[str, str], float]) -> WeightedGraph:
@@ -72,6 +87,32 @@ class TestWeighEdges:
         )
         assert weighted.prob[("e", "c1")] == 1e-6
         assert weighted.prob[("c1", "c2")] == 1.0 - 1e-6
+
+    def test_equals_per_edge_reference_bit_for_bit(self):
+        # Models trained as `train` trains them on the seed-21 world; every
+        # edge's weight must equal the one computed from `vectorize_edge`.
+        world = build_world(seed=21, families=4)
+        graph = world.graph
+        projected, _ = project(world.source, graph, world.links, ProjectionConfig())
+        models = {}
+        kinds = (EdgeKind.ENTITY_TO_CATEGORY, EdgeKind.CATEGORY_TO_CATEGORY)
+        for kind, edges in zip(kinds, split_by_kind(label_edges(graph, projected), graph)):
+            train, val = train_val_split(edges, 0.1, 5)
+            titles = sorted({graph.title(n) for e in train for n in (e.child, e.parent)})
+            tfidf = fit_tfidf(titles, FeatureSpec(FeatureMode.CHAR_NGRAM))
+            dataset = EdgeDataset(kind, train, val)
+            models[kind] = train_linear(dataset, tfidf, TrainConfig(seed=5), graph)
+        cfg = InductionConfig()
+        weighted = weigh_edges(
+            graph, models[EdgeKind.ENTITY_TO_CATEGORY], models[EdgeKind.CATEGORY_TO_CATEGORY], cfg
+        )
+        edges = list(graph.edges())
+        assert len(weighted.prob) == len(edges) > 100
+        for child, parent in edges:
+            model = models[edge_kind(graph, child, parent)]
+            x = vectorize_edge(model.tfidf, graph.title(child), graph.title(parent))
+            expected = min(max(_sigmoid(model.decision(x)), cfg.epsilon), 1.0 - cfg.epsilon)
+            assert weighted.prob[(child, parent)] == expected, (child, parent)
 
     def test_weighted_graph_validation(self):
         graph = self.graph()
