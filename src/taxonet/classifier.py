@@ -10,10 +10,12 @@ Training, validation and edge weighing read each title's vector from its
 TFIDF model's cache (`TfidfModel.half`), so a title is vectorized once per
 model, not once per edge. A logit still sums `w.get(c, 0.0) * v` over the
 child entries, then the parent entries: the sequence `decision` sums for
-`vectorize_edge`. It is never regrouped into per-title partial sums. The
-same floats summed in the same order by the builtin `sum` give the same
-bits on every Python version; a regrouped sum can differ in the last bit,
-and from Python 3.12 `sum` also compensates its rounding.
+`vectorize_edge`. It is never regrouped into per-title partial sums, which
+can differ in the last bit. The same floats summed in the same order give
+the same bits as `decision` on any one interpreter, but not across Python
+versions: from 3.12 the builtin `sum` compensates its rounding, so trained
+weights differ from 3.11's in their last bits (`tests/golden.py` pins
+both).
 """
 
 from __future__ import annotations

@@ -4,6 +4,17 @@ Subcommands: project, train, induce, evaluate (edges|paths), stats.
 Exit codes: 0 success, 2 bad input or usage, 1 internal error. Given the
 same flags, seed, and input files, every command writes byte-identical
 outputs; all randomness flows from --seed and is echoed in the reports.
+
+`train` and `induce` use two processes. `train` checks both edge kinds for
+two label classes (ec, then cc), then trains, saves and scores the cc
+model in a forked child (`forking.run_pair`) while this process does the
+same for ec; `induce` scores half the edges in a child (see `induction`).
+The two models share nothing but their read-only inputs, which the child
+inherits, and each seeds its own SGD, so every byte written is what one
+process running ec then cc would write. An error in ec wins over one in
+cc; a child's error re-raises here unchanged, so it exits 2 with the same
+message. The fork makes these commands POSIX-only, and `main` must be
+called from a single-threaded process.
 """
 
 from __future__ import annotations
@@ -106,6 +117,7 @@ def _cmd_train(args: argparse.Namespace) -> int:
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
+    jobs = []
     for kind, edges, name in (
         (EdgeKind.ENTITY_TO_CATEGORY, ec_edges, "ec"),
         (EdgeKind.CATEGORY_TO_CATEGORY, cc_edges, "cc"),
@@ -115,6 +127,9 @@ def _cmd_train(args: argparse.Namespace) -> int:
             raise SingleClassDataset(
                 f"{name}: need both labels to train; check the projected taxonomy"
             )
+        jobs.append((kind, name, train_edges, val_edges))
+
+    def fit(kind: EdgeKind, name: str, train_edges, val_edges) -> None:
         dataset = EdgeDataset(kind, train_edges, val_edges)
         node_ids = sorted({n for e in train_edges for n in (e.child, e.parent)})
         tfidf = fit_tfidf([graph.title(n) for n in node_ids], spec, min_df)
@@ -131,6 +146,11 @@ def _cmd_train(args: argparse.Namespace) -> int:
                 "seed": seed,
             },
         )
+
+    from .forking import run_pair  # here, so `import taxonet` does not load pickle
+
+    ec_job, cc_job = jobs
+    run_pair(lambda: fit(*ec_job), lambda: fit(*cc_job))
     return 0
 
 

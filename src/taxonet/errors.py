@@ -2,7 +2,23 @@
 
 
 class TaxonetError(Exception):
-    """Base class for all taxonet errors."""
+    """Base class for all taxonet errors.
+
+    Errors pickle as their type, message and attributes, so one raised in a
+    forked child (see `taxonet.forking`) re-raises unchanged in the parent.
+    The default pickling calls `cls(*self.args)`, which fails for a subclass
+    whose parameters are not its message.
+    """
+
+    def __reduce__(self):
+        return _restore, (type(self), self.args, self.__dict__)
+
+
+def _restore(cls, args, state):
+    exc = cls.__new__(cls)  # skips cls.__init__
+    exc.args = args
+    exc.__dict__.update(state)
+    return exc
 
 
 class MalformedRow(TaxonetError):

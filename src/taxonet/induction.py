@@ -24,6 +24,16 @@ lexicographically smallest optimal path is reconstructed greedily forward.
 Every path from a cone node to a target stays inside the cone, so the cone
 distances are the whole graph's, and each search costs the size of the
 cone, not of the graph.
+
+Edge weighing uses both cores: a forked child (`forking.run_pair`) scores
+the second half of the edge list while this process scores the first. An
+edge's probability depends only on its model and its two titles, and the
+child runs the same `predict_proba` and clamp on an inherited copy of the
+same graph and models, so every weight is bit-for-bit what a single
+process computes, and the weights are assembled in the graph's edge order.
+Each process vectorizes only the titles of its own half. The fork makes
+this POSIX-only and assumes a single-threaded caller; under the uniform
+baseline nothing is scored and nothing forks.
 """
 
 from __future__ import annotations
@@ -131,18 +141,27 @@ def weigh_edges(
     """Score every edge with its kind's classifier, clamped to [eps, 1-eps].
 
     With cfg.uniform the classifiers are ignored and every edge gets 1.0.
+    Otherwise a forked child scores the second half of the edge list while
+    this process scores the first (see the module docstring).
     """
-    prob: dict[tuple[str, str], float] = {}
-    for child, parent in graph.edges():
-        if cfg.uniform:
-            p = 1.0
-        else:
+    edges = list(graph.edges())
+    if cfg.uniform:
+        return WeightedGraph(graph, dict.fromkeys(edges, 1.0))
+
+    def score(part: list[tuple[str, str]]) -> list[float]:
+        probs = []
+        for child, parent in part:
             kind = edge_kind(graph, child, parent)
             model = model_ec if kind is EdgeKind.ENTITY_TO_CATEGORY else model_cc
             raw = predict_proba(model, graph.title(child), graph.title(parent))
-            p = min(max(raw, cfg.epsilon), 1.0 - cfg.epsilon)
-        prob[(child, parent)] = p
-    return WeightedGraph(graph, prob)
+            probs.append(min(max(raw, cfg.epsilon), 1.0 - cfg.epsilon))
+        return probs
+
+    from .forking import run_pair  # here, so `import taxonet` does not load pickle
+
+    half = len(edges) // 2
+    first, second = run_pair(lambda: score(edges[:half]), lambda: score(edges[half:]))
+    return WeightedGraph(graph, dict(zip(edges, first + second)))
 
 
 class _PathFinder:

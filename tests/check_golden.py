@@ -1,0 +1,82 @@
+"""Check the golden output pins with the standard library alone.
+
+Runs the `trained_world` pipeline of `tests/test_cli.py` through
+`taxonet.cli.main` in a temporary directory and compares the sha256 of
+every file `train` and `induce` write with the pins in `tests/golden.py`
+for the running interpreter. It needs no pytest, so any installed Python
+can run it, fork path included:
+
+    python3.12 tests/check_golden.py
+
+Prints one line per file and exits 0 when every digest matches, 1 if not.
+"""
+
+import hashlib
+import sys
+import tempfile
+from pathlib import Path
+
+TESTS = Path(__file__).resolve().parent
+sys.path[:0] = [str(TESTS.parent / "src"), str(TESTS)]
+
+from golden import GOLDEN, train_golden  # noqa: E402
+from worldgen import build_world  # noqa: E402
+
+from taxonet.cli import main  # noqa: E402
+
+
+def _digest(path: Path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def run_pipeline(root: Path) -> dict[str, str]:
+    """sha256 of every output, keyed by a name that matches the pins."""
+    paths = build_world(seed=21, families=4).write(root)
+    graph = ["--nodes", str(paths["nodes"]), "--edges", str(paths["edges"])]
+    projected, models = root / "projected.tsv", root / "char"
+    steps = [
+        ["project", *graph, "--langlinks", str(paths["langlinks"]),
+         "--source-taxonomy", str(paths["source_taxonomy"]), "--out", str(projected)],
+        ["train", *graph, "--projected", str(projected), "--mode", "char",
+         "--out-dir", str(models), "--seed", "5"],
+    ]
+    for k in sorted(GOLDEN):
+        steps.append(["induce", *graph, "--projected", str(projected),
+                      "--model-ec", str(models / "model.ec.json"),
+                      "--model-cc", str(models / "model.cc.json"),
+                      "--out", str(root / f"k{k}.tsv"), "--k", str(k)])
+    for argv in steps:
+        code = main(argv)
+        if code != 0:
+            raise SystemExit(f"taxonet {argv[0]} exited {code}")
+    digests = {name: _digest(models / name) for name in train_golden()}
+    for k in sorted(GOLDEN):
+        digests[f"k{k}.tsv"] = _digest(root / f"k{k}.tsv")
+        digests[f"k{k}.tsv.report.json"] = _digest(root / f"k{k}.tsv.report.json")
+    return digests
+
+
+def expected() -> dict[str, str]:
+    pins = dict(train_golden())
+    for k, (taxonomy, report) in GOLDEN.items():
+        pins[f"k{k}.tsv"] = taxonomy
+        pins[f"k{k}.tsv.report.json"] = report
+    return pins
+
+
+def main_check() -> int:
+    with tempfile.TemporaryDirectory() as tmp:
+        got = run_pipeline(Path(tmp))
+    pins = expected()
+    failed = 0
+    for name, digest in got.items():
+        ok = digest == pins[name]
+        failed += not ok
+        print(f"{'ok' if ok else 'MISMATCH'}  {name}  {digest}")
+    version = ".".join(map(str, sys.version_info[:3]))
+    print(f"Python {version}: {len(got) - failed} of {len(got)} digests match")
+    return 1 if failed else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main_check())

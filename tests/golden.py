@@ -1,0 +1,43 @@
+"""sha256 pins of the CLI's outputs on the `trained_world` pipeline.
+
+The pipeline: `build_world(seed=21, families=4)`, `project` with default
+flags, `train --mode char --seed 5`, then `induce` at k=1 and k=3. The CLI
+promises byte-identical output, so a pin changes only with an output change
+that CHANGES.md names. `tests/test_cli.py` asserts these under pytest and
+`tests/check_golden.py` checks them with the standard library alone.
+"""
+
+import sys
+
+# taxonomy.tsv and its report, per k; the same on every Python version.
+GOLDEN = {
+    1: ("cf064eac57d952a8583fee87c38e1554ee86aeb0f6af19077b824c6ddc424aab",
+        "7948c3f3b74754f20349634e976b1c0e8f6b679fa977b4e912e894499c440ad9"),
+    3: ("efd850738f33b10c8e61043cade44ee156d8c0cbfb6bd7acbe2f80ebc6f9dfc3",
+        "672c6b13c4a8d1203bb6b6d09684beb97d4daa4bc674ec8ee8619ec519398596"),
+}
+
+# Every file `train` writes. Model files hold each weight as its repr, so
+# these also pin SGD to the last bit, which taxonomy.tsv's six-decimal
+# scores hide. These hold up to Python 3.11.
+TRAIN_GOLDEN = {
+    "model.ec.json": "87e130065163e8851fc5dc3088582ec7ddcb3a39bf10bb6fa6eae48a12eced36",
+    "model.ec.tfidf.json": "130ab0c31db7c28f7da6305de4f78bc9d76be7d0aed6dea4057a56cdc8c8cf5d",
+    "metrics.ec.json": "e3583b549dd4e7287c81c585e6e98ee2f275e8c733ef6afefc8eef87c2b6eb7c",
+    "model.cc.json": "69a980262d32a880608a62b7cd2ebd43c691adf57f93ddca8caacfe574af0dc4",
+    "model.cc.tfidf.json": "401977ab132bd87412a43f3ec28afe49811cafdee71b91c8aa6da53c2031d78e",
+    "metrics.cc.json": "e7cadd8c49996358135a59ac8dc115f10756fe78d515284249d8a5e8a9ebc9e4",
+}
+
+# From Python 3.12 the builtin `sum` compensates float rounding, so SGD
+# weights move in their last bits; the model files differ, nothing else.
+TRAIN_GOLDEN_312 = {
+    **TRAIN_GOLDEN,
+    "model.ec.json": "42fb33af6b9fce080a4b27be82a84246156e0173cc77e749ac8b72c6aa999643",
+    "model.cc.json": "2b5f65692c8ba115203f982e042f6eaaaa89a775a265f0352a39ff4083f861a2",
+}
+
+
+def train_golden() -> dict[str, str]:
+    """The `train` pins for the running interpreter."""
+    return TRAIN_GOLDEN_312 if sys.version_info >= (3, 12) else TRAIN_GOLDEN

@@ -5,10 +5,12 @@ import pytest
 
 from taxonet.cli import main
 from taxonet.features import FeatureMode
+from taxonet.graph import NodeKind
 from taxonet.classifier import load_model
 from taxonet import load_taxonomy
 
 from conftest import write_fig1
+from golden import GOLDEN, train_golden
 from worldgen import build_world
 
 
@@ -140,11 +142,53 @@ class TestTrain:
         assert model.tfidf.spec.mode is FeatureMode.WORD
 
     def test_empty_projected_fails(self, world_files, tmp_path, capsys):
+        # Both kinds are single-class; ec is checked first.
         _, paths = world_files
         empty = tmp_path / "empty.tsv"
         empty.write_text("", encoding="utf-8")
-        code, _ = run(capsys, *train_args(paths, empty, tmp_path / "m"))
+        code, err = run_err(capsys, *train_args(paths, empty, tmp_path / "m"))
         assert code == 2
+        assert err.splitlines()[-1] == (
+            "error: ec: need both labels to train; check the projected taxonomy"
+        )
+        assert list((tmp_path / "m").iterdir()) == []
+
+    def test_cc_single_class_writes_no_model(self, trained_world, tmp_path, capsys):
+        # Projected entity edges only: no category child is covered, so the
+        # cc dataset has no label at all. Both kinds are checked before
+        # either trains, so not even the ec model is written.
+        world, paths, projected, _ = trained_world
+        ec_only = tmp_path / "ec_only.tsv"
+        ec_only.write_text("".join(
+            line for line in projected.read_text(encoding="utf-8").splitlines(keepends=True)
+            if world.graph.nodes[line.split("\t")[0]].kind is NodeKind.ENTITY
+        ), encoding="utf-8")
+        code, err = run_err(capsys, *train_args(paths, ec_only, tmp_path / "m"))
+        assert code == 2
+        assert err.splitlines()[-1] == (
+            "error: cc: need both labels to train; check the projected taxonomy"
+        )
+        assert list((tmp_path / "m").iterdir()) == []
+
+    def test_error_in_cc_child_exits_2(self, trained_world, tmp_path, capsys):
+        # Some n-gram is in 23+ of ec's 65 training titles, none in 20 of
+        # cc's 24, so only cc's vocabulary comes out empty; it is fitted in
+        # the forked child and its error must cross back unchanged.
+        _, paths, projected, _ = trained_world
+        out_dir = tmp_path / "m"
+        code, err = run_err(capsys, *train_args(paths, projected, out_dir, seed=5, min_df=20))
+        assert code == 2
+        assert err == "error: no feature reached min_df=20 over 24 titles\n"
+        assert sorted(p.name for p in out_dir.iterdir()) == [
+            "metrics.ec.json", "model.ec.json", "model.ec.tfidf.json",
+        ]
+
+    def test_ec_error_wins_over_cc_error(self, trained_world, tmp_path, capsys):
+        _, paths, projected, _ = trained_world
+        code, err = run_err(capsys, *train_args(paths, projected, tmp_path / "m", seed=5,
+                                                min_df=30))
+        assert code == 2
+        assert err == "error: no feature reached min_df=30 over 65 titles\n"
 
 
 def induce_args(paths, projected, models_dir, out, **extra):
@@ -202,17 +246,6 @@ class TestInduce:
         assert load_taxonomy(out1).edge_pairs() <= load_taxonomy(out2).edge_pairs()
 
 
-# sha256 of taxonomy.tsv and its report for the trained_world pipeline at
-# k=1 and k=3. The CLI promises byte-identical output, so these change only
-# with an output change that CHANGES.md names.
-GOLDEN = {
-    1: ("cf064eac57d952a8583fee87c38e1554ee86aeb0f6af19077b824c6ddc424aab",
-        "7948c3f3b74754f20349634e976b1c0e8f6b679fa977b4e912e894499c440ad9"),
-    3: ("efd850738f33b10c8e61043cade44ee156d8c0cbfb6bd7acbe2f80ebc6f9dfc3",
-        "672c6b13c4a8d1203bb6b6d09684beb97d4daa4bc674ec8ee8619ec519398596"),
-}
-
-
 @pytest.mark.parametrize("k", sorted(GOLDEN))
 def test_induce_golden_bytes(trained_world, tmp_path, capsys, k):
     _, paths, projected, models = trained_world
@@ -225,25 +258,12 @@ def test_induce_golden_bytes(trained_world, tmp_path, capsys, k):
     assert digests == GOLDEN[k]
 
 
-# sha256 of every file `train` writes for the trained_world pipeline. Model
-# files hold each weight as its repr, so these also pin SGD to the last bit,
-# which taxonomy.tsv's six-decimal scores hide.
-TRAIN_GOLDEN = {
-    "model.ec.json": "87e130065163e8851fc5dc3088582ec7ddcb3a39bf10bb6fa6eae48a12eced36",
-    "model.ec.tfidf.json": "130ab0c31db7c28f7da6305de4f78bc9d76be7d0aed6dea4057a56cdc8c8cf5d",
-    "metrics.ec.json": "e3583b549dd4e7287c81c585e6e98ee2f275e8c733ef6afefc8eef87c2b6eb7c",
-    "model.cc.json": "69a980262d32a880608a62b7cd2ebd43c691adf57f93ddca8caacfe574af0dc4",
-    "model.cc.tfidf.json": "401977ab132bd87412a43f3ec28afe49811cafdee71b91c8aa6da53c2031d78e",
-    "metrics.cc.json": "e7cadd8c49996358135a59ac8dc115f10756fe78d515284249d8a5e8a9ebc9e4",
-}
-
-
 def test_train_golden_bytes(trained_world):
     _, _, _, out_dir = trained_world
     digests = {
-        name: hashlib.sha256((out_dir / name).read_bytes()).hexdigest() for name in TRAIN_GOLDEN
+        name: hashlib.sha256((out_dir / name).read_bytes()).hexdigest() for name in train_golden()
     }
-    assert digests == TRAIN_GOLDEN
+    assert digests == train_golden()
 
 
 class TestBadInput:

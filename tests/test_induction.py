@@ -1,4 +1,5 @@
 import math
+import os
 import random
 from fractions import Fraction
 
@@ -56,6 +57,23 @@ def constant_models(bias_ec: float, bias_cc: float) -> tuple[LinearEdgeModel, Li
             constant_model(bias_cc, EdgeKind.CATEGORY_TO_CATEGORY))
 
 
+@pytest.fixture(scope="module")
+def world_models():
+    """The seed-21 world and its models, trained as `train` trains them."""
+    world = build_world(seed=21, families=4)
+    graph = world.graph
+    projected, _ = project(world.source, graph, world.links, ProjectionConfig())
+    models = {}
+    kinds = (EdgeKind.ENTITY_TO_CATEGORY, EdgeKind.CATEGORY_TO_CATEGORY)
+    for kind, edges in zip(kinds, split_by_kind(label_edges(graph, projected), graph)):
+        train, val = train_val_split(edges, 0.1, 5)
+        titles = sorted({graph.title(n) for e in train for n in (e.child, e.parent)})
+        tfidf = fit_tfidf(titles, FeatureSpec(FeatureMode.CHAR_NGRAM))
+        dataset = EdgeDataset(kind, train, val)
+        models[kind] = train_linear(dataset, tfidf, TrainConfig(seed=5), graph)
+    return graph, models
+
+
 class TestWeighEdges:
     def graph(self):
         nodes = [
@@ -88,31 +106,46 @@ class TestWeighEdges:
         assert weighted.prob[("e", "c1")] == 1e-6
         assert weighted.prob[("c1", "c2")] == 1.0 - 1e-6
 
-    def test_equals_per_edge_reference_bit_for_bit(self):
-        # Models trained as `train` trains them on the seed-21 world; every
-        # edge's weight must equal the one computed from `vectorize_edge`.
-        world = build_world(seed=21, families=4)
-        graph = world.graph
-        projected, _ = project(world.source, graph, world.links, ProjectionConfig())
-        models = {}
-        kinds = (EdgeKind.ENTITY_TO_CATEGORY, EdgeKind.CATEGORY_TO_CATEGORY)
-        for kind, edges in zip(kinds, split_by_kind(label_edges(graph, projected), graph)):
-            train, val = train_val_split(edges, 0.1, 5)
-            titles = sorted({graph.title(n) for e in train for n in (e.child, e.parent)})
-            tfidf = fit_tfidf(titles, FeatureSpec(FeatureMode.CHAR_NGRAM))
-            dataset = EdgeDataset(kind, train, val)
-            models[kind] = train_linear(dataset, tfidf, TrainConfig(seed=5), graph)
-        cfg = InductionConfig()
+    @staticmethod
+    def assert_equals_reference(graph, models, cfg):
         weighted = weigh_edges(
             graph, models[EdgeKind.ENTITY_TO_CATEGORY], models[EdgeKind.CATEGORY_TO_CATEGORY], cfg
         )
         edges = list(graph.edges())
-        assert len(weighted.prob) == len(edges) > 100
+        assert list(weighted.prob) == edges
         for child, parent in edges:
             model = models[edge_kind(graph, child, parent)]
             x = vectorize_edge(model.tfidf, graph.title(child), graph.title(parent))
             expected = min(max(_sigmoid(model.decision(x)), cfg.epsilon), 1.0 - cfg.epsilon)
             assert weighted.prob[(child, parent)] == expected, (child, parent)
+
+    def test_equals_per_edge_reference_bit_for_bit(self, world_models):
+        # Every edge's weight must equal the one computed from `vectorize_edge`.
+        graph, models = world_models
+        assert graph.n_edges > 100
+        self.assert_equals_reference(graph, models, InductionConfig())
+
+    @pytest.mark.parametrize("n_edges", [1, 2, 7])
+    def test_split_equals_reference_on_few_edges(self, world_models, n_edges):
+        # The child scores edges[n // 2:], so a single edge goes to the child
+        # alone and an odd count splits unevenly; the world's last seven
+        # edges hold both kinds (the whole world has an odd count too).
+        graph, models = world_models
+        edges = list(graph.edges())[-n_edges:]
+        ids = {n for e in edges for n in e}
+        small = WcnGraph([graph.nodes[n] for n in sorted(ids)], edges)
+        assert small.n_edges == n_edges
+        self.assert_equals_reference(small, models, InductionConfig())
+
+    def test_uniform_never_forks(self, monkeypatch):
+        def no_fork():
+            raise AssertionError("os.fork called")
+
+        monkeypatch.setattr(os, "fork", no_fork)
+        weighted = weigh_edges(
+            self.graph(), *constant_models(5.0, -5.0), InductionConfig(uniform=True)
+        )
+        assert weighted.prob == {("e", "c1"): 1.0, ("c1", "c2"): 1.0}
 
     def test_weighted_graph_validation(self):
         graph = self.graph()
