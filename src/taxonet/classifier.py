@@ -8,23 +8,30 @@ its own TFIDF vocabulary.
 
 Training, validation and edge weighing read each title's vector from its
 TFIDF model's cache (`TfidfModel.half`), so a title is vectorized once per
-model, not once per edge. A logit still sums `w.get(c, 0.0) * v` over the
-child entries, then the parent entries: the sequence `decision` sums for
-`vectorize_edge`. It is never regrouped into per-title partial sums, which
-can differ in the last bit. The same floats summed in the same order give
-the same bits as `decision` on any one interpreter, but not across Python
-versions: from 3.12 the builtin `sum` compensates its rounding, so trained
-weights differ from 3.11's in their last bits (`tests/golden.py` pins
-both).
+model, not once per edge. Weights live in two dense lists of V floats,
+one for the child's columns [0, V) and one for the parent's [V, 2V), both
+indexed from 0: the SGD state during training, and a copy built once per
+`LinearEdgeModel` for scoring. A title's cached `gather` reads its weights
+from either list in one C call, so one getter per title serves both sides
+of an edge. A logit still sums weight * value over the child entries,
+then the parent entries: the sequence `decision` sums for
+`vectorize_edge`, with `0.0` for every column the weights lack, as the
+sparse `w.get(c, 0.0)` gave. It is never regrouped into per-title partial
+sums, which can differ in the last bit. The same floats summed in the same
+order give the same bits as `decision` on any one interpreter, but not
+across Python versions: from 3.12 the builtin `sum` compensates its
+rounding, so trained weights differ from 3.11's in their last bits
+(`tests/golden.py` pins both).
 """
 
 from __future__ import annotations
 
 import json
 import math
+from collections import deque
 from dataclasses import dataclass
 from itertools import chain, repeat
-from operator import add, mul, sub, truediv
+from operator import mul, sub, truediv
 from pathlib import Path
 
 from .errors import EmptyValidation, MalformedFile, SingleClassDataset
@@ -57,14 +64,15 @@ def _sigmoid(z: float) -> float:
     return e / (1.0 + e)
 
 
-def _dot(weights: dict[int, float], cols, vals) -> float:
-    """sum(weights.get(c, 0.0) * v) over the entries, in their order."""
-    return sum(map(mul, map(weights.get, cols, repeat(0.0)), vals))
-
-
 class LinearEdgeModel:
     """Sparse linear model over concatenated child/parent TFIDF vectors,
-    trained for one edge kind."""
+    trained for one edge kind.
+
+    `weights` maps each nonzero column to its weight; every column must lie
+    in [0, 2V). The constructor copies them into `dense`, the child and the
+    parent lists that `predict_proba` reads, so `weights` is not to be
+    changed afterwards.
+    """
 
     def __init__(
         self,
@@ -79,6 +87,10 @@ class LinearEdgeModel:
         self.bias = bias
         self.hyper = hyper
         self.kind = kind
+        dense = [0.0] * (2 * tfidf.n_features)
+        for c, w in weights.items():
+            dense[c] = w
+        self.dense = (dense[: tfidf.n_features], dense[tfidf.n_features :])
 
     def decision(self, x: SparseVector) -> float:
         w = self.weights
@@ -113,20 +125,18 @@ def train_linear(
         raise SingleClassDataset(
             f"training split needs both labels, got {[l.value for l in labels]}"
         )
-    # A sample is the child half, the parent half with its columns moved to
-    # [V, 2V) (once per parent title), and the label.
-    offset = tfidf.n_features
-    shifted: dict[str, tuple[tuple[int, ...], tuple[float, ...]]] = {}
-    samples = []
-    for e in dataset.train:
-        title = graph.title(e.parent)
-        if title not in shifted:
-            cols, vals = tfidf.half(title)
-            shifted[title] = (tuple(map(add, cols, repeat(offset))), vals)
-        y = 1.0 if e.label is Label.ISA else 0.0
-        samples.append((tfidf.half(graph.title(e.child)), shifted[title], y))
+    # A sample is the child's half, the parent's half and the label.
+    samples = [
+        (
+            *tfidf.half(graph.title(e.child)),
+            *tfidf.half(graph.title(e.parent)),
+            1.0 if e.label is Label.ISA else 0.0,
+        )
+        for e in dataset.train
+    ]
 
-    values: dict[int, float] = {}
+    child_values = [0.0] * tfidf.n_features
+    parent_values = [0.0] * tfidf.n_features
     scale = 1.0
     bias = 0.0
     step = 0
@@ -135,26 +145,33 @@ def train_linear(
         order = list(range(len(samples)))
         SplitMix64.keyed(cfg.seed, "sgd", epoch).shuffle(order)
         for i in order:
-            (child_cols, child_vals), (parent_cols, parent_vals), y = samples[i]
-            dot = _dot(values, chain(child_cols, parent_cols), chain(child_vals, parent_vals))
+            child_cols, child_vals, child_get, parent_cols, parent_vals, parent_get, y = samples[i]
+            child_w, parent_w = child_get(child_values), parent_get(parent_values)
+            dot = sum(map(mul, chain(child_w, parent_w), chain(child_vals, parent_vals)))
             z = scale * dot + bias
             grad = _sigmoid(z) - y
             lr = lr0 / (1.0 + cfg.l2_lambda * lr0 * step)
             scale *= max(0.0, 1.0 - lr * cfg.l2_lambda)
             if scale < 1e-9:
-                values = {c: v * scale for c, v in values.items()}
+                child_values = [v * scale for v in child_values]
+                parent_values = [v * scale for v in parent_values]
                 scale = 1.0
-            # values[c] = values.get(c, 0.0) - (lr * grad) * v / scale for each
-            # entry; no column repeats within a sample, so one update per half
-            # reads the same old values a loop over the entries would.
+                child_w, parent_w = child_get(child_values), parent_get(parent_values)
+            # values[c] -= (lr * grad) * v / scale for each entry. No column
+            # repeats within a half, so the old weights gathered once are the
+            # ones a loop over the entries would read.
             g = lr * grad
-            for cols, vals in ((child_cols, child_vals), (parent_cols, parent_vals)):
+            for values, cols, vals, old in (
+                (child_values, child_cols, child_vals, child_w),
+                (parent_values, parent_cols, parent_vals, parent_w),
+            ):
                 steps = map(truediv, map(mul, repeat(g), vals), repeat(scale))
-                values.update(zip(cols, map(sub, map(values.get, cols, repeat(0.0)), steps)))
+                deque(map(values.__setitem__, cols, map(sub, old, steps)), 0)
             bias -= g
             step += 1
 
-    weights = {c: scale * v for c, v in values.items() if scale * v != 0.0}
+    columns = chain(child_values, parent_values)
+    weights = {c: w for c, w in enumerate(map(mul, repeat(scale), columns)) if w != 0.0}
     return LinearEdgeModel(tfidf, weights, bias, cfg, dataset.kind)
 
 
@@ -164,11 +181,11 @@ def predict_proba(model: LinearEdgeModel, child_title: str, parent_title: str) -
     Equal, bit for bit, to
     `_sigmoid(model.decision(vectorize_edge(model.tfidf, child_title, parent_title)))`.
     """
-    tfidf = model.tfidf
-    child_cols, child_vals = tfidf.half(child_title)
-    parent_cols, parent_vals = tfidf.half(parent_title)
-    cols = chain(child_cols, map(add, parent_cols, repeat(tfidf.n_features)))
-    return _sigmoid(_dot(model.weights, cols, chain(child_vals, parent_vals)) + model.bias)
+    _, child_vals, child_get = model.tfidf.half(child_title)
+    _, parent_vals, parent_get = model.tfidf.half(parent_title)
+    child_w, parent_w = model.dense
+    weights = chain(child_get(child_w), parent_get(parent_w))
+    return _sigmoid(sum(map(mul, weights, chain(child_vals, parent_vals))) + model.bias)
 
 
 def validation_accuracy(

@@ -9,12 +9,21 @@ outputs; all randomness flows from --seed and is echoed in the reports.
 two label classes (ec, then cc), then trains, saves and scores the cc
 model in a forked child (`forking.run_pair`) while this process does the
 same for ec; `induce` scores half the edges in a child (see `induction`).
-The two models share nothing but their read-only inputs, which the child
-inherits, and each seeds its own SGD, so every byte written is what one
-process running ec then cc would write. An error in ec wins over one in
-cc; a child's error re-raises here unchanged, so it exits 2 with the same
-message. The fork makes these commands POSIX-only, and `main` must be
-called from a single-threaded process.
+Once a model is trained, its save runs in a forked child of the process
+that trained it while that process computes the model's two accuracies,
+and `metrics.<kind>.json` is written after both finish, so the cc child
+forks one of its own. The two models share nothing but their read-only
+inputs, which the child inherits, and each seeds its own SGD, so every
+byte written is what one process running ec then cc would write. An
+error in ec wins over one in cc; a child's error re-raises here
+unchanged, so it exits 2 with the same message. The fork makes these
+commands POSIX-only, and `main` must be called from a single-threaded
+process.
+
+A `--config` file must hold one JSON object whose keys are those of
+`CONFIG_DEFAULTS`, each with its default's JSON type; the whole file is
+checked in every command, so a mistyped key exits 2 even where the
+command does not read it.
 """
 
 from __future__ import annotations
@@ -26,8 +35,8 @@ from pathlib import Path
 
 from . import __version__
 from .classifier import TrainConfig, load_model, save_model, train_linear, validation_accuracy
-from .errors import SingleClassDataset, TaxonetError
-from .features import FeatureMode, FeatureSpec, fit_tfidf
+from .errors import MalformedFile, SingleClassDataset, TaxonetError
+from .features import FeatureMode, FeatureSpec, _is_int, fit_tfidf
 from .graph import EdgeKind, load_interlang, load_taxonomy, load_wcn, save_taxonomy
 from .induction import InductionConfig, induce, weigh_edges
 from .labeling import EdgeDataset, label_edges, split_by_kind, train_val_split
@@ -53,14 +62,38 @@ CONFIG_DEFAULTS = {
 }
 
 
+def _expected_type(default, value) -> str | None:
+    """What `value` must be to have the JSON type of `default`, or None if
+    it has it. A number may be an integer, and stays one."""
+    if isinstance(default, bool):
+        return None if isinstance(value, bool) else "true or false"
+    if isinstance(default, int):
+        return None if _is_int(value) else "an integer"
+    if isinstance(default, float):
+        return None if _is_int(value) or isinstance(value, float) else "a number"
+    if isinstance(default, list):
+        ok = isinstance(value, list) and all(map(_is_int, value))
+        return None if ok else "a list of integers"
+    return None if isinstance(value, str) else "a string"
+
+
 def _load_config(path: str | None) -> dict:
     cfg = dict(CONFIG_DEFAULTS)
     if path is not None:
         with open(path, encoding="utf-8") as fh:
-            data = json.load(fh)
+            try:
+                data = json.load(fh)
+            except ValueError as exc:
+                raise MalformedFile(path, f"bad config file: {exc}") from None
+        if not isinstance(data, dict):
+            raise MalformedFile(path, f"config must be a JSON object, got {data!r}")
         unknown = sorted(set(data) - set(cfg))
         if unknown:
-            raise TaxonetError(f"unknown config keys: {', '.join(unknown)}")
+            raise MalformedFile(path, f"unknown config keys: {', '.join(unknown)}")
+        for key, value in data.items():
+            expected = _expected_type(cfg[key], value)
+            if expected:
+                raise MalformedFile(path, f"config key {key!r} must be {expected}, got {value!r}")
         cfg.update(data)
     return cfg
 
@@ -129,25 +162,34 @@ def _cmd_train(args: argparse.Namespace) -> int:
             )
         jobs.append((kind, name, train_edges, val_edges))
 
+    from .forking import run_pair  # here, so `import taxonet` does not load pickle
+
     def fit(kind: EdgeKind, name: str, train_edges, val_edges) -> None:
         dataset = EdgeDataset(kind, train_edges, val_edges)
         node_ids = sorted({n for e in train_edges for n in (e.child, e.parent)})
         tfidf = fit_tfidf([graph.title(n) for n in node_ids], spec, min_df)
         model = train_linear(dataset, tfidf, train_cfg, graph)
-        save_model(model, out_dir / f"model.{name}.json")
+
+        def accuracies():
+            return (
+                validation_accuracy(model, train_edges, graph),
+                validation_accuracy(model, val_edges, graph) if val_edges else None,
+            )
+
+        (train_acc, val_acc), _ = run_pair(
+            accuracies, lambda: save_model(model, out_dir / f"model.{name}.json")
+        )
         _write_json(
             out_dir / f"metrics.{name}.json",
             {
-                "train_acc": validation_accuracy(model, train_edges, graph),
-                "val_acc": validation_accuracy(model, val_edges, graph) if val_edges else None,
+                "train_acc": train_acc,
+                "val_acc": val_acc,
                 "n_train": len(train_edges),
                 "n_val": len(val_edges),
                 "mode": mode.value,
                 "seed": seed,
             },
         )
-
-    from .forking import run_pair  # here, so `import taxonet` does not load pickle
 
     ec_job, cc_job = jobs
     run_pair(lambda: fit(*ec_job), lambda: fit(*cc_job))

@@ -9,9 +9,16 @@ bags of tokens.
 Each title's vector depends only on the title and its TFIDF model, and an
 edge's vector is the child's vector beside the parent's. `TfidfModel.half`
 therefore vectorizes each title once per model and keeps the result as a
-(columns, values) pair, the per-title half that training, validation and
-edge weighing read. `vectorize_title` and `vectorize_edge` recompute from
-scratch and stay the reference definitions.
+(columns, values, gather) triple, the per-title half that training,
+validation and edge weighing read. `gather(w)` is
+`tuple(w[c] for c in columns)` in one C call (an `operator.itemgetter`),
+so a linear model keeps its weights in two dense lists of V floats, one
+for the child's columns and one for the parent's, and reads a title's
+weights on either side without a Python-level lookup per entry. A column
+the model never touched holds `0.0`, the value a sparse lookup's default
+gave, so the gathered floats are the same ones, in the same order.
+`vectorize_title` and `vectorize_edge` recompute from scratch and stay the
+reference definitions.
 """
 
 from __future__ import annotations
@@ -21,11 +28,16 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
+from operator import itemgetter
 from pathlib import Path
+from typing import Callable
 
 from .errors import EmptyVocabulary, MalformedFile
 
 DEFAULT_NGRAM_SIZES = frozenset({2, 3, 4, 5, 6})
+
+# A title's vector as (columns, values, gather); see `TfidfModel.half`.
+Half = tuple[tuple[int, ...], tuple[float, ...], Callable[[list], tuple]]
 
 
 class FeatureMode(Enum):
@@ -99,21 +111,23 @@ class TfidfModel:
         self.df = df
         self.n_docs = n_docs
         self.idf = [math.log((1 + n_docs) / (1 + d)) + 1.0 for d in df]
-        self._halves: dict[str, tuple[tuple[int, ...], tuple[float, ...]]] = {}
+        self._halves: dict[str, Half] = {}
 
     @property
     def n_features(self) -> int:
         return len(self.vocabulary)
 
-    def half(self, title: str) -> tuple[tuple[int, ...], tuple[float, ...]]:
-        """`vectorize_title(self, title)` as (columns, values), cached per title.
+    def half(self, title: str) -> Half:
+        """`vectorize_title(self, title)` as (columns, values, gather), cached
+        per title.
 
         The cache lives as long as the model and keeps every title asked for.
         """
         half = self._halves.get(title)
         if half is None:
             entries = vectorize_title(self, title).entries
-            half = (tuple(c for c, _ in entries), tuple(v for _, v in entries))
+            cols = tuple(c for c, _ in entries)
+            half = (cols, tuple(v for _, v in entries), _gatherer(cols))
             self._halves[title] = half
         return half
 
@@ -150,6 +164,17 @@ class TfidfModel:
         vocabulary = {f: i for i, (f, _) in enumerate(data["vocab"])}
         df = [d for _, d in data["vocab"]]
         return cls(spec, vocabulary, df, data["n_docs"])
+
+
+def _gatherer(cols: tuple[int, ...]) -> Callable[[list], tuple]:
+    """`w -> tuple(w[c] for c in cols)`, one C call for two or more columns.
+
+    `itemgetter` returns a bare item for one index and needs at least one,
+    so those two cases take the generator instead.
+    """
+    if len(cols) > 1:
+        return itemgetter(*cols)
+    return lambda w: tuple(w[c] for c in cols)
 
 
 def _is_int(value) -> bool:

@@ -7,9 +7,10 @@ File formats (UTF-8, literal tabs, LF line ends, no header):
     langlinks.tsv  target_id <TAB> source_id
     taxonomy.tsv   child_id <TAB> parent_id [<TAB> score [<TAB> provenance]]
 
-All structures are immutable after construction and safe to share across
-threads. Titles are stored verbatim; normalization is the feature layer's
-job.
+All structures are immutable after construction, so a child forked by
+`taxonet.forking.run_pair` works on the same data as its parent for as
+long as both run. Titles are stored verbatim; normalization is the
+feature layer's job.
 """
 
 from __future__ import annotations

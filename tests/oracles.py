@@ -1,15 +1,18 @@
-"""Independent brute-force oracles for the path-search tests.
+"""Independent brute-force oracles for the path-search tests, and the
+reference SGD loop for the classifier tests.
 
-These deliberately avoid the library's search machinery: paths are found
-by exhaustive DFS enumeration, probabilities are exact Fractions built
-from the float edge weights, and the ordering is applied wholesale via
-sort. Slow but obviously correct on small graphs.
+The path oracles deliberately avoid the library's search machinery: paths
+are found by exhaustive DFS enumeration, probabilities are exact Fractions
+built from the float edge weights, and the ordering is applied wholesale
+via sort. Slow but obviously correct on small graphs.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from fractions import Fraction
+from itertools import chain, repeat
+from operator import add, mul, sub, truediv
 
 
 def enumerate_paths(weighted, start: str, targets: set[str]):
@@ -80,3 +83,68 @@ def bfs_min_hops(graph, start: str, targets: set[str]) -> int | None:
             seen.add(parent)
             queue.append((parent, hops + 1))
     return None
+
+
+def reference_train_linear(dataset, tfidf, cfg, graph):
+    """`classifier.train_linear` as a sparse dict-based loop: (weights, bias).
+
+    This is the SGD loop the dense-list one replaced, kept unchanged: the
+    weights live in a dict, each step reads every entry with
+    `dict.get(c, 0.0)` and writes it back with `dict.update`. Title vectors
+    come from `vectorize_title`, not from the TFIDF model's cache. The
+    library's loop must match it bit for bit.
+    """
+    from taxonet.classifier import _sigmoid
+    from taxonet.features import vectorize_title
+    from taxonet.labeling import Label
+    from taxonet.rng import SplitMix64
+
+    def half(title):
+        entries = vectorize_title(tfidf, title).entries
+        return tuple(c for c, _ in entries), tuple(v for _, v in entries)
+
+    def _dot(weights, cols, vals):
+        """sum(weights.get(c, 0.0) * v) over the entries, in their order."""
+        return sum(map(mul, map(weights.get, cols, repeat(0.0)), vals))
+
+    offset = tfidf.n_features
+    shifted = {}
+    samples = []
+    for e in dataset.train:
+        title = graph.title(e.parent)
+        if title not in shifted:
+            cols, vals = half(title)
+            shifted[title] = (tuple(map(add, cols, repeat(offset))), vals)
+        y = 1.0 if e.label is Label.ISA else 0.0
+        samples.append((half(graph.title(e.child)), shifted[title], y))
+
+    values: dict[int, float] = {}
+    scale = 1.0
+    bias = 0.0
+    step = 0
+    lr0 = cfg.learning_rate
+    for epoch in range(cfg.epochs):
+        order = list(range(len(samples)))
+        SplitMix64.keyed(cfg.seed, "sgd", epoch).shuffle(order)
+        for i in order:
+            (child_cols, child_vals), (parent_cols, parent_vals), y = samples[i]
+            dot = _dot(values, chain(child_cols, parent_cols), chain(child_vals, parent_vals))
+            z = scale * dot + bias
+            grad = _sigmoid(z) - y
+            lr = lr0 / (1.0 + cfg.l2_lambda * lr0 * step)
+            scale *= max(0.0, 1.0 - lr * cfg.l2_lambda)
+            if scale < 1e-9:
+                values = {c: v * scale for c, v in values.items()}
+                scale = 1.0
+            # values[c] = values.get(c, 0.0) - (lr * grad) * v / scale for each
+            # entry; no column repeats within a sample, so one update per half
+            # reads the same old values a loop over the entries would.
+            g = lr * grad
+            for cols, vals in ((child_cols, child_vals), (parent_cols, parent_vals)):
+                steps = map(truediv, map(mul, repeat(g), vals), repeat(scale))
+                values.update(zip(cols, map(sub, map(values.get, cols, repeat(0.0)), steps)))
+            bias -= g
+            step += 1
+
+    weights = {c: scale * v for c, v in values.items() if scale * v != 0.0}
+    return weights, bias

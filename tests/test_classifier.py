@@ -6,6 +6,7 @@ from taxonet import Node, NodeKind, WcnGraph
 from taxonet.classifier import (
     LinearEdgeModel,
     TrainConfig,
+    _sigmoid,
     load_model,
     predict_proba,
     save_model,
@@ -13,11 +14,21 @@ from taxonet.classifier import (
     validation_accuracy,
 )
 from taxonet.errors import EmptyValidation, SingleClassDataset
-from taxonet.features import FeatureMode, FeatureSpec, fit_tfidf
-from taxonet.graph import EdgeKind
-from taxonet.labeling import EdgeDataset, Label, LabeledEdge
+from taxonet.features import (
+    DEFAULT_NGRAM_SIZES, FeatureMode, FeatureSpec, fit_tfidf, vectorize_edge,
+)
+from taxonet.graph import EdgeKind, edge_kind
+from taxonet.induction import InductionConfig, weigh_edges
+from taxonet.labeling import (
+    EdgeDataset, Label, LabeledEdge, label_edges, split_by_kind, train_val_split,
+)
+from taxonet.projection import ProjectionConfig, project
+
+from oracles import reference_train_linear
+from worldgen import build_world
 
 WORD = FeatureSpec(FeatureMode.WORD)
+CHAR = FeatureSpec(FeatureMode.CHAR_NGRAM)
 
 
 def separable_world(n=12):
@@ -38,9 +49,9 @@ def separable_world(n=12):
     return WcnGraph(nodes, edges), labeled
 
 
-def fitted(graph, train_edges):
+def fitted(graph, train_edges, spec=WORD):
     ids = sorted({n for e in train_edges for n in (e.child, e.parent)})
-    return fit_tfidf([graph.title(n) for n in ids], WORD)
+    return fit_tfidf([graph.title(n) for n in ids], spec)
 
 
 def trained(seed=0, n=12, holdout=2, epochs=30):
@@ -105,6 +116,111 @@ class TestTrainLinear:
             TrainConfig(learning_rate=0.0)
         with pytest.raises(ValueError):
             TrainConfig(l2_lambda=-1.0)
+
+
+@pytest.fixture(scope="module")
+def world_datasets():
+    """The seed-21 world's ec and cc datasets, split as `train` splits them."""
+    world = build_world(seed=21, families=4)
+    graph = world.graph
+    projected, _ = project(world.source, graph, world.links, ProjectionConfig())
+    kinds = (EdgeKind.ENTITY_TO_CATEGORY, EdgeKind.CATEGORY_TO_CATEGORY)
+    datasets = {}
+    for kind, edges in zip(kinds, split_by_kind(label_edges(graph, projected), graph)):
+        train, val = train_val_split(edges, 0.25, 5)
+        datasets[kind] = EdgeDataset(kind, train, val)
+    return graph, datasets
+
+
+def train_as_reference(graph, dataset, spec, cfg):
+    """Train with the library, assert it equals the reference SGD bit for bit."""
+    tfidf = fitted(graph, dataset.train, spec)
+    model = train_linear(dataset, tfidf, cfg, graph)
+    weights, bias = reference_train_linear(dataset, tfidf, cfg, graph)
+    assert sorted(model.weights) == sorted(weights)
+    assert {c: w.hex() for c, w in model.weights.items()} == {
+        c: w.hex() for c, w in weights.items()
+    }
+    assert model.bias.hex() == bias.hex()
+    return model
+
+
+class TestReferenceSgd:
+    # With learning_rate * l2_lambda = 1 the scale drops to 0 on step 0,
+    # when every weight is still 0. With 1e10 it drops to 0 on step 0 and
+    # below 1e-9 again on step 1, after step 0 wrote nonzero weights, so the
+    # weights gathered before that rescale are stale.
+    @pytest.mark.parametrize(
+        "cfg",
+        [
+            TrainConfig(seed=5),
+            TrainConfig(learning_rate=1.0, l2_lambda=1.0, seed=5),
+            TrainConfig(learning_rate=1.0, l2_lambda=1e10, seed=5),
+        ],
+        ids=["default", "rescale-at-step-0", "rescale-after-updates"],
+    )
+    @pytest.mark.parametrize("kind", list(EdgeKind), ids=lambda kind: kind.name)
+    def test_equals_dict_based_reference(self, world_datasets, kind, cfg):
+        graph, datasets = world_datasets
+        model = train_as_reference(graph, datasets[kind], CHAR, cfg)
+        assert model.weights
+
+
+class TestGatherEdgeCases:
+    """Titles with no in-vocabulary column and with exactly one, where a bare
+    `itemgetter` would raise or return an item instead of a tuple."""
+
+    @staticmethod
+    def world():
+        nodes = [
+            Node("e0", NodeKind.ENTITY, "x"),  # no n-gram of 2 or more characters
+            Node("e1", NodeKind.ENTITY, "ab"),  # one: "ab"
+            Node("e2", NodeKind.ENTITY, "abc de"),
+            Node("c0", NodeKind.CATEGORY, "y"),
+            Node("c1", NodeKind.CATEGORY, "cd"),
+            Node("c2", NodeKind.CATEGORY, "cd ef"),
+        ]
+        ec = [(e, c) for e in ("e0", "e1", "e2") for c in ("c0", "c1", "c2")]
+        cc = [("c0", "c1"), ("c0", "c2"), ("c1", "c2")]
+        graph = WcnGraph(nodes, ec + cc)
+        isa = {("e0", "c2"), ("e1", "c1"), ("e2", "c0"), ("c0", "c1"), ("c1", "c2")}
+        datasets = {
+            kind: EdgeDataset(kind, [
+                LabeledEdge(c, p, Label.ISA if (c, p) in isa else Label.NOT_ISA)
+                for c, p in edges
+            ], [])
+            for kind, edges in (
+                (EdgeKind.ENTITY_TO_CATEGORY, ec), (EdgeKind.CATEGORY_TO_CATEGORY, cc),
+            )
+        }
+        return graph, datasets
+
+    @pytest.mark.parametrize("sizes", [DEFAULT_NGRAM_SIZES, frozenset({2})], ids=["2-6", "2"])
+    def test_equal_references(self, sizes):
+        graph, datasets = self.world()
+        spec = FeatureSpec(FeatureMode.CHAR_NGRAM, sizes)
+        models = {
+            kind: train_as_reference(graph, dataset, spec, TrainConfig(seed=3))
+            for kind, dataset in datasets.items()
+        }
+        assert len(models[EdgeKind.ENTITY_TO_CATEGORY].tfidf.half("ab")[0]) == 1
+        for model in models.values():
+            assert model.tfidf.half("x")[0] == model.tfidf.half("y")[0] == ()
+            assert len(model.tfidf.half("cd")[0]) == 1
+        cfg = InductionConfig(epsilon=0.01)
+        weighted = weigh_edges(
+            graph,
+            models[EdgeKind.ENTITY_TO_CATEGORY],
+            models[EdgeKind.CATEGORY_TO_CATEGORY],
+            cfg,
+        )
+        for child, parent in graph.edges():
+            model = models[edge_kind(graph, child, parent)]
+            titles = graph.title(child), graph.title(parent)
+            expected = _sigmoid(model.decision(vectorize_edge(model.tfidf, *titles)))
+            assert predict_proba(model, *titles).hex() == expected.hex()
+            clamped = min(max(expected, cfg.epsilon), 1.0 - cfg.epsilon)
+            assert weighted.prob[(child, parent)].hex() == clamped.hex()
 
 
 class TestPredictProba:

@@ -183,6 +183,30 @@ class TestTrain:
             "metrics.ec.json", "model.ec.json", "model.ec.tfidf.json",
         ]
 
+    def test_save_error_in_forked_child_exits_2(self, trained_world, tmp_path, capsys):
+        # ec's save runs in a forked child while this process computes ec's
+        # accuracies; a directory where the TFIDF file goes fails the save
+        # there, and no metrics may be written for the unsaved model.
+        _, paths, projected, _ = trained_world
+        out_dir = tmp_path / "m"
+        (out_dir / "model.ec.tfidf.json").mkdir(parents=True)
+        code, err = run_err(capsys, *train_args(paths, projected, out_dir, seed=5))
+        assert code == 2
+        assert err == f"error: [Errno 21] Is a directory: '{out_dir / 'model.ec.tfidf.json'}'\n"
+        assert sorted(p.name for p in out_dir.iterdir()) == [
+            "metrics.cc.json", "model.cc.json", "model.cc.tfidf.json", "model.ec.tfidf.json",
+        ]
+
+    def test_config_number_may_be_an_integer(self, trained_world, tmp_path, capsys):
+        _, paths, projected, _ = trained_world
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"l2_lambda": 0, "epochs": 2}), encoding="utf-8")
+        argv = train_args(paths, projected, tmp_path / "m", config=cfg)
+        assert run(capsys, *argv)[0] == 0
+        data = json.loads((tmp_path / "m" / "model.ec.json").read_text(encoding="utf-8"))
+        assert data["config"]["epochs"] == 2
+        assert repr(data["config"]["l2_lambda"]) == "0"  # passed through, not made 0.0
+
     def test_ec_error_wins_over_cc_error(self, trained_world, tmp_path, capsys):
         _, paths, projected, _ = trained_world
         code, err = run_err(capsys, *train_args(paths, projected, tmp_path / "m", seed=5,
@@ -345,6 +369,34 @@ class TestBadInput:
             f"error: {models / 'model.cc.json'}: bad model file: kind is 'cc', expected 'ec'"
         )
         assert not (tmp_path / "o.tsv").exists()
+
+    @pytest.mark.parametrize("command, text, key", [
+        ("induce", '{"uniform": "no"}', "uniform"),
+        ("induce", '{"k": "3"}', "k"),
+        ("train", '{"epochs": "10"}', "epochs"),
+        ("train", '{"ngram_sizes": 3}', "ngram_sizes"),
+        ("train", '{"seed": 1.5}', "seed"),
+        ("train", '{"val_fraction": "0.2"}', "val_fraction"),
+        ("project", '{"epsilon": true}', "epsilon"),  # checked, though project ignores it
+        ("project", "[1, 2]", None),
+        ("project", '{"k1": 14,', None),
+    ])
+    def test_mistyped_config_rejected(self, trained_world, tmp_path, capsys, command, text, key):
+        _, paths, projected, models = trained_world
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(text, encoding="utf-8")
+        out = tmp_path / "out"
+        argv = {
+            "project": project_args(paths, out),
+            "train": train_args(paths, projected, out),
+            "induce": induce_args(paths, projected, models, out),
+        }[command]
+        code, err = run_err(capsys, *argv, "--config", str(cfg))
+        assert code == 2
+        assert err.startswith(f"error: {cfg}: ")
+        if key is not None:
+            assert f"config key {key!r} must be" in err
+        assert not out.exists()
 
     def test_crlf_sampled_nodes_rejected(self, tmp_path, capsys):
         (tmp_path / "taxo.tsv").write_text("x\ta\n", encoding="utf-8")

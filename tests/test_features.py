@@ -164,9 +164,11 @@ class TestVectorize:
 
     def test_cached_half_equals_fresh_vector(self):
         model = fit_tfidf(["Auguste", "Empereur romain", "Empereur"], CHAR)
+        columns = list(range(model.n_features))
         for title in ("Empereur romain", "Auguste", "zz", "Empereur romain"):
-            cols, vals = model.half(title)
+            cols, vals, gather = model.half(title)
             assert tuple(zip(cols, vals)) == vectorize_title(model, title).entries
+            assert gather(columns) == cols
         assert model.half("Auguste") is model.half("Auguste")
 
     def test_half_cache_is_per_model(self):
@@ -175,7 +177,7 @@ class TestVectorize:
         large = fit_tfidf(["Roma", "Empereur", "romain"], CHAR)
         small.half(title)
         for model in (large, small):
-            cols, vals = model.half(title)
+            cols, vals, _ = model.half(title)
             assert tuple(zip(cols, vals)) == vectorize_title(model, title).entries
         assert small.half(title) != large.half(title)
 

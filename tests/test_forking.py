@@ -107,6 +107,17 @@ class TestRunPair:
         assert done.stdout == "before\n(1, 2)\nafter\natexit\n"
 
 
+def test_import_taxonet_loads_neither_pickle_nor_forking():
+    # Commands that never fork, and the start-up every command pays, rely
+    # on this: `forking` is imported where it is used.
+    script = "import sys, taxonet; print(sorted({'pickle', 'taxonet.forking'} & set(sys.modules)))"
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "[]\n"
+
+
 def _error_classes():
     return [
         cls for _, cls in inspect.getmembers(errors, inspect.isclass)
