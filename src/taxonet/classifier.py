@@ -15,13 +15,12 @@ indexed from 0: the SGD state during training, and a copy built once per
 from either list in one C call, so one getter per title serves both sides
 of an edge. A logit still sums weight * value over the child entries,
 then the parent entries: the sequence `decision` sums for
-`vectorize_edge`, with `0.0` for every column the weights lack, as the
-sparse `w.get(c, 0.0)` gave. It is never regrouped into per-title partial
-sums, which can differ in the last bit. The same floats summed in the same
-order give the same bits as `decision` on any one interpreter, but not
-across Python versions: from 3.12 the builtin `sum` compensates its
-rounding, so trained weights differ from 3.11's in their last bits
-(`tests/golden.py` pins both).
+`vectorize_edge`, with `0.0` for every column without a weight. It is
+never regrouped into per-title partial sums, which can differ in the
+last bit. The same floats summed in the same order give the same bits
+as `decision` on any one interpreter, but not across Python versions:
+from 3.12 the builtin `sum` compensates its rounding, so trained weights
+differ from 3.11's in their last bits (`tests/golden.py` pins both).
 """
 
 from __future__ import annotations
@@ -68,10 +67,9 @@ class LinearEdgeModel:
     """Sparse linear model over concatenated child/parent TFIDF vectors,
     trained for one edge kind.
 
-    `weights` maps each nonzero column to its weight; every column must lie
-    in [0, 2V). The constructor copies them into `dense`, the child and the
-    parent lists that `predict_proba` reads, so `weights` is not to be
-    changed afterwards.
+    The constructor takes `weights` as a map from column, in [0, 2V), to
+    weight, and keeps them only as `dense`: the child and the parent lists
+    that `predict_proba` reads. `weights` rebuilds the map from them.
     """
 
     def __init__(
@@ -83,24 +81,33 @@ class LinearEdgeModel:
         kind: EdgeKind,
     ):
         self.tfidf = tfidf
-        self.weights = weights
         self.bias = bias
         self.hyper = hyper
         self.kind = kind
-        dense = [0.0] * (2 * tfidf.n_features)
+        n = tfidf.n_features
+        child, parent = [0.0] * n, [0.0] * n
         for c, w in weights.items():
-            dense[c] = w
-        self.dense = (dense[: tfidf.n_features], dense[tfidf.n_features :])
+            if c < n:
+                child[c] = w
+            else:
+                parent[c - n] = w
+        self.dense = (child, parent)
+
+    @property
+    def weights(self) -> dict[int, float]:
+        """Every nonzero weight, by column."""
+        return {c: w for c, w in enumerate(chain(*self.dense)) if w != 0.0}
 
     def decision(self, x: SparseVector) -> float:
-        w = self.weights
-        return sum(w.get(c, 0.0) * v for c, v in x.entries) + self.bias
+        child, parent = self.dense
+        n = len(child)
+        return sum((child[c] if c < n else parent[c - n]) * v for c, v in x.entries) + self.bias
 
     def to_dict(self, tfidf_ref: str) -> dict:
         return {
             "kind": self.kind.value,
             "tfidf_ref": tfidf_ref,
-            "weights": [[c, self.weights[c]] for c in sorted(self.weights)],
+            "weights": [[c, w] for c, w in self.weights.items()],
             "bias": self.bias,
             "config": {
                 "epochs": self.hyper.epochs,
@@ -172,6 +179,7 @@ def train_linear(
 
     columns = chain(child_values, parent_values)
     weights = {c: w for c, w in enumerate(map(mul, repeat(scale), columns)) if w != 0.0}
+    del samples, child_values, parent_values, columns  # before the model's own lists
     return LinearEdgeModel(tfidf, weights, bias, cfg, dataset.kind)
 
 

@@ -9,16 +9,12 @@ outputs; all randomness flows from --seed and is echoed in the reports.
 two label classes (ec, then cc), then trains, saves and scores the cc
 model in a forked child (`forking.run_pair`) while this process does the
 same for ec; `induce` scores half the edges in a child (see `induction`).
-Once a model is trained, its save runs in a forked child of the process
-that trained it while that process computes the model's two accuracies,
-and `metrics.<kind>.json` is written after both finish, so the cc child
-forks one of its own. The two models share nothing but their read-only
-inputs, which the child inherits, and each seeds its own SGD, so every
-byte written is what one process running ec then cc would write. An
-error in ec wins over one in cc; a child's error re-raises here
-unchanged, so it exits 2 with the same message. The fork makes these
-commands POSIX-only, and `main` must be called from a single-threaded
-process.
+The two models share nothing but their read-only inputs, which the child
+inherits, and each seeds its own SGD, so every byte written is what one
+process running ec then cc would write. An error in ec wins over one in
+cc; a child's error re-raises here unchanged, so it exits 2 with the same
+message. The fork makes these commands POSIX-only, and `main` must be
+called from a single-threaded process.
 
 A `--config` file must hold one JSON object whose keys are those of
 `CONFIG_DEFAULTS`, each with its default's JSON type; the whole file is
@@ -162,34 +158,25 @@ def _cmd_train(args: argparse.Namespace) -> int:
             )
         jobs.append((kind, name, train_edges, val_edges))
 
-    from .forking import run_pair  # here, so `import taxonet` does not load pickle
-
     def fit(kind: EdgeKind, name: str, train_edges, val_edges) -> None:
         dataset = EdgeDataset(kind, train_edges, val_edges)
         node_ids = sorted({n for e in train_edges for n in (e.child, e.parent)})
         tfidf = fit_tfidf([graph.title(n) for n in node_ids], spec, min_df)
         model = train_linear(dataset, tfidf, train_cfg, graph)
-
-        def accuracies():
-            return (
-                validation_accuracy(model, train_edges, graph),
-                validation_accuracy(model, val_edges, graph) if val_edges else None,
-            )
-
-        (train_acc, val_acc), _ = run_pair(
-            accuracies, lambda: save_model(model, out_dir / f"model.{name}.json")
-        )
+        save_model(model, out_dir / f"model.{name}.json")
         _write_json(
             out_dir / f"metrics.{name}.json",
             {
-                "train_acc": train_acc,
-                "val_acc": val_acc,
+                "train_acc": validation_accuracy(model, train_edges, graph),
+                "val_acc": validation_accuracy(model, val_edges, graph) if val_edges else None,
                 "n_train": len(train_edges),
                 "n_val": len(val_edges),
                 "mode": mode.value,
                 "seed": seed,
             },
         )
+
+    from .forking import run_pair  # here, so `import taxonet` does not load pickle
 
     ec_job, cc_job = jobs
     run_pair(lambda: fit(*ec_job), lambda: fit(*cc_job))

@@ -183,10 +183,9 @@ class TestTrain:
             "metrics.ec.json", "model.ec.json", "model.ec.tfidf.json",
         ]
 
-    def test_save_error_in_forked_child_exits_2(self, trained_world, tmp_path, capsys):
-        # ec's save runs in a forked child while this process computes ec's
-        # accuracies; a directory where the TFIDF file goes fails the save
-        # there, and no metrics may be written for the unsaved model.
+    def test_save_error_exits_2(self, trained_world, tmp_path, capsys):
+        # A directory where ec's TFIDF file goes fails ec's save; no metrics
+        # may be written for the unsaved model, while cc's files are.
         _, paths, projected, _ = trained_world
         out_dir = tmp_path / "m"
         (out_dir / "model.ec.tfidf.json").mkdir(parents=True)
@@ -380,6 +379,7 @@ class TestBadInput:
         ("project", '{"epsilon": true}', "epsilon"),  # checked, though project ignores it
         ("project", "[1, 2]", None),
         ("project", '{"k1": 14,', None),
+        ("induce", '{"kk": 1}', None),  # an unknown key
     ])
     def test_mistyped_config_rejected(self, trained_world, tmp_path, capsys, command, text, key):
         _, paths, projected, models = trained_world

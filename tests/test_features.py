@@ -179,7 +179,7 @@ class TestVectorize:
         for model in (large, small):
             cols, vals, _ = model.half(title)
             assert tuple(zip(cols, vals)) == vectorize_title(model, title).entries
-        assert small.half(title) != large.half(title)
+        assert small.half(title)[:2] != large.half(title)[:2]
 
     def test_entries_strictly_increasing(self):
         model = fit_tfidf(["aa bb cc"], WORD)
