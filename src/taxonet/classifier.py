@@ -13,24 +13,27 @@ one for the child's columns [0, V) and one for the parent's [V, 2V), both
 indexed from 0: the SGD state during training, and a copy built once per
 `LinearEdgeModel` for scoring. A title's cached `gather` reads its weights
 from either list in one C call, so one getter per title serves both sides
-of an edge. A logit still sums weight * value over the child entries,
-then the parent entries: the sequence `decision` sums for
-`vectorize_edge`, with `0.0` for every column without a weight. It is
-never regrouped into per-title partial sums, which can differ in the
-last bit. The same floats summed in the same order give the same bits
-as `decision` on any one interpreter, but not across Python versions:
-from 3.12 the builtin `sum` compensates its rounding, so trained weights
-differ from 3.11's in their last bits (`tests/golden.py` pins both).
+of an edge; the gathers feed every dot product, in SGD and in scoring.
+SGD writes each step back with a plain store loop over the entries:
+CPython specialises a list store by int index, where a `map` over
+`list.__setitem__` calls a method-wrapper per element. A logit still sums
+weight * value over the child entries, then the parent entries: the
+sequence `decision` sums for `vectorize_edge`, with `0.0` for every column
+without a weight. It is never regrouped into per-title partial sums,
+which can differ in the last bit. The same floats summed in the same
+order give the same bits as `decision` on any one interpreter, but not
+across Python versions: from 3.12 the builtin `sum` compensates its
+rounding, so trained weights differ from 3.11's in their last bits
+(`tests/golden.py` pins both).
 """
 
 from __future__ import annotations
 
 import json
 import math
-from collections import deque
 from dataclasses import dataclass
 from itertools import chain, repeat
-from operator import mul, sub, truediv
+from operator import mul
 from pathlib import Path
 
 from .errors import EmptyValidation, MalformedFile, SingleClassDataset
@@ -50,10 +53,10 @@ class TrainConfig:
     def __post_init__(self):
         if self.epochs < 1:
             raise ValueError("epochs must be >= 1")
-        if self.learning_rate <= 0:
-            raise ValueError("learning_rate must be > 0")
-        if self.l2_lambda < 0:
-            raise ValueError("l2_lambda must be >= 0")
+        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
+            raise ValueError(f"learning_rate must be finite and > 0, got {self.learning_rate!r}")
+        if not (math.isfinite(self.l2_lambda) and self.l2_lambda >= 0):
+            raise ValueError(f"l2_lambda must be finite and >= 0, got {self.l2_lambda!r}")
 
 
 def _sigmoid(z: float) -> float:
@@ -163,17 +166,13 @@ def train_linear(
                 child_values = [v * scale for v in child_values]
                 parent_values = [v * scale for v in parent_values]
                 scale = 1.0
-                child_w, parent_w = child_get(child_values), parent_get(parent_values)
-            # values[c] -= (lr * grad) * v / scale for each entry. No column
-            # repeats within a half, so the old weights gathered once are the
-            # ones a loop over the entries would read.
+            # values[c] -= (lr * grad) * v / scale per entry. No column repeats
+            # in a half, so each store reads what the gather read, or rescaled.
             g = lr * grad
-            for values, cols, vals, old in (
-                (child_values, child_cols, child_vals, child_w),
-                (parent_values, parent_cols, parent_vals, parent_w),
-            ):
-                steps = map(truediv, map(mul, repeat(g), vals), repeat(scale))
-                deque(map(values.__setitem__, cols, map(sub, old, steps)), 0)
+            for c, v in zip(child_cols, child_vals):
+                child_values[c] -= g * v / scale
+            for c, v in zip(parent_cols, parent_vals):
+                parent_values[c] -= g * v / scale
             bias -= g
             step += 1
 

@@ -17,8 +17,11 @@ for the child's columns and one for the parent's, and reads a title's
 weights on either side without a Python-level lookup per entry. A column
 the model never touched holds `0.0`, the value a sparse lookup's default
 gave, so the gathered floats are the same ones, in the same order.
-`vectorize_title` and `vectorize_edge` recompute from scratch and stay the
-reference definitions.
+
+One helper, `_vectorize`, builds a title's (columns, values) in one pass
+over its feature counts; `half` caches it with a gather and
+`vectorize_title` wraps it uncached, so both give the same floats.
+`char_ngrams` counts in one `Counter` call, sizes ascending, then by position.
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
-from operator import itemgetter
+from operator import itemgetter, mul
 from pathlib import Path
 from typing import Callable
 
@@ -84,11 +87,8 @@ def char_ngrams(title: str, spec: FeatureSpec) -> Counter:
     if spec.lowercase:
         title = title.lower()
     text = " ".join(title.split())
-    grams: Counter = Counter()
-    for n in sorted(spec.ngram_sizes):
-        for i in range(len(text) - n + 1):
-            grams[text[i : i + n]] += 1
-    return grams
+    sizes = sorted(spec.ngram_sizes)
+    return Counter([text[i : i + n] for n in sizes for i in range(len(text) - n + 1)])
 
 
 def extract_features(title: str, spec: FeatureSpec) -> Counter:
@@ -125,10 +125,8 @@ class TfidfModel:
         """
         half = self._halves.get(title)
         if half is None:
-            entries = vectorize_title(self, title).entries
-            cols = tuple(c for c, _ in entries)
-            half = (cols, tuple(v for _, v in entries), _gatherer(cols))
-            self._halves[title] = half
+            cols, vals = _vectorize(self, title)
+            half = self._halves[title] = (cols, vals, _gatherer(cols))
         return half
 
     def to_dict(self) -> dict:
@@ -196,19 +194,20 @@ def fit_tfidf(titles: list[str], spec: FeatureSpec, min_df: int = 1) -> TfidfMod
     return TfidfModel(spec, vocabulary, [df_counts[f] for f in kept], len(titles))
 
 
+def _vectorize(model: TfidfModel, title: str) -> tuple[tuple[int, ...], tuple[float, ...]]:
+    """The title's vector as (columns, values): TF x idf over its in-vocabulary
+    features, columns ascending, L2-normalized; both empty if all are OOV."""
+    get, idf = model.vocabulary.get, model.idf
+    tf = {c: n for f, n in extract_features(title, model.spec).items() if (c := get(f)) is not None}
+    cols = tuple(sorted(tf))
+    raw = [tf[c] * idf[c] for c in cols]
+    norm = math.sqrt(sum(map(mul, raw, raw)))
+    return cols, tuple([v / norm for v in raw])
+
+
 def vectorize_title(model: TfidfModel, title: str) -> SparseVector:
     """TF x idf over the title's features, L2-normalized (zero if all OOV)."""
-    counts = extract_features(title, model.spec)
-    entries = []
-    for feature, count in counts.items():
-        col = model.vocabulary.get(feature)
-        if col is not None:
-            entries.append((col, count * model.idf[col]))
-    if not entries:
-        return SparseVector()
-    entries.sort()
-    norm = math.sqrt(sum(v * v for _, v in entries))
-    return SparseVector(tuple((c, v / norm) for c, v in entries))
+    return SparseVector(tuple(zip(*_vectorize(model, title))))
 
 
 def vectorize_edge(model: TfidfModel, child_title: str, parent_title: str) -> SparseVector:

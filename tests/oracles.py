@@ -1,5 +1,5 @@
 """Independent brute-force oracles for the path-search tests, and the
-reference SGD loop for the classifier tests.
+reference featurization and SGD loops for the feature and classifier tests.
 
 The path oracles deliberately avoid the library's search machinery: paths
 are found by exhaustive DFS enumeration, probabilities are exact Fractions
@@ -9,7 +9,8 @@ via sort. Slow but obviously correct on small graphs.
 
 from __future__ import annotations
 
-from collections import deque
+import math
+from collections import Counter, deque
 from fractions import Fraction
 from itertools import chain, repeat
 from operator import add, mul, sub, truediv
@@ -85,22 +86,55 @@ def bfs_min_hops(graph, start: str, targets: set[str]) -> int | None:
     return None
 
 
+def reference_char_ngrams(title, spec):
+    """`features.char_ngrams` as the loop it replaced: one `+= 1` per n-gram,
+    sizes ascending, then by position."""
+    if spec.lowercase:
+        title = title.lower()
+    text = " ".join(title.split())
+    grams = Counter()
+    for n in sorted(spec.ngram_sizes):
+        for i in range(len(text) - n + 1):
+            grams[text[i : i + n]] += 1
+    return grams
+
+
+def reference_vectorize_title(model, title):
+    """`features.vectorize_title`'s entries, by the loop it replaced: TF x idf
+    over the in-vocabulary features, sorted, each divided by the L2 norm."""
+    from taxonet.features import FeatureMode, word_tokens
+
+    if model.spec.mode is FeatureMode.WORD:
+        counts = word_tokens(title, model.spec)
+    else:
+        counts = reference_char_ngrams(title, model.spec)
+    entries = []
+    for feature, count in counts.items():
+        col = model.vocabulary.get(feature)
+        if col is not None:
+            entries.append((col, count * model.idf[col]))
+    if not entries:
+        return ()
+    entries.sort()
+    norm = math.sqrt(sum(v * v for _, v in entries))
+    return tuple((c, v / norm) for c, v in entries)
+
+
 def reference_train_linear(dataset, tfidf, cfg, graph):
     """`classifier.train_linear` as a sparse dict-based loop: (weights, bias).
 
     This is the SGD loop the dense-list one replaced, kept unchanged: the
     weights live in a dict, each step reads every entry with
     `dict.get(c, 0.0)` and writes it back with `dict.update`. Title vectors
-    come from `vectorize_title`, not from the TFIDF model's cache. The
-    library's loop must match it bit for bit.
+    come from `reference_vectorize_title`, not from the TFIDF model's cache.
+    The library's loop must match it bit for bit.
     """
     from taxonet.classifier import _sigmoid
-    from taxonet.features import vectorize_title
     from taxonet.labeling import Label
     from taxonet.rng import SplitMix64
 
     def half(title):
-        entries = vectorize_title(tfidf, title).entries
+        entries = reference_vectorize_title(tfidf, title)
         return tuple(c for c, _ in entries), tuple(v for _, v in entries)
 
     def _dot(weights, cols, vals):

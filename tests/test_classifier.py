@@ -116,6 +116,11 @@ class TestTrainLinear:
             TrainConfig(learning_rate=0.0)
         with pytest.raises(ValueError):
             TrainConfig(l2_lambda=-1.0)
+        for bad in (float("nan"), float("inf"), float("-inf")):
+            with pytest.raises(ValueError, match="must be finite"):
+                TrainConfig(learning_rate=bad)
+            with pytest.raises(ValueError, match="must be finite"):
+                TrainConfig(l2_lambda=bad)
 
 
 @pytest.fixture(scope="module")

@@ -398,6 +398,25 @@ class TestBadInput:
             assert f"config key {key!r} must be" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("flags, config", [
+        (["--learning-rate", "nan"], None),
+        (["--learning-rate", "inf"], None),
+        (["--l2-lambda", "nan"], None),
+        (["--l2-lambda", "inf"], None),
+        ([], '{"learning_rate": NaN}'),
+        ([], '{"l2_lambda": Infinity}'),
+    ])
+    def test_non_finite_sgd_setting_rejected(self, trained_world, tmp_path, capsys, flags, config):
+        _, paths, projected, _ = trained_world
+        if config is not None:
+            (tmp_path / "cfg.json").write_text(config, encoding="utf-8")
+            flags = ["--config", str(tmp_path / "cfg.json")]
+        out = tmp_path / "out"
+        code, err = run_err(capsys, *train_args(paths, projected, out), *flags)
+        assert code == 2
+        assert err.startswith("error: ") and "must be finite" in err
+        assert not out.exists()
+
     def test_crlf_sampled_nodes_rejected(self, tmp_path, capsys):
         (tmp_path / "taxo.tsv").write_text("x\ta\n", encoding="utf-8")
         (tmp_path / "gold.tsv").write_text("x\ta\tisa\n", encoding="utf-8")

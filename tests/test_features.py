@@ -3,7 +3,7 @@ import math
 import random
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, example, given, strategies as st
 
 from taxonet.errors import EmptyVocabulary, MalformedFile
 from taxonet.features import (
@@ -18,6 +18,8 @@ from taxonet.features import (
     vectorize_title,
     word_tokens,
 )
+
+from oracles import reference_char_ngrams, reference_vectorize_title
 
 WORD = FeatureSpec(FeatureMode.WORD)
 CHAR = FeatureSpec(FeatureMode.CHAR_NGRAM)
@@ -186,6 +188,64 @@ class TestVectorize:
         v = vectorize_edge(model, "cc aa", "bb aa")
         cols = [c for c, _ in v.entries]
         assert cols == sorted(cols) and len(cols) == len(set(cols))
+
+
+# Any Unicode text, or text heavy in whitespace runs and in characters whose
+# lowercase is longer than themselves ("İ" lowercases to two code points).
+TITLES = st.one_of(
+    st.text(max_size=30),
+    st.text(alphabet="aB é日İ\t\n\u00a0\u3000", max_size=30),
+)
+SIZES = st.sets(st.integers(1, 8), min_size=1)
+SPECS = st.one_of(
+    st.builds(FeatureSpec, st.just(FeatureMode.WORD), lowercase=st.booleans()),
+    st.builds(FeatureSpec, st.just(FeatureMode.CHAR_NGRAM), SIZES.map(frozenset), st.booleans()),
+)
+
+
+def hexes(entries):
+    return [(c, v.hex()) for c, v in entries]
+
+
+class TestAgainstReference:
+    """The library's featurization equals the loops it replaced, kept in
+    `tests/oracles.py`: the same n-grams in the same order, and the same
+    title vectors to the last bit."""
+
+    @given(TITLES, SIZES, st.booleans())
+    @example("ab", {3, 5}, True)  # shorter than every size
+    @example("  a \t\n b  ", {1, 2, 3}, False)
+    def test_char_ngrams_in_reference_order(self, title, sizes, lowercase):
+        spec = FeatureSpec(FeatureMode.CHAR_NGRAM, frozenset(sizes), lowercase)
+        expected = reference_char_ngrams(title, spec)
+        assert list(char_ngrams(title, spec).items()) == list(expected.items())
+
+    @given(st.lists(TITLES, min_size=1, max_size=6), st.lists(TITLES, max_size=4), SPECS)
+    def test_half_equals_reference(self, corpus, others, spec):
+        try:
+            model = fit_tfidf(corpus, spec)
+        except EmptyVocabulary:
+            assume(False)
+        for title in corpus + others:
+            expected = hexes(reference_vectorize_title(model, title))
+            cols, vals, _ = model.half(title)
+            assert hexes(zip(cols, vals)) == expected
+            assert hexes(vectorize_title(model, title).entries) == expected
+
+    @pytest.mark.parametrize("spec, corpus, title, n_cols", [
+        (FeatureSpec(FeatureMode.CHAR_NGRAM, frozenset({2})), ["ab", "cd ef"], "x", 0),
+        (FeatureSpec(FeatureMode.CHAR_NGRAM, frozenset({2})), ["ab", "cd ef"], "zz", 0),
+        (FeatureSpec(FeatureMode.CHAR_NGRAM, frozenset({2})), ["ab", "cd ef"], "AB", 1),
+        (CHAR, ["Entraîneur sportif", "sportif américain"], "sportif", 20),
+        (WORD, ["aa bb", "cc"], "zz yy", 0),
+        (WORD, ["aa bb", "cc"], "cc zz", 1),
+        (WORD, ["aa bb", "cc"], "bb aa aa zz", 2),
+    ])
+    def test_half_edge_cases(self, spec, corpus, title, n_cols):
+        model = fit_tfidf(corpus, spec)
+        cols, vals, _ = model.half(title)
+        assert len(cols) == n_cols
+        assert hexes(zip(cols, vals)) == hexes(reference_vectorize_title(model, title))
 
 
 def test_model_json_roundtrip(tmp_path):
