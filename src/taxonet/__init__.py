@@ -23,12 +23,9 @@ from .classifier import (
 from .features import (
     FeatureMode,
     FeatureSpec,
-    SparseVector,
     TfidfModel,
     char_ngrams,
     fit_tfidf,
-    vectorize_edge,
-    vectorize_title,
     word_tokens,
 )
 from .graph import (
@@ -54,7 +51,6 @@ from .induction import (
     ScoredPath,
     WeightedGraph,
     induce,
-    top_k_paths,
     wcn_baseline,
     weigh_edges,
 )
@@ -63,8 +59,6 @@ from .labeling import (
     Label,
     LabeledEdge,
     label_edges,
-    load_labeled_edges,
-    save_labeled_edges,
     split_by_kind,
     train_val_split,
 )

@@ -10,21 +10,22 @@ Training, validation and edge weighing read each title's vector from its
 TFIDF model's cache (`TfidfModel.half`), so a title is vectorized once per
 model, not once per edge. Weights live in two dense lists of V floats,
 one for the child's columns [0, V) and one for the parent's [V, 2V), both
-indexed from 0: the SGD state during training, and a copy built once per
-`LinearEdgeModel` for scoring. A title's cached `gather` reads its weights
-from either list in one C call, so one getter per title serves both sides
-of an edge; the gathers feed every dot product, in SGD and in scoring.
-SGD writes each step back with a plain store loop over the entries:
-CPython specialises a list store by int index, where a `map` over
-`list.__setitem__` calls a method-wrapper per element. A logit still sums
-weight * value over the child entries, then the parent entries: the
-sequence `decision` sums for `vectorize_edge`, with `0.0` for every column
-without a weight. It is never regrouped into per-title partial sums,
+indexed from 0: the SGD state during training, and the model's only
+weight layout for scoring and saving. A title's cached `gather` reads its
+weights from either list in one C call, so one getter per title serves
+both sides of an edge; the gathers feed every dot product, in SGD and in
+scoring. SGD writes each step back with a plain store loop over the
+entries: CPython specialises a list store by int index, where a `map`
+over `list.__setitem__` calls a method-wrapper per element.
+
+A logit is one `sum` of weight * value over the child's entries, then
+the parent's entries, each in column order, with `0.0` for every column
+without a weight; it is never regrouped into per-title partial sums,
 which can differ in the last bit. The same floats summed in the same
-order give the same bits as `decision` on any one interpreter, but not
-across Python versions: from 3.12 the builtin `sum` compensates its
-rounding, so trained weights differ from 3.11's in their last bits
-(`tests/golden.py` pins both).
+order give the same bits on any one interpreter, but not across Python
+versions: from 3.12 the builtin `sum` compensates its rounding, so
+trained weights differ from 3.11's in their last bits (`tests/golden.py`
+pins both).
 """
 
 from __future__ import annotations
@@ -32,12 +33,12 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from itertools import chain, repeat
+from itertools import chain
 from operator import mul
 from pathlib import Path
 
 from .errors import EmptyValidation, MalformedFile, SingleClassDataset
-from .features import SparseVector, TfidfModel, _is_int, load_tfidf, save_tfidf
+from .features import TfidfModel, _is_int, load_tfidf, save_tfidf
 from .graph import EdgeKind, WcnGraph
 from .labeling import EdgeDataset, Label, LabeledEdge
 from .rng import SplitMix64
@@ -67,44 +68,31 @@ def _sigmoid(z: float) -> float:
 
 
 class LinearEdgeModel:
-    """Sparse linear model over concatenated child/parent TFIDF vectors,
-    trained for one edge kind.
+    """Linear model over concatenated child/parent TFIDF vectors, trained
+    for one edge kind.
 
-    The constructor takes `weights` as a map from column, in [0, 2V), to
-    weight, and keeps them only as `dense`: the child and the parent lists
-    that `predict_proba` reads. `weights` rebuilds the map from them.
+    `dense` is (child, parent): two lists of V weights, one per half of the
+    [child | parent] vector, that `predict_proba` reads.
     """
 
     def __init__(
         self,
         tfidf: TfidfModel,
-        weights: dict[int, float],
+        dense: tuple[list[float], list[float]],
         bias: float,
         hyper: TrainConfig,
         kind: EdgeKind,
     ):
         self.tfidf = tfidf
+        self.dense = dense
         self.bias = bias
         self.hyper = hyper
         self.kind = kind
-        n = tfidf.n_features
-        child, parent = [0.0] * n, [0.0] * n
-        for c, w in weights.items():
-            if c < n:
-                child[c] = w
-            else:
-                parent[c - n] = w
-        self.dense = (child, parent)
 
     @property
     def weights(self) -> dict[int, float]:
-        """Every nonzero weight, by column."""
+        """Every nonzero weight, by column in [0, 2V): what `to_dict` writes."""
         return {c: w for c, w in enumerate(chain(*self.dense)) if w != 0.0}
-
-    def decision(self, x: SparseVector) -> float:
-        child, parent = self.dense
-        n = len(child)
-        return sum((child[c] if c < n else parent[c - n]) * v for c, v in x.entries) + self.bias
 
     def to_dict(self, tfidf_ref: str) -> dict:
         return {
@@ -176,17 +164,17 @@ def train_linear(
             bias -= g
             step += 1
 
-    columns = chain(child_values, parent_values)
-    weights = {c: w for c, w in enumerate(map(mul, repeat(scale), columns)) if w != 0.0}
-    del samples, child_values, parent_values, columns  # before the model's own lists
-    return LinearEdgeModel(tfidf, weights, bias, cfg, dataset.kind)
+    # `or 0.0` stores every zero, -0.0 included, as the one shared 0.0 that
+    # an untouched column holds in a loaded model.
+    dense = tuple([scale * w or 0.0 for w in values] for values in (child_values, parent_values))
+    return LinearEdgeModel(tfidf, dense, bias, cfg, dataset.kind)
 
 
 def predict_proba(model: LinearEdgeModel, child_title: str, parent_title: str) -> float:
     """Probability that the edge is is-a.
 
-    Equal, bit for bit, to
-    `_sigmoid(model.decision(vectorize_edge(model.tfidf, child_title, parent_title)))`.
+    The logit is the bias plus one `sum` of weight * value over the child
+    title's entries, then the parent title's, each in column order.
     """
     _, child_vals, child_get = model.tfidf.half(child_title)
     _, parent_vals, parent_get = model.tfidf.half(parent_title)
@@ -254,7 +242,7 @@ def load_model(path: str | Path, kind: EdgeKind | None = None) -> LinearEdgeMode
             found = EdgeKind(data["kind"])
             tfidf_path = path.with_name(data["tfidf_ref"])
             cfg = TrainConfig(**data["config"])
-            weights = {_column(c): _number(v, "weight") for c, v in data["weights"]}
+            weights = [(_column(c), _number(v, "weight")) for c, v in data["weights"]]
             bias = _number(data["bias"], "bias")
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise MalformedFile(path, f"bad model file: {type(exc).__name__}: {exc}") from None
@@ -264,9 +252,16 @@ def load_model(path: str | Path, kind: EdgeKind | None = None) -> LinearEdgeMode
         )
     tfidf = load_tfidf(tfidf_path)
     columns = 2 * tfidf.n_features
-    outside = sorted(c for c in weights if not 0 <= c < columns)
+    outside = sorted(c for c, _ in weights if not 0 <= c < columns)
     if outside:
         raise MalformedFile(
             path, f"bad model file: weight column {outside[0]} outside [0, {columns})"
         )
-    return LinearEdgeModel(tfidf, weights, bias, cfg, found)
+    n = tfidf.n_features
+    child, parent = [0.0] * n, [0.0] * n
+    for c, w in weights:
+        if c < n:
+            child[c] = w
+        else:
+            parent[c - n] = w
+    return LinearEdgeModel(tfidf, (child, parent), bias, cfg, found)

@@ -17,9 +17,10 @@ message. The fork makes these commands POSIX-only, and `main` must be
 called from a single-threaded process.
 
 A `--config` file must hold one JSON object whose keys are those of
-`CONFIG_DEFAULTS`, each with its default's JSON type; the whole file is
-checked in every command, so a mistyped key exits 2 even where the
-command does not read it.
+`CONFIG_DEFAULTS`, each with its default's JSON type and within the range
+its config class accepts; the whole file is checked in every command, so
+a mistyped key or a value out of range exits 2, naming the file, even
+where the command does not read it.
 """
 
 from __future__ import annotations
@@ -73,6 +74,19 @@ def _expected_type(default, value) -> str | None:
     return None if isinstance(value, str) else "a string"
 
 
+# Each config class with the keys it is built from. `_load_config` builds
+# every one from a config file's values, so the class's own range checks
+# reject a bad value there and the error can name the file.
+_CONFIG_CLASSES = (
+    (("k1", "k2"), lambda c: ProjectionConfig(c["k1"], c["k2"])),
+    (("mode", "ngram_sizes"),
+     lambda c: FeatureSpec(FeatureMode(c["mode"]), frozenset(c["ngram_sizes"]))),
+    (("epochs", "learning_rate", "l2_lambda", "seed"),
+     lambda c: TrainConfig(c["epochs"], c["learning_rate"], c["l2_lambda"], c["seed"])),
+    (("k", "epsilon", "uniform"), lambda c: InductionConfig(c["k"], c["epsilon"], c["uniform"])),
+)
+
+
 def _load_config(path: str | None) -> dict:
     cfg = dict(CONFIG_DEFAULTS)
     if path is not None:
@@ -91,6 +105,12 @@ def _load_config(path: str | None) -> dict:
             if expected:
                 raise MalformedFile(path, f"config key {key!r} must be {expected}, got {value!r}")
         cfg.update(data)
+        for keys, build in _CONFIG_CLASSES:
+            try:
+                build(cfg)
+            except ValueError as exc:
+                named = ", ".join(repr(key) for key in keys if key in data)
+                raise MalformedFile(path, f"config key {named}: {exc}") from None
     return cfg
 
 

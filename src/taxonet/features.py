@@ -7,20 +7,19 @@ hypernym detection lives. Word features are plain whitespace-delimited
 bags of tokens.
 
 Each title's vector depends only on the title and its TFIDF model, and an
-edge's vector is the child's vector beside the parent's. `TfidfModel.half`
+edge's vector is the child's vector beside the parent's: child entries
+at columns [0, V), then parent entries at [V, 2V). `TfidfModel.half`
 therefore vectorizes each title once per model and keeps the result as a
 (columns, values, gather) triple, the per-title half that training,
-validation and edge weighing read. `gather(w)` is
+validation and edge weighing read. `_vectorize` builds it in one pass
+over the title's feature counts: TF x idf per in-vocabulary feature,
+columns ascending, L2-normalized per title, so neither title's length
+dominates the pair. `gather(w)` is
 `tuple(w[c] for c in columns)` in one C call (an `operator.itemgetter`),
 so a linear model keeps its weights in two dense lists of V floats, one
 for the child's columns and one for the parent's, and reads a title's
 weights on either side without a Python-level lookup per entry. A column
-the model never touched holds `0.0`, the value a sparse lookup's default
-gave, so the gathered floats are the same ones, in the same order.
-
-One helper, `_vectorize`, builds a title's (columns, values) in one pass
-over its feature counts; `half` caches it with a gather and
-`vectorize_title` wraps it uncached, so both give the same floats.
+the model never touched holds `0.0`.
 `char_ngrams` counts in one `Counter` call, sizes ascending, then by position.
 """
 
@@ -58,16 +57,6 @@ class FeatureSpec:
         if self.mode is FeatureMode.CHAR_NGRAM:
             if not self.ngram_sizes or any(n < 1 for n in self.ngram_sizes):
                 raise ValueError("ngram_sizes must be nonempty with sizes >= 1")
-
-
-@dataclass(frozen=True)
-class SparseVector:
-    """Sorted (column, value) entries; no explicit zeros."""
-
-    entries: tuple[tuple[int, float], ...] = ()
-
-    def norm(self) -> float:
-        return math.sqrt(sum(v * v for _, v in self.entries))
 
 
 def word_tokens(title: str, spec: FeatureSpec) -> Counter:
@@ -118,8 +107,7 @@ class TfidfModel:
         return len(self.vocabulary)
 
     def half(self, title: str) -> Half:
-        """`vectorize_title(self, title)` as (columns, values, gather), cached
-        per title.
+        """The title's vector as (columns, values, gather), cached per title.
 
         The cache lives as long as the model and keeps every title asked for.
         """
@@ -145,22 +133,38 @@ class TfidfModel:
 
     @classmethod
     def from_dict(cls, data: dict) -> "TfidfModel":
-        """Inverse of `to_dict`; raises TypeError or ValueError on a bad value."""
+        """Inverse of `to_dict`; raises TypeError or ValueError on a bad value.
+
+        It accepts what `to_dict` writes and nothing else: a char-mode spec
+        holds a nonempty list of integers >= 1 and a word-mode spec `null`,
+        and the vocabulary is a list of unique [feature, df >= 1] rows.
+        """
         raw_spec = data["spec"]
-        sizes = raw_spec["ngram_sizes"] or DEFAULT_NGRAM_SIZES
-        if not all(_is_int(n) for n in sizes):
-            raise TypeError(f"ngram_sizes must hold integers, got {sizes!r}")
+        mode = FeatureMode(raw_spec["mode"])
+        sizes = raw_spec["ngram_sizes"]
+        if mode is FeatureMode.WORD:
+            if sizes is not None:
+                raise ValueError(f"ngram_sizes must be null in word mode, got {sizes!r}")
+            sizes = DEFAULT_NGRAM_SIZES
+        elif not (isinstance(sizes, list) and all(_is_int(n) for n in sizes)):
+            raise TypeError(f"ngram_sizes must be a list of integers, got {sizes!r}")
         if not isinstance(raw_spec["lowercase"], bool):
             raise TypeError(f"lowercase must be true or false, got {raw_spec['lowercase']!r}")
         if not _is_int(data["n_docs"]):
             raise TypeError(f"n_docs must be an integer, got {data['n_docs']!r}")
-        spec = FeatureSpec(
-            mode=FeatureMode(raw_spec["mode"]),
-            ngram_sizes=frozenset(sizes),
-            lowercase=raw_spec["lowercase"],
-        )
-        vocabulary = {f: i for i, (f, _) in enumerate(data["vocab"])}
-        df = [d for _, d in data["vocab"]]
+        spec = FeatureSpec(mode=mode, ngram_sizes=frozenset(sizes), lowercase=raw_spec["lowercase"])
+        vocab = data["vocab"]
+        # Bulk type checks: JSON decodes to exact types, and `bool` is not `int`.
+        if not (set(map(type, vocab)) <= {list} and set(map(len, vocab)) <= {2}):
+            raise ValueError("vocab must be a list of [feature, df] rows")
+        features, df = [f for f, _ in vocab], [d for _, d in vocab]
+        if not (set(map(type, features)) <= {str} and set(map(type, df)) <= {int}):
+            raise TypeError("vocab rows must be [string, integer]")
+        if min(df, default=1) < 1:
+            raise ValueError(f"vocab df must be >= 1, got {min(df)}")
+        vocabulary = dict(zip(features, range(len(features))))
+        if len(vocabulary) < len(features):
+            raise ValueError(f"vocab has {len(features) - len(vocabulary)} repeated features")
         return cls(spec, vocabulary, df, data["n_docs"])
 
 
@@ -203,23 +207,6 @@ def _vectorize(model: TfidfModel, title: str) -> tuple[tuple[int, ...], tuple[fl
     raw = [tf[c] * idf[c] for c in cols]
     norm = math.sqrt(sum(map(mul, raw, raw)))
     return cols, tuple([v / norm for v in raw])
-
-
-def vectorize_title(model: TfidfModel, title: str) -> SparseVector:
-    """TF x idf over the title's features, L2-normalized (zero if all OOV)."""
-    return SparseVector(tuple(zip(*_vectorize(model, title))))
-
-
-def vectorize_edge(model: TfidfModel, child_title: str, parent_title: str) -> SparseVector:
-    """Concatenate per-title vectors: child in [0, V), parent in [V, 2V).
-
-    Each half is L2-normalized on its own, so neither title's length
-    dominates the pair.
-    """
-    offset = model.n_features
-    child = vectorize_title(model, child_title)
-    parent = vectorize_title(model, parent_title)
-    return SparseVector(child.entries + tuple((c + offset, v) for c, v in parent.entries))
 
 
 def save_tfidf(model: TfidfModel, path: str | Path) -> None:

@@ -266,6 +266,9 @@ class _PathFinder:
         return total, tuple(nodes)
 
     def top_k(self, start: str, k: int) -> list[ScoredPath]:
+        """The k most probable simple paths from start to a target, best first:
+        probability descending, hops ascending, node sequence ascending.
+        Fewer (possibly none) when the graph runs out of alternatives."""
         targets = self.targets
         if start in targets:
             # A node can appear in the taxonomy only as a parent and still
@@ -314,24 +317,6 @@ def _pop_best(candidates: list[tuple[_Cost, tuple[str, ...]]]) -> tuple[_Cost, t
         if cost < best_cost or (not best_cost < cost and nodes < best_nodes):
             best = i
     return candidates.pop(best)
-
-
-def top_k_paths(
-    weighted: WeightedGraph, start: str, targets: set[str], k: int
-) -> list[ScoredPath]:
-    """The k most probable simple paths from start to any target.
-
-    Returned in order: probability descending, hops ascending, node
-    sequence ascending. Fewer than k paths (possibly none) exist when the
-    graph runs out of alternatives.
-    """
-    if not targets:
-        raise ValueError("targets must be nonempty")
-    if start in targets:
-        raise ValueError("start must not be a target")
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    return _PathFinder(weighted, frozenset(targets)).top_k(start, k)
 
 
 @dataclass(frozen=True)

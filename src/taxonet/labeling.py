@@ -11,10 +11,9 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass
 from enum import Enum
-from pathlib import Path
 
-from .errors import MalformedRow, ProjectedEdgeNotInGraph
-from .graph import EdgeKind, Taxonomy, WcnGraph, _rows, edge_kind
+from .errors import ProjectedEdgeNotInGraph
+from .graph import EdgeKind, Taxonomy, WcnGraph, edge_kind
 from .rng import SplitMix64
 
 logger = logging.getLogger(__name__)
@@ -98,20 +97,3 @@ def train_val_split(
         validation.extend(group[:n_val])
         train.extend(group[n_val:])
     return train, validation
-
-
-def save_labeled_edges(edges: list[LabeledEdge], path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for edge in edges:
-            fh.write(f"{edge.child}\t{edge.parent}\t{edge.label.value}\n")
-
-
-def load_labeled_edges(path: str | Path) -> list[LabeledEdge]:
-    path = Path(path)
-    edges = []
-    for line_no, (child, parent, label) in _rows(path, 3):
-        try:
-            edges.append(LabeledEdge(child, parent, Label(label)))
-        except ValueError:
-            raise MalformedRow(path, line_no, f"unknown label {label!r}") from None
-    return edges

@@ -1,5 +1,6 @@
 """Independent brute-force oracles for the path-search tests, and the
-reference featurization and SGD loops for the feature and classifier tests.
+reference featurization, scoring and SGD loops for the feature and
+classifier tests.
 
 The path oracles deliberately avoid the library's search machinery: paths
 are found by exhaustive DFS enumeration, probabilities are exact Fractions
@@ -100,8 +101,9 @@ def reference_char_ngrams(title, spec):
 
 
 def reference_vectorize_title(model, title):
-    """`features.vectorize_title`'s entries, by the loop it replaced: TF x idf
-    over the in-vocabulary features, sorted, each divided by the L2 norm."""
+    """A title's TFIDF vector as sorted (column, value) entries, by the loop
+    `TfidfModel.half` replaced: TF x idf over the in-vocabulary features,
+    each divided by the L2 norm."""
     from taxonet.features import FeatureMode, word_tokens
 
     if model.spec.mode is FeatureMode.WORD:
@@ -120,6 +122,26 @@ def reference_vectorize_title(model, title):
     return tuple((c, v / norm) for c, v in entries)
 
 
+def _dot(weights, cols, vals):
+    """sum(weights.get(c, 0.0) * v) over the entries, in their order."""
+    return sum(map(mul, map(weights.get, cols, repeat(0.0)), vals))
+
+
+def reference_proba(model, child_title, parent_title):
+    """`classifier.predict_proba` over the sparse vectors: one sum over the
+    child's entries, then the parent's at columns offset by V, reading
+    `model.weights` with 0.0 for a missing column; plus the bias, through
+    the sigmoid. The library must match it bit for bit."""
+    from taxonet.classifier import _sigmoid
+
+    offset = model.tfidf.n_features
+    child = reference_vectorize_title(model.tfidf, child_title)
+    parent = reference_vectorize_title(model.tfidf, parent_title)
+    cols = chain((c for c, _ in child), (c + offset for c, _ in parent))
+    vals = chain((v for _, v in child), (v for _, v in parent))
+    return _sigmoid(_dot(model.weights, cols, vals) + model.bias)
+
+
 def reference_train_linear(dataset, tfidf, cfg, graph):
     """`classifier.train_linear` as a sparse dict-based loop: (weights, bias).
 
@@ -136,10 +158,6 @@ def reference_train_linear(dataset, tfidf, cfg, graph):
     def half(title):
         entries = reference_vectorize_title(tfidf, title)
         return tuple(c for c, _ in entries), tuple(v for _, v in entries)
-
-    def _dot(weights, cols, vals):
-        """sum(weights.get(c, 0.0) * v) over the entries, in their order."""
-        return sum(map(mul, map(weights.get, cols, repeat(0.0)), vals))
 
     offset = tfidf.n_features
     shifted = {}

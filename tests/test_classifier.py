@@ -6,7 +6,6 @@ from taxonet import Node, NodeKind, WcnGraph
 from taxonet.classifier import (
     LinearEdgeModel,
     TrainConfig,
-    _sigmoid,
     load_model,
     predict_proba,
     save_model,
@@ -14,9 +13,7 @@ from taxonet.classifier import (
     validation_accuracy,
 )
 from taxonet.errors import EmptyValidation, SingleClassDataset
-from taxonet.features import (
-    DEFAULT_NGRAM_SIZES, FeatureMode, FeatureSpec, fit_tfidf, vectorize_edge,
-)
+from taxonet.features import DEFAULT_NGRAM_SIZES, FeatureMode, FeatureSpec, fit_tfidf
 from taxonet.graph import EdgeKind, edge_kind
 from taxonet.induction import InductionConfig, weigh_edges
 from taxonet.labeling import (
@@ -24,7 +21,7 @@ from taxonet.labeling import (
 )
 from taxonet.projection import ProjectionConfig, project
 
-from oracles import reference_train_linear
+from oracles import reference_proba, reference_train_linear
 from worldgen import build_world
 
 WORD = FeatureSpec(FeatureMode.WORD)
@@ -47,6 +44,11 @@ def separable_world(n=12):
             LabeledEdge(child, neg, Label.NOT_ISA),
         ]
     return WcnGraph(nodes, edges), labeled
+
+
+def zero_weights(tfidf):
+    """A model's (child, parent) weight lists with every weight 0."""
+    return [0.0] * tfidf.n_features, [0.0] * tfidf.n_features
 
 
 def fitted(graph, train_edges, spec=WORD):
@@ -222,7 +224,7 @@ class TestGatherEdgeCases:
         for child, parent in graph.edges():
             model = models[edge_kind(graph, child, parent)]
             titles = graph.title(child), graph.title(parent)
-            expected = _sigmoid(model.decision(vectorize_edge(model.tfidf, *titles)))
+            expected = reference_proba(model, *titles)
             assert predict_proba(model, *titles).hex() == expected.hex()
             clamped = min(max(expected, cfg.epsilon), 1.0 - cfg.epsilon)
             assert weighted.prob[(child, parent)].hex() == clamped.hex()
@@ -231,15 +233,18 @@ class TestGatherEdgeCases:
 class TestPredictProba:
     def test_zero_model_is_half(self):
         tfidf = fit_tfidf(["aa"], WORD)
-        model = LinearEdgeModel(tfidf, {}, 0.0, TrainConfig(), EdgeKind.ENTITY_TO_CATEGORY)
+        model = LinearEdgeModel(
+            tfidf, zero_weights(tfidf), 0.0, TrainConfig(), EdgeKind.ENTITY_TO_CATEGORY
+        )
         assert predict_proba(model, "aa", "aa") == 0.5
         assert predict_proba(model, "zz", "zz") == 0.5
 
     def test_monotone_in_positive_feature(self):
         tfidf = fit_tfidf(["aa bb"], WORD)
-        col_parent_aa = tfidf.vocabulary["aa"] + tfidf.n_features
+        child, parent = zero_weights(tfidf)
+        parent[tfidf.vocabulary["aa"]] = 2.0
         model = LinearEdgeModel(
-            tfidf, {col_parent_aa: 2.0}, 0.0, TrainConfig(), EdgeKind.ENTITY_TO_CATEGORY
+            tfidf, (child, parent), 0.0, TrainConfig(), EdgeKind.ENTITY_TO_CATEGORY
         )
         assert predict_proba(model, "x", "aa") > predict_proba(model, "x", "bb")
 
@@ -253,7 +258,7 @@ class TestPredictProba:
         graph, model, dataset = trained()
         scaled = LinearEdgeModel(
             model.tfidf,
-            {c: 3.0 * w for c, w in model.weights.items()},
+            tuple([3.0 * w for w in half] for half in model.dense),
             3.0 * model.bias,
             model.hyper,
             model.kind,
@@ -278,7 +283,9 @@ class TestValidationAccuracy:
 
     def test_tie_counts_as_positive(self):
         tfidf = fit_tfidf(["aa"], WORD)
-        model = LinearEdgeModel(tfidf, {}, 0.0, TrainConfig(), EdgeKind.ENTITY_TO_CATEGORY)  # always 0.5
+        model = LinearEdgeModel(  # always 0.5
+            tfidf, zero_weights(tfidf), 0.0, TrainConfig(), EdgeKind.ENTITY_TO_CATEGORY
+        )
         nodes = [Node("c", NodeKind.ENTITY, "aa"), Node("p", NodeKind.CATEGORY, "aa")]
         graph = WcnGraph(nodes, [("c", "p")])
         edges = [LabeledEdge("c", "p", Label.ISA), LabeledEdge("c", "p", Label.NOT_ISA)]
@@ -302,6 +309,7 @@ def test_model_file_roundtrip(tmp_path):
     assert (tmp_path / "model.ec.tfidf.json").exists()
     again = load_model(tmp_path / "model.ec.json")
     assert again.weights == model.weights
+    assert again.dense == model.dense
     assert again.bias == model.bias
     assert again.tfidf.vocabulary == model.tfidf.vocabulary
     for e in dataset.train:

@@ -345,6 +345,22 @@ class TestBadInput:
         lambda d: d["spec"].update(ngram_sizes=[2, 2.5]),
         lambda d: d.update(n_docs=1.5),
         lambda d: d.update(n_docs=10**400),  # idf overflows a float
+        # Falsy sizes are not the default sizes.
+        lambda d: d["spec"].update(ngram_sizes=[]),
+        lambda d: d["spec"].update(ngram_sizes=False),
+        lambda d: d["spec"].update(ngram_sizes=0),
+        lambda d: d["spec"].update(ngram_sizes=""),
+        lambda d: d["spec"].update(ngram_sizes={}),
+        lambda d: d["spec"].update(ngram_sizes=None),
+        lambda d: d["spec"].update(ngram_sizes=[0, 2]),
+        lambda d: d["spec"].update(mode="word"),  # word mode writes null sizes
+        lambda d: d["vocab"].append([5, 1]),
+        lambda d: d["vocab"].append(["zz", 1.5]),
+        lambda d: d["vocab"].append(["zz", True]),
+        lambda d: d["vocab"].append(["zz", 0]),
+        lambda d: d["vocab"].append(["zz", 1, 2]),
+        lambda d: d["vocab"].append("zz"),  # unpacks into two 1-character strings
+        lambda d: d["vocab"].append(list(d["vocab"][0])),  # a repeated feature
     ])
     def test_broken_tfidf_file(self, trained_world, tmp_path, capsys, edit):
         _, paths, projected, models = trained_world
@@ -396,6 +412,31 @@ class TestBadInput:
         assert err.startswith(f"error: {cfg}: ")
         if key is not None:
             assert f"config key {key!r} must be" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command, text, key", [
+        ("project", '{"k1": 0}', "k1"),  # ProjectionConfig
+        ("train", '{"ngram_sizes": [0, 2]}', "ngram_sizes"),  # FeatureSpec
+        ("train", '{"mode": "phoneme"}', "mode"),
+        ("train", '{"learning_rate": NaN}', "learning_rate"),  # TrainConfig
+        ("induce", '{"epsilon": 1.5}', "epsilon"),  # InductionConfig
+        ("project", '{"k": 0}', "k"),  # checked, though project ignores it
+    ])
+    def test_config_value_out_of_range_names_file(
+        self, trained_world, tmp_path, capsys, command, text, key
+    ):
+        _, paths, projected, models = trained_world
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(text, encoding="utf-8")
+        out = tmp_path / "out"
+        argv = {
+            "project": project_args(paths, out),
+            "train": train_args(paths, projected, out),
+            "induce": induce_args(paths, projected, models, out),
+        }[command]
+        code, err = run_err(capsys, *argv, "--config", str(cfg))
+        assert code == 2
+        assert err.startswith(f"error: {cfg}: config key {key!r}: ")
         assert not out.exists()
 
     @pytest.mark.parametrize("flags, config", [

@@ -14,8 +14,6 @@ from taxonet.features import (
     fit_tfidf,
     load_tfidf,
     save_tfidf,
-    vectorize_edge,
-    vectorize_title,
     word_tokens,
 )
 
@@ -119,49 +117,63 @@ class TestFitTfidf:
         assert a.idf == b.idf
 
 
+def entries(model, title):
+    """The title's cached half as (column, value) entries."""
+    cols, vals, _ = model.half(title)
+    return tuple(zip(cols, vals))
+
+
+def edge_entries(model, child, parent):
+    """An edge's [child | parent] vector as scoring reads it: the child's
+    half, then the parent's half at columns offset by V."""
+    offset = model.n_features
+    return entries(model, child) + tuple((c + offset, v) for c, v in entries(model, parent))
+
+
 class TestVectorize:
     def test_single_feature_unit(self):
         model = fit_tfidf(["solo"], WORD)
-        vec = vectorize_title(model, "solo")
-        assert vec.entries == ((0, 1.0),)
+        assert entries(model, "solo") == ((0, 1.0),)
+        assert entries(model, "solo") == reference_vectorize_title(model, "solo")
 
     def test_proportional_and_normalized(self):
         model = fit_tfidf(["ab", "ab", "cd"], WORD)
-        vec = vectorize_title(model, "ab ab cd")
+        vec = entries(model, "ab ab cd")
         idf_ab = model.idf[model.vocabulary["ab"]]
         idf_cd = model.idf[model.vocabulary["cd"]]
         raw = {model.vocabulary["ab"]: 2 * idf_ab, model.vocabulary["cd"]: 1 * idf_cd}
         norm = math.sqrt(sum(v * v for v in raw.values()))
-        for col, value in vec.entries:
+        for col, value in vec:
             assert abs(value - raw[col] / norm) < 1e-12
-        assert abs(vec.norm() - 1.0) < 1e-9
+        assert abs(math.sqrt(sum(v * v for _, v in vec)) - 1.0) < 1e-9
+        assert vec == reference_vectorize_title(model, "ab ab cd")
 
     def test_oov_zero_vector(self):
         model = fit_tfidf(["ab"], WORD)
-        assert vectorize_title(model, "zz qq").entries == ()
+        assert model.half("zz qq")[:2] == ((), ())
+        assert reference_vectorize_title(model, "zz qq") == ()
 
     def test_edge_halves(self):
         model = fit_tfidf(["ab", "cd"], WORD)
-        v = vectorize_edge(model, "zz", "ab")
-        assert all(col >= model.n_features for col, _ in v.entries)
-        v = vectorize_edge(model, "ab", "ab")
-        lower = [(c, x) for c, x in v.entries if c < model.n_features]
-        upper = [(c - model.n_features, x) for c, x in v.entries if c >= model.n_features]
+        v = edge_entries(model, "zz", "ab")
+        assert v and all(col >= model.n_features for col, _ in v)
+        v = edge_entries(model, "ab", "ab")
+        lower = [(c, x) for c, x in v if c < model.n_features]
+        upper = [(c - model.n_features, x) for c, x in v if c >= model.n_features]
         assert lower == upper
 
     def test_edge_composes_from_halves(self):
         model = fit_tfidf(["Auguste", "Empereur romain", "Empereur"], CHAR)
-        edge = vectorize_edge(model, "Auguste", "Empereur romain")
-        child = vectorize_title(model, "Auguste")
-        parent = vectorize_title(model, "Empereur romain")
-        expected = child.entries + tuple((c + model.n_features, v) for c, v in parent.entries)
-        assert edge.entries == expected
+        edge = edge_entries(model, "Auguste", "Empereur romain")
+        child = reference_vectorize_title(model, "Auguste")
+        parent = reference_vectorize_title(model, "Empereur romain")
+        assert edge == child + tuple((c + model.n_features, v) for c, v in parent)
 
     def test_half_norms(self):
         model = fit_tfidf(["aa bb", "cc dd"], WORD)
-        v = vectorize_edge(model, "aa cc", "dd")
-        lower = math.sqrt(sum(x * x for c, x in v.entries if c < model.n_features))
-        upper = math.sqrt(sum(x * x for c, x in v.entries if c >= model.n_features))
+        v = edge_entries(model, "aa cc", "dd")
+        lower = math.sqrt(sum(x * x for c, x in v if c < model.n_features))
+        upper = math.sqrt(sum(x * x for c, x in v if c >= model.n_features))
         assert abs(lower - 1.0) < 1e-9 and abs(upper - 1.0) < 1e-9
 
     def test_cached_half_equals_fresh_vector(self):
@@ -169,7 +181,7 @@ class TestVectorize:
         columns = list(range(model.n_features))
         for title in ("Empereur romain", "Auguste", "zz", "Empereur romain"):
             cols, vals, gather = model.half(title)
-            assert tuple(zip(cols, vals)) == vectorize_title(model, title).entries
+            assert tuple(zip(cols, vals)) == reference_vectorize_title(model, title)
             assert gather(columns) == cols
         assert model.half("Auguste") is model.half("Auguste")
 
@@ -179,14 +191,13 @@ class TestVectorize:
         large = fit_tfidf(["Roma", "Empereur", "romain"], CHAR)
         small.half(title)
         for model in (large, small):
-            cols, vals, _ = model.half(title)
-            assert tuple(zip(cols, vals)) == vectorize_title(model, title).entries
+            assert entries(model, title) == reference_vectorize_title(model, title)
         assert small.half(title)[:2] != large.half(title)[:2]
 
     def test_entries_strictly_increasing(self):
         model = fit_tfidf(["aa bb cc"], WORD)
-        v = vectorize_edge(model, "cc aa", "bb aa")
-        cols = [c for c, _ in v.entries]
+        v = edge_entries(model, "cc aa", "bb aa")
+        cols = [c for c, _ in v]
         assert cols == sorted(cols) and len(cols) == len(set(cols))
 
 
@@ -228,9 +239,7 @@ class TestAgainstReference:
             assume(False)
         for title in corpus + others:
             expected = hexes(reference_vectorize_title(model, title))
-            cols, vals, _ = model.half(title)
-            assert hexes(zip(cols, vals)) == expected
-            assert hexes(vectorize_title(model, title).entries) == expected
+            assert hexes(entries(model, title)) == expected
 
     @pytest.mark.parametrize("spec, corpus, title, n_cols", [
         (FeatureSpec(FeatureMode.CHAR_NGRAM, frozenset({2})), ["ab", "cd ef"], "x", 0),

@@ -20,22 +20,21 @@ from taxonet import (
     train_linear,
     train_val_split,
 )
-from taxonet.classifier import LinearEdgeModel, TrainConfig, _sigmoid
+from taxonet.classifier import LinearEdgeModel, TrainConfig
 from taxonet.errors import EmptyProjectedTaxonomy, ProjectedEdgeNotInGraph
-from taxonet.features import FeatureMode, FeatureSpec, fit_tfidf, vectorize_edge
+from taxonet.features import FeatureMode, FeatureSpec, fit_tfidf
 from taxonet.graph import EdgeKind, edge_kind
 from taxonet.induction import (
     InductionConfig,
     _PathFinder,
     WeightedGraph,
     induce,
-    top_k_paths,
     wcn_baseline,
     weigh_edges,
 )
 from taxonet.metrics import branching_factor
 
-from oracles import bfs_min_hops, enumerate_paths, random_instance
+from oracles import bfs_min_hops, enumerate_paths, random_instance, reference_proba
 from worldgen import build_world
 
 
@@ -47,9 +46,15 @@ def category_graph(edge_probs: dict[tuple[str, str], float]) -> WeightedGraph:
     return WeightedGraph(graph, dict(edge_probs))
 
 
+def top_k(weighted: WeightedGraph, start: str, targets: set[str], k: int):
+    """The k best paths from start, by the finder that `induce` runs."""
+    return _PathFinder(weighted, frozenset(targets)).top_k(start, k)
+
+
 def constant_model(bias: float, kind: EdgeKind) -> LinearEdgeModel:
     tfidf = fit_tfidf(["stub"], FeatureSpec(FeatureMode.WORD))
-    return LinearEdgeModel(tfidf, {}, bias, TrainConfig(), kind)
+    zeros = [0.0] * tfidf.n_features, [0.0] * tfidf.n_features
+    return LinearEdgeModel(tfidf, zeros, bias, TrainConfig(), kind)
 
 
 def constant_models(bias_ec: float, bias_cc: float) -> tuple[LinearEdgeModel, LinearEdgeModel]:
@@ -115,12 +120,12 @@ class TestWeighEdges:
         assert list(weighted.prob) == edges
         for child, parent in edges:
             model = models[edge_kind(graph, child, parent)]
-            x = vectorize_edge(model.tfidf, graph.title(child), graph.title(parent))
-            expected = min(max(_sigmoid(model.decision(x)), cfg.epsilon), 1.0 - cfg.epsilon)
+            raw = reference_proba(model, graph.title(child), graph.title(parent))
+            expected = min(max(raw, cfg.epsilon), 1.0 - cfg.epsilon)
             assert weighted.prob[(child, parent)] == expected, (child, parent)
 
     def test_equals_per_edge_reference_bit_for_bit(self, world_models):
-        # Every edge's weight must equal the one computed from `vectorize_edge`.
+        # Every edge's weight must equal the one `reference_proba` computes.
         graph, models = world_models
         assert graph.n_edges > 100
         self.assert_equals_reference(graph, models, InductionConfig())
@@ -158,7 +163,7 @@ class TestWeighEdges:
 class TestTopKPaths:
     def test_single_edge(self):
         w = category_graph({("s", "t"): 0.9})
-        (path,) = top_k_paths(w, "s", {"t"}, 1)
+        (path,) = top_k(w, "s", {"t"}, 1)
         assert path.nodes == ("s", "t")
         assert path.probability == 0.9
         assert path.hops == 1
@@ -167,10 +172,10 @@ class TestTopKPaths:
         w = category_graph(
             {("s", "a"): 0.9, ("a", "t"): 0.5, ("s", "b"): 0.6, ("b", "t"): 0.8}
         )
-        (best,) = top_k_paths(w, "s", {"t"}, 1)
+        (best,) = top_k(w, "s", {"t"}, 1)
         assert best.nodes == ("s", "b", "t")
         assert best.probability == pytest.approx(0.48)
-        both = top_k_paths(w, "s", {"t"}, 2)
+        both = top_k(w, "s", {"t"}, 2)
         assert [p.nodes for p in both] == [("s", "b", "t"), ("s", "a", "t")]
 
     def test_equal_product_prefers_fewer_hops(self):
@@ -178,12 +183,12 @@ class TestTopKPaths:
             {("s", "x"): 0.5, ("x", "t"): 1.0,
              ("s", "a"): 1.0, ("a", "b"): 1.0, ("b", "t"): 0.5}
         )
-        (best,) = top_k_paths(w, "s", {"t"}, 1)
+        (best,) = top_k(w, "s", {"t"}, 1)
         assert best.nodes == ("s", "x", "t")
 
     def test_equal_product_equal_hops_prefers_lexicographic(self):
         w = category_graph({("s", "a"): 0.5, ("s", "b"): 0.5})
-        (best,) = top_k_paths(w, "s", {"a", "b"}, 1)
+        (best,) = top_k(w, "s", {"a", "b"}, 1)
         assert best.nodes == ("s", "a")
 
     def test_exact_tie_vs_float_log_trap(self):
@@ -193,31 +198,22 @@ class TestTopKPaths:
         w = category_graph(
             {("s", "a"): 0.8, ("a", "t"): 0.5, ("s", "b"): 0.4, ("b", "t"): 1.0}
         )
-        (best,) = top_k_paths(w, "s", {"t"}, 1)
+        (best,) = top_k(w, "s", {"t"}, 1)
         assert best.nodes == ("s", "a", "t")
 
     def test_targets_absorb(self):
         # the path through target m to the better target t is not allowed
         w = category_graph({("s", "m"): 0.9, ("m", "t"): 0.9, ("s", "t"): 0.1})
-        paths = top_k_paths(w, "s", {"m", "t"}, 3)
+        paths = top_k(w, "s", {"m", "t"}, 3)
         assert [p.nodes for p in paths] == [("s", "m"), ("s", "t")]
 
     def test_unreachable_empty(self):
         w = category_graph({("a", "s"): 0.9})  # edge points the wrong way
-        assert top_k_paths(w, "s", {"t2", "a"}, 1) == []
+        assert top_k(w, "s", {"t2", "a"}, 1) == []
 
     def test_fewer_than_k(self):
         w = category_graph({("s", "t"): 0.9})
-        assert len(top_k_paths(w, "s", {"t"}, 5)) == 1
-
-    def test_preconditions(self):
-        w = category_graph({("s", "t"): 0.9})
-        with pytest.raises(ValueError):
-            top_k_paths(w, "s", set(), 1)
-        with pytest.raises(ValueError):
-            top_k_paths(w, "s", {"s", "t"}, 1)
-        with pytest.raises(ValueError):
-            top_k_paths(w, "s", {"t"}, 0)
+        assert len(top_k(w, "s", {"t"}, 5)) == 1
 
     def test_k_best_against_bruteforce(self):
         rng = random.Random(1234)
@@ -225,7 +221,7 @@ class TestTopKPaths:
         for _ in range(40):
             weighted, start, targets = random_instance(rng)
             expected = enumerate_paths(weighted, start, targets)
-            got = top_k_paths(weighted, start, targets, 3)
+            got = top_k(weighted, start, targets, 3)
             assert len(got) == min(3, len(expected))
             for path, (prob, hops, nodes) in zip(got, expected):
                 assert path.nodes == nodes
@@ -320,14 +316,14 @@ class TestTopKPaths:
                 key=lambda r: (sum(-math.log(weighted.prob[e])
                                    for e in zip(r[2], r[2][1:])), r[1], r[2]),
             )
-            (best,) = top_k_paths(weighted, start, targets, 1) or [None]
+            (best,) = top_k(weighted, start, targets, 1) or [None]
             assert best.nodes == by_log[2]
 
     def test_uniform_reduces_to_bfs(self):
         rng = random.Random(77)
         for _ in range(30):
             weighted, start, targets = random_instance(rng, uniform=True)
-            got = top_k_paths(weighted, start, targets, 1)
+            got = top_k(weighted, start, targets, 1)
             oracle = bfs_min_hops(weighted.graph, start, targets)
             if oracle is None:
                 assert got == []

@@ -7,8 +7,6 @@ from taxonet.labeling import (
     Label,
     LabeledEdge,
     label_edges,
-    load_labeled_edges,
-    save_labeled_edges,
     split_by_kind,
     train_val_split,
 )
@@ -141,10 +139,3 @@ class TestTrainValSplit:
         assert sum(1 for e in val if e.label is Label.NOT_ISA) == int(fraction * n_notisa)
         assert len(train) + len(val) == n_isa + n_notisa
 
-
-def test_labeled_tsv_roundtrip(tmp_path):
-    edges = synthetic_edges(3, 2)
-    save_labeled_edges(edges, tmp_path / "l.tsv")
-    text = (tmp_path / "l.tsv").read_text(encoding="utf-8")
-    assert "\tisa\n" in text and "\tnotisa\n" in text
-    assert load_labeled_edges(tmp_path / "l.tsv") == edges
