@@ -51,6 +51,7 @@ from .induction import (
     ScoredPath,
     WeightedGraph,
     induce,
+    search_edges,
     wcn_baseline,
     weigh_edges,
 )

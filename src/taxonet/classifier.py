@@ -38,7 +38,7 @@ from operator import mul
 from pathlib import Path
 
 from .errors import EmptyValidation, MalformedFile, SingleClassDataset
-from .features import TfidfModel, _is_int, load_tfidf, save_tfidf
+from .features import TfidfModel, load_tfidf, save_tfidf
 from .graph import EdgeKind, WcnGraph
 from .labeling import EdgeDataset, Label, LabeledEdge
 from .rng import SplitMix64
@@ -211,19 +211,18 @@ def save_model(model: LinearEdgeModel, path: str | Path) -> None:
         fh.write("\n")
 
 
-def _column(value) -> int:
-    if not _is_int(value):
-        raise TypeError(f"weight column must be an integer, got {value!r}")
-    return value
-
-
-def _number(value, what: str) -> float:
-    """A JSON number as a float; a bool, NaN or an infinity is not one."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise TypeError(f"{what} must be a number, got {value!r}")
-    if not math.isfinite(value):
-        raise ValueError(f"{what} must be finite, got {value!r}")
-    return float(value)
+def _numbers(values: list, what: str) -> list[float]:
+    """JSON numbers as floats, checked in bulk; a bool, NaN or an infinity
+    is not one, and an integer too large for a float raises OverflowError.
+    JSON decodes to exact types, and `bool` is not `int`."""
+    if not set(map(type, values)) <= {int, float}:
+        bad = next(v for v in values if type(v) not in (int, float))
+        raise TypeError(f"{what} must be a number, got {bad!r}")
+    floats = list(map(float, values))
+    if not all(map(math.isfinite, floats)):
+        bad = next(v for v in floats if not math.isfinite(v))
+        raise ValueError(f"{what} must be finite, got {bad!r}")
+    return floats
 
 
 def load_model(path: str | Path, kind: EdgeKind | None = None) -> LinearEdgeModel:
@@ -233,7 +232,7 @@ def load_model(path: str | Path, kind: EdgeKind | None = None) -> LinearEdgeMode
     one, so a model cannot score the other kind's edges. Every weight
     column must be a JSON integer indexing the [child | parent] feature
     vector, [0, 2V), and every weight value and the bias a finite JSON
-    number.
+    number. Weights are checked in bulk, not one call per value.
     """
     path = Path(path)
     with open(path, encoding="utf-8") as fh:
@@ -242,8 +241,13 @@ def load_model(path: str | Path, kind: EdgeKind | None = None) -> LinearEdgeMode
             found = EdgeKind(data["kind"])
             tfidf_path = path.with_name(data["tfidf_ref"])
             cfg = TrainConfig(**data["config"])
-            weights = [(_column(c), _number(v, "weight")) for c, v in data["weights"]]
-            bias = _number(data["bias"], "bias")
+            rows = data["weights"]  # unpacking rejects a row that is not a pair
+            columns = [c for c, _ in rows]
+            if not set(map(type, columns)) <= {int}:
+                bad = next(c for c in columns if type(c) is not int)
+                raise TypeError(f"weight column must be an integer, got {bad!r}")
+            values = _numbers([v for _, v in rows], "weight")
+            (bias,) = _numbers([data["bias"]], "bias")
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise MalformedFile(path, f"bad model file: {type(exc).__name__}: {exc}") from None
     if kind is not None and found is not kind:
@@ -251,17 +255,11 @@ def load_model(path: str | Path, kind: EdgeKind | None = None) -> LinearEdgeMode
             path, f"bad model file: kind is {found.value!r}, expected {kind.value!r}"
         )
     tfidf = load_tfidf(tfidf_path)
-    columns = 2 * tfidf.n_features
-    outside = sorted(c for c, _ in weights if not 0 <= c < columns)
-    if outside:
-        raise MalformedFile(
-            path, f"bad model file: weight column {outside[0]} outside [0, {columns})"
-        )
     n = tfidf.n_features
-    child, parent = [0.0] * n, [0.0] * n
-    for c, w in weights:
-        if c < n:
-            child[c] = w
-        else:
-            parent[c - n] = w
-    return LinearEdgeModel(tfidf, (child, parent), bias, cfg, found)
+    if columns and not (0 <= min(columns) and max(columns) < 2 * n):
+        bad = min(c for c in columns if not 0 <= c < 2 * n)
+        raise MalformedFile(path, f"bad model file: weight column {bad} outside [0, {2 * n})")
+    dense = [0.0] * (2 * n)
+    for c, w in zip(columns, values):
+        dense[c] = w
+    return LinearEdgeModel(tfidf, (dense[:n], dense[n:]), bias, cfg, found)

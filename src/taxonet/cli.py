@@ -8,7 +8,9 @@ outputs; all randomness flows from --seed and is echoed in the reports.
 `train` and `induce` use two processes. `train` checks both edge kinds for
 two label classes (ec, then cc), then trains, saves and scores the cc
 model in a forked child (`forking.run_pair`) while this process does the
-same for ec; `induce` scores half the edges in a child (see `induction`).
+same for ec; `induce` scores the edges its path search can read, the
+parent edges of uncovered nodes, half of them in a child (see
+`induction`).
 The two models share nothing but their read-only inputs, which the child
 inherits, and each seeds its own SGD, so every byte written is what one
 process running ec then cc would write. An error in ec wins over one in
@@ -18,7 +20,8 @@ called from a single-threaded process.
 
 A `--config` file must hold one JSON object whose keys are those of
 `CONFIG_DEFAULTS`, each with its default's JSON type and within the range
-its config class accepts; the whole file is checked in every command, so
+its config class (or, for `val_fraction` and `min_df`, its own check)
+accepts; the whole file is checked in every command, so
 a mistyped key or a value out of range exits 2, naming the file, even
 where the command does not read it.
 """
@@ -33,10 +36,10 @@ from pathlib import Path
 from . import __version__
 from .classifier import TrainConfig, load_model, save_model, train_linear, validation_accuracy
 from .errors import MalformedFile, SingleClassDataset, TaxonetError
-from .features import FeatureMode, FeatureSpec, _is_int, fit_tfidf
+from .features import FeatureMode, FeatureSpec, _is_int, check_min_df, fit_tfidf
 from .graph import EdgeKind, load_interlang, load_taxonomy, load_wcn, save_taxonomy
-from .induction import InductionConfig, induce, weigh_edges
-from .labeling import EdgeDataset, label_edges, split_by_kind, train_val_split
+from .induction import InductionConfig, induce, search_edges, weigh_edges
+from .labeling import EdgeDataset, check_val_fraction, label_edges, split_by_kind, train_val_split
 from .metrics import (
     branching_factor, edge_metrics, load_gold, load_paths, max_depth_sampled, path_metrics,
 )
@@ -74,9 +77,10 @@ def _expected_type(default, value) -> str | None:
     return None if isinstance(value, str) else "a string"
 
 
-# Each config class with the keys it is built from. `_load_config` builds
-# every one from a config file's values, so the class's own range checks
-# reject a bad value there and the error can name the file.
+# Each config class (or a key's own check) with the keys it is built from.
+# `_load_config` builds every one from a config file's values, so the
+# class's own range checks reject a bad value there and the error can name
+# the file.
 _CONFIG_CLASSES = (
     (("k1", "k2"), lambda c: ProjectionConfig(c["k1"], c["k2"])),
     (("mode", "ngram_sizes"),
@@ -84,6 +88,8 @@ _CONFIG_CLASSES = (
     (("epochs", "learning_rate", "l2_lambda", "seed"),
      lambda c: TrainConfig(c["epochs"], c["learning_rate"], c["l2_lambda"], c["seed"])),
     (("k", "epsilon", "uniform"), lambda c: InductionConfig(c["k"], c["epsilon"], c["uniform"])),
+    (("val_fraction",), lambda c: check_val_fraction(c["val_fraction"])),
+    (("min_df",), lambda c: check_min_df(c["min_df"])),
 )
 
 
@@ -217,7 +223,7 @@ def _cmd_induce(args: argparse.Namespace) -> int:
     model_ec = load_model(args.model_ec, ec_kind)
     model_cc = load_model(args.model_cc, cc_kind)
     icfg = InductionConfig(k=k, epsilon=epsilon, uniform=uniform)
-    weighted = weigh_edges(graph, model_ec, model_cc, icfg)
+    weighted = weigh_edges(graph, model_ec, model_cc, icfg, search_edges(graph, projected))
     taxonomy, report = induce(projected, weighted, icfg)
     save_taxonomy(taxonomy, args.out)
     report_path = args.report or args.out + ".report.json"

@@ -137,7 +137,8 @@ class TfidfModel:
 
         It accepts what `to_dict` writes and nothing else: a char-mode spec
         holds a nonempty list of integers >= 1 and a word-mode spec `null`,
-        and the vocabulary is a list of unique [feature, df >= 1] rows.
+        the vocabulary is a list of unique [feature, df >= 1] rows, no df
+        exceeds `n_docs`, and `idf` has one entry per row.
         """
         raw_spec = data["spec"]
         mode = FeatureMode(raw_spec["mode"])
@@ -162,6 +163,11 @@ class TfidfModel:
             raise TypeError("vocab rows must be [string, integer]")
         if min(df, default=1) < 1:
             raise ValueError(f"vocab df must be >= 1, got {min(df)}")
+        if max(df, default=0) > data["n_docs"]:
+            raise ValueError(f"n_docs {data['n_docs']} is below the largest df, {max(df)}")
+        # idf is recomputed from df, so math.log's last bit may differ from the file's.
+        if not (isinstance(data["idf"], list) and len(data["idf"]) == len(df)):
+            raise ValueError(f"idf must be a list of {len(df)} values, one per vocab row")
         vocabulary = dict(zip(features, range(len(features))))
         if len(vocabulary) < len(features):
             raise ValueError(f"vocab has {len(features) - len(vocabulary)} repeated features")
@@ -184,8 +190,15 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+def check_min_df(min_df: int) -> None:
+    """A feature is kept when at least `min_df` titles hold it; below 1 is an error, not 1."""
+    if min_df < 1:
+        raise ValueError(f"min_df must be >= 1, got {min_df}")
+
+
 def fit_tfidf(titles: list[str], spec: FeatureSpec, min_df: int = 1) -> TfidfModel:
     """Fit vocabulary and idf: idf(t) = ln((1 + N) / (1 + df(t))) + 1."""
+    check_min_df(min_df)
     df_counts: Counter = Counter()
     for title in titles:
         df_counts.update(set(extract_features(title, spec)))

@@ -1,11 +1,12 @@
 """Phase 3: weigh network edges and extend the taxonomy by path search.
 
-Every edge gets an is-a probability from the kind-matched classifier (or
-1.0 under the uniform baseline). For each node still lacking a hypernym,
-the k most probable simple paths to the projected taxonomy's node set are
-found, and their edges join the output. A path's probability is the
-product of its edge probabilities; ties break on fewer hops, then on the
-lexicographically smallest node sequence, making results total-ordered.
+Each edge a search can read gets an is-a probability from the
+kind-matched classifier (or 1.0 under the uniform baseline). For each
+node still lacking a hypernym, the k most probable simple paths to the
+projected taxonomy's node set are found, and their edges join the
+output. A path's probability is the product of its edge probabilities;
+ties break on fewer hops, then on the lexicographically smallest node
+sequence, making results total-ordered.
 
 Comparing float products (or summed -log costs) can invert genuinely equal
 probabilities through rounding, so path comparisons here use exact dyadic
@@ -25,12 +26,24 @@ Every path from a cone node to a target stays inside the cone, so the cone
 distances are the whole graph's, and each search costs the size of the
 cone, not of the graph.
 
-Edge weighing uses both cores: a forked child (`forking.run_pair`) scores
-the second half of the edge list while this process scores the first. An
+Edge weighing scores only the edges a search can read: the parent edges
+of the nodes the projected taxonomy leaves uncovered (`search_edges`).
+That set is exact. Every covered node is a child in the projected
+taxonomy, so it is a target, and a search expands only its start and
+non-target nodes: `_dist` walks the parents of those alone, the greedy
+walk of `_best_path` steps only out of them, and a Yen prefix is made of
+edges of accepted paths, whose tails are the start or non-targets. So
+every edge a search weighs leaves an uncovered node, and no other edge is
+scored. On a 4,801-node world with 90% of its nodes linked, that is 774
+of 10,056 edges. `induce` checks that each of them has a probability
+before any search starts.
+
+Weighing uses both cores: a forked child (`forking.run_pair`) scores the
+second half of the edge list while this process scores the first. An
 edge's probability depends only on its model and its two titles, and the
 child runs the same `predict_proba` and clamp on an inherited copy of the
 same graph and models, so every weight is bit-for-bit what a single
-process computes, and the weights are assembled in the graph's edge order.
+process computes, and the weights are assembled in the list's order.
 Each process vectorizes only the titles of its own half. The fork makes
 this POSIX-only and assumes a single-threaded caller; under the uniform
 baseline nothing is scored and nothing forks.
@@ -116,13 +129,10 @@ class ScoredPath:
 
 
 class WeightedGraph:
-    """A category network plus one is-a probability per edge."""
+    """A category network plus is-a probabilities, at least for its `search_edges`."""
 
     def __init__(self, graph: WcnGraph, prob: dict[tuple[str, str], float]):
-        for child, parent in graph.edges():
-            p = prob.get((child, parent))
-            if p is None:
-                raise ValueError(f"edge without probability: {child!r} -> {parent!r}")
+        for p in prob.values():
             if not 0.0 < p <= 1.0:
                 raise ValueError(f"edge probability out of (0, 1]: {p}")
         self.graph = graph
@@ -132,19 +142,34 @@ class WeightedGraph:
         return self.graph.parents(node)
 
 
+def search_edges(graph: WcnGraph, projected: Taxonomy) -> list[tuple[str, str]]:
+    """The edges the searches of `induce` can read: every parent edge of
+    each node that `projected` leaves uncovered, nodes in `node_ids()`
+    order and parents in stored order (see the module docstring)."""
+    return [
+        (node, parent)
+        for node in graph.node_ids()
+        if not projected.covered(node)
+        for parent in graph.parents(node)
+    ]
+
+
 def weigh_edges(
     graph: WcnGraph,
     model_ec: LinearEdgeModel,
     model_cc: LinearEdgeModel,
     cfg: InductionConfig = InductionConfig(),
+    edges: list[tuple[str, str]] | None = None,
 ) -> WeightedGraph:
-    """Score every edge with its kind's classifier, clamped to [eps, 1-eps].
+    """Score `edges` (default: every graph edge) with their kind's
+    classifier, clamped to [eps, 1-eps].
 
     With cfg.uniform the classifiers are ignored and every edge gets 1.0.
     Otherwise a forked child scores the second half of the edge list while
     this process scores the first (see the module docstring).
     """
-    edges = list(graph.edges())
+    if edges is None:
+        edges = list(graph.edges())
     if cfg.uniform:
         return WeightedGraph(graph, dict.fromkeys(edges, 1.0))
 
@@ -342,7 +367,8 @@ def induce(
     The target set (all nodes touched by the projected taxonomy) is frozen
     before iteration, and one path finder serves every start, so per-node
     searches are independent and the result does not depend on node order.
-    An edge found by several paths keeps its maximum score.
+    An edge found by several paths keeps its maximum score. Every edge of
+    `search_edges(graph, projected)` must have a probability in `weighted`.
     """
     if len(projected) == 0:
         raise EmptyProjectedTaxonomy("projected taxonomy has no edges")
@@ -350,6 +376,9 @@ def induce(
     for edge in projected.edges():
         if not graph.has_edge(edge.child, edge.parent):
             raise ProjectedEdgeNotInGraph(edge.child, edge.parent)
+    for child, parent in search_edges(graph, projected):
+        if (child, parent) not in weighted.prob:
+            raise ValueError(f"edge without probability: {child!r} -> {parent!r}")
 
     finder = _PathFinder(weighted, frozenset(projected.node_ids()))
     edges: dict[tuple[str, str], TaxoEdge] = {

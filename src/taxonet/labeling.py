@@ -71,6 +71,11 @@ def split_by_kind(
     return entity_edges, category_edges
 
 
+def check_val_fraction(val_fraction: float) -> None:
+    if not 0.0 <= val_fraction < 1.0:
+        raise ValueError(f"val_fraction must be in [0, 1), got {val_fraction!r}")
+
+
 def train_val_split(
     edges: list[LabeledEdge], val_fraction: float, seed: int
 ) -> tuple[list[LabeledEdge], list[LabeledEdge]]:
@@ -80,8 +85,7 @@ def train_val_split(
     its prefix goes to validation; identical seeds give identical splits on
     any platform.
     """
-    if not 0.0 <= val_fraction < 1.0:
-        raise ValueError("val_fraction must be in [0, 1)")
+    check_val_fraction(val_fraction)
     train: list[LabeledEdge] = []
     validation: list[LabeledEdge] = []
     for label in Label:

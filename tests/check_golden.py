@@ -19,10 +19,14 @@ from pathlib import Path
 TESTS = Path(__file__).resolve().parent
 sys.path[:0] = [str(TESTS.parent / "src"), str(TESTS)]
 
-from golden import GOLDEN, train_golden  # noqa: E402
+from golden import GOLDEN, GOLDEN_UNIFORM, train_golden  # noqa: E402
 from worldgen import build_world  # noqa: E402
 
 from taxonet.cli import main  # noqa: E402
+
+
+# `induce`'s extra flags, and the pins of its outputs at each k.
+INDUCE_PINS = (((), GOLDEN), (("--uniform",), GOLDEN_UNIFORM))
 
 
 def _digest(path: Path) -> str:
@@ -40,27 +44,34 @@ def run_pipeline(root: Path) -> dict[str, str]:
         ["train", *graph, "--projected", str(projected), "--mode", "char",
          "--out-dir", str(models), "--seed", "5"],
     ]
-    for k in sorted(GOLDEN):
-        steps.append(["induce", *graph, "--projected", str(projected),
-                      "--model-ec", str(models / "model.ec.json"),
-                      "--model-cc", str(models / "model.cc.json"),
-                      "--out", str(root / f"k{k}.tsv"), "--k", str(k)])
+    outputs = []
+    for flags, pins in INDUCE_PINS:
+        for k in sorted(pins):
+            out = root / _name(k, flags)
+            outputs += [out.name, out.name + ".report.json"]
+            steps.append(["induce", *graph, "--projected", str(projected),
+                          "--model-ec", str(models / "model.ec.json"),
+                          "--model-cc", str(models / "model.cc.json"),
+                          "--out", str(out), "--k", str(k), *flags])
     for argv in steps:
         code = main(argv)
         if code != 0:
             raise SystemExit(f"taxonet {argv[0]} exited {code}")
     digests = {name: _digest(models / name) for name in train_golden()}
-    for k in sorted(GOLDEN):
-        digests[f"k{k}.tsv"] = _digest(root / f"k{k}.tsv")
-        digests[f"k{k}.tsv.report.json"] = _digest(root / f"k{k}.tsv.report.json")
+    digests.update((name, _digest(root / name)) for name in outputs)
     return digests
+
+
+def _name(k: int, flags: tuple[str, ...]) -> str:
+    return f"k{k}{''.join(flags)}.tsv"
 
 
 def expected() -> dict[str, str]:
     pins = dict(train_golden())
-    for k, (taxonomy, report) in GOLDEN.items():
-        pins[f"k{k}.tsv"] = taxonomy
-        pins[f"k{k}.tsv.report.json"] = report
+    for flags, golden in INDUCE_PINS:
+        for k, (taxonomy, report) in golden.items():
+            pins[_name(k, flags)] = taxonomy
+            pins[_name(k, flags) + ".report.json"] = report
     return pins
 
 

@@ -1,7 +1,8 @@
 """sha256 pins of the CLI's outputs on the `trained_world` pipeline.
 
 The pipeline: `build_world(seed=21, families=4)`, `project` with default
-flags, `train --mode char --seed 5`, then `induce` at k=1 and k=3. The CLI
+flags, `train --mode char --seed 5`, then `induce` at k=1 and k=3, with and
+without `--uniform`. The CLI
 promises byte-identical output, so a pin changes only with an output change
 that CHANGES.md names. `tests/test_cli.py` asserts these under pytest and
 `tests/check_golden.py` checks them with the standard library alone.
@@ -15,6 +16,15 @@ GOLDEN = {
         "7948c3f3b74754f20349634e976b1c0e8f6b679fa977b4e912e894499c440ad9"),
     3: ("efd850738f33b10c8e61043cade44ee156d8c0cbfb6bd7acbe2f80ebc6f9dfc3",
         "672c6b13c4a8d1203bb6b6d09684beb97d4daa4bc674ec8ee8619ec519398596"),
+}
+
+# The same under `induce --uniform`: every edge weighs 1, so these pin the
+# path search's tie-breaking on hops and node order.
+GOLDEN_UNIFORM = {
+    1: ("7027d642e2789d8b67524d2ea0709d91a86e7587fab09ad0c615ab2267cd9ee5",
+        "fead403b42d303fdee22577d331ae4bc382552112a35d603a9c7b6a9d0a63e58"),
+    3: ("c1b7584fdbd9d73e63beb0dae97076c5d573990a7749d0144b0c36cedc8e97c7",
+        "5589be36232467bf48e3e89e9842927f9361eb810ed7c82b977ae3e4930d8061"),
 }
 
 # Every file `train` writes. Model files hold each weight as its repr, so

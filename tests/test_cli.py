@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 
 import pytest
 
@@ -10,7 +11,7 @@ from taxonet.classifier import load_model
 from taxonet import load_taxonomy
 
 from conftest import write_fig1
-from golden import GOLDEN, train_golden
+from golden import GOLDEN, GOLDEN_UNIFORM, train_golden
 from worldgen import build_world
 
 
@@ -269,16 +270,25 @@ class TestInduce:
         assert load_taxonomy(out1).edge_pairs() <= load_taxonomy(out2).edge_pairs()
 
 
-@pytest.mark.parametrize("k", sorted(GOLDEN))
-def test_induce_golden_bytes(trained_world, tmp_path, capsys, k):
+def induce_digests(trained_world, tmp_path, capsys, **flags) -> tuple[str, str]:
     _, paths, projected, models = trained_world
     out = tmp_path / "final.tsv"
-    assert run(capsys, *induce_args(paths, projected, models, out, k=k))[0] == 0
-    digests = tuple(
+    assert run(capsys, *induce_args(paths, projected, models, out, **flags))[0] == 0
+    return tuple(
         hashlib.sha256(p.read_bytes()).hexdigest()
         for p in (out, tmp_path / "final.tsv.report.json")
     )
-    assert digests == GOLDEN[k]
+
+
+@pytest.mark.parametrize("k", sorted(GOLDEN))
+def test_induce_golden_bytes(trained_world, tmp_path, capsys, k):
+    assert induce_digests(trained_world, tmp_path, capsys, k=k) == GOLDEN[k]
+
+
+@pytest.mark.parametrize("k", sorted(GOLDEN_UNIFORM))
+def test_induce_uniform_golden_bytes(trained_world, tmp_path, capsys, k):
+    digests = induce_digests(trained_world, tmp_path, capsys, k=k, uniform=None)
+    assert digests == GOLDEN_UNIFORM[k]
 
 
 def test_train_golden_bytes(trained_world):
@@ -324,6 +334,14 @@ class TestBadInput:
         lambda d: d.update(bias="0.5"),
         lambda d: d.update(bias=float("nan")),
         lambda d: d.update(bias=10**400),  # overflows a float
+        lambda d: d["weights"][0].__setitem__(1, float("nan")),
+        lambda d: d["weights"][0].__setitem__(1, float("inf")),
+        lambda d: d["weights"][0].__setitem__(1, float("-inf")),
+        lambda d: d["weights"][0].__setitem__(1, 10**400),
+        lambda d: d["weights"][0].__setitem__(0, True),
+        lambda d: d["weights"][0].append(1.0),  # a row of three
+        lambda d: d["weights"].append("ab"),  # unpacks into two 1-character strings
+        lambda d: d.update(weights={"0": 1.0}),
     ])
     def test_broken_model_file(self, trained_world, tmp_path, capsys, edit):
         _, paths, projected, models = trained_world
@@ -361,6 +379,12 @@ class TestBadInput:
         lambda d: d["vocab"].append(["zz", 1, 2]),
         lambda d: d["vocab"].append("zz"),  # unpacks into two 1-character strings
         lambda d: d["vocab"].append(list(d["vocab"][0])),  # a repeated feature
+        # n_docs below a df turns idf negative for df >= 2 and exited 0.
+        lambda d: d.update(n_docs=0),
+        lambda d: d.update(n_docs=max(df for _, df in d["vocab"]) - 1),
+        lambda d: d.pop("idf"),
+        lambda d: d["idf"].pop(),
+        lambda d: d.update(idf={}),
     ])
     def test_broken_tfidf_file(self, trained_world, tmp_path, capsys, edit):
         _, paths, projected, models = trained_world
@@ -372,6 +396,19 @@ class TestBadInput:
         code, err = run_err(capsys, *induce_args(paths, projected, tmp_path, tmp_path / "o.tsv"))
         assert code == 2
         assert err.startswith(f"error: {tmp_path / 'model.cc.tfidf.json'}: bad TFIDF file")
+
+    def test_idf_is_recomputed(self, trained_world, tmp_path, capsys):
+        # A file whose idf differs in the last bit (another libm) still
+        # loads, and scores with the idf its df rows give.
+        _, paths, projected, models = trained_world
+        data = json.loads((models / "model.cc.tfidf.json").read_text(encoding="utf-8"))
+        data["idf"] = [math.nextafter(v, math.inf) for v in data["idf"]]
+        for name in ("model.ec.json", "model.ec.tfidf.json", "model.cc.json"):
+            (tmp_path / name).write_bytes((models / name).read_bytes())
+        (tmp_path / "model.cc.tfidf.json").write_text(json.dumps(data), encoding="utf-8")
+        out = tmp_path / "o.tsv"
+        assert run(capsys, *induce_args(paths, projected, tmp_path, out, k=1))[0] == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == GOLDEN[1][0]
 
     def test_swapped_models_rejected(self, trained_world, tmp_path, capsys):
         _, paths, projected, models = trained_world
@@ -421,6 +458,11 @@ class TestBadInput:
         ("train", '{"learning_rate": NaN}', "learning_rate"),  # TrainConfig
         ("induce", '{"epsilon": 1.5}', "epsilon"),  # InductionConfig
         ("project", '{"k": 0}', "k"),  # checked, though project ignores it
+        ("train", '{"val_fraction": 1.5}', "val_fraction"),
+        ("train", '{"val_fraction": -0.1}', "val_fraction"),
+        ("train", '{"min_df": -3}', "min_df"),  # ran as if it were 1
+        ("train", '{"min_df": 0}', "min_df"),
+        ("induce", '{"min_df": 0}', "min_df"),
     ])
     def test_config_value_out_of_range_names_file(
         self, trained_world, tmp_path, capsys, command, text, key
@@ -457,6 +499,18 @@ class TestBadInput:
         assert code == 2
         assert err.startswith("error: ") and "must be finite" in err
         assert not out.exists()
+
+    @pytest.mark.parametrize("flags, message", [
+        (["--min-df", "-3"], "min_df must be >= 1, got -3"),  # ran as if it were 1
+        (["--min-df", "0"], "min_df must be >= 1, got 0"),
+        (["--val-fraction", "1.5"], "val_fraction must be in [0, 1), got 1.5"),
+    ])
+    def test_train_flag_out_of_range(self, trained_world, tmp_path, capsys, flags, message):
+        _, paths, projected, _ = trained_world
+        out = tmp_path / "out"
+        code, err = run_err(capsys, *train_args(paths, projected, out), *flags)
+        assert (code, err) == (2, f"error: {message}\n")
+        assert not any(out.iterdir())
 
     def test_crlf_sampled_nodes_rejected(self, tmp_path, capsys):
         (tmp_path / "taxo.tsv").write_text("x\ta\n", encoding="utf-8")

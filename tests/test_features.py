@@ -98,6 +98,12 @@ class TestFitTfidf:
         model = fit_tfidf(["ab", "ab", "cd"], WORD, min_df=2)
         assert list(model.vocabulary) == ["ab"]
 
+    @pytest.mark.parametrize("min_df", [0, -3])
+    def test_min_df_below_one_rejected(self, min_df):
+        # It used to keep every feature, as if it were 1.
+        with pytest.raises(ValueError, match=f"min_df must be >= 1, got {min_df}"):
+            fit_tfidf(["ab", "ab", "cd"], WORD, min_df=min_df)
+
     def test_empty_corpus(self):
         with pytest.raises(EmptyVocabulary):
             fit_tfidf([], WORD)

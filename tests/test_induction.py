@@ -29,6 +29,7 @@ from taxonet.induction import (
     _PathFinder,
     WeightedGraph,
     induce,
+    search_edges,
     wcn_baseline,
     weigh_edges,
 )
@@ -153,11 +154,28 @@ class TestWeighEdges:
         assert weighted.prob == {("e", "c1"): 1.0, ("c1", "c2"): 1.0}
 
     def test_weighted_graph_validation(self):
+        # A missing edge is `induce`'s to reject (TestInduce).
         graph = self.graph()
         with pytest.raises(ValueError):
-            WeightedGraph(graph, {("e", "c1"): 0.5})  # missing edge
-        with pytest.raises(ValueError):
             WeightedGraph(graph, {("e", "c1"): 0.5, ("c1", "c2"): 0.0})
+
+    def test_scores_only_the_given_edges(self, world_models):
+        graph, models = world_models
+        models = models[EdgeKind.ENTITY_TO_CATEGORY], models[EdgeKind.CATEGORY_TO_CATEGORY]
+        edges = list(graph.edges())[1::3]
+        full = weigh_edges(graph, *models)
+        for cfg in (InductionConfig(), InductionConfig(uniform=True)):
+            part = weigh_edges(graph, *models, cfg, edges)
+            assert list(part.prob) == edges
+            if not cfg.uniform:
+                assert part.prob == {e: full.prob[e] for e in edges}
+
+    def test_search_edges_leave_uncovered_nodes(self, world_models):
+        graph, _ = world_models
+        projected = Taxonomy(TaxoEdge(c, p) for c, p in list(graph.edges())[::4])
+        got = search_edges(graph, projected)
+        assert got == [(c, p) for c, p in graph.edges() if not projected.covered(c)]
+        assert 0 < len(got) < graph.n_edges
 
 
 class TestTopKPaths:
@@ -302,6 +320,28 @@ class TestTopKPaths:
         assert len(got) == 3
         assert recording.touched <= {"s", "a", "b"}  # t absorbs, so u is never reached
 
+        # As in `induce`: t is covered, and every other node searches. No
+        # search may read the probability of an edge outside `search_edges`,
+        # t -> u here, and weighing only those edges finds the same paths.
+        projected = Taxonomy([TaxoEdge("t", "u")])
+        allowed = set(search_edges(weighted.graph, projected))
+        assert allowed == set(probs) - {("t", "u")}
+        read = set()
+
+        class RecordingCosts(dict):
+            def __getitem__(self, edge):
+                read.add(edge)
+                return super().__getitem__(edge)
+
+        targets = frozenset(projected.node_ids())
+        finder = _PathFinder(weighted, targets)
+        finder._edge_cost = RecordingCosts(finder._edge_cost)
+        only = _PathFinder(WeightedGraph(weighted.graph, {e: probs[e] for e in allowed}), targets)
+        for start in weighted.graph.node_ids():
+            if start != "t":
+                assert finder.top_k(start, 3) == only.top_k(start, 3)
+        assert read and read <= allowed
+
     def test_max_product_equals_min_log_sum_choice(self):
         # duality: the exact-product argmax matches a -log float argmin on
         # generic instances (no near-ties)
@@ -405,6 +445,19 @@ class TestInduce:
         # both get covered through the c2<->c3 cycle edges
         assert final.covered("c3")
         assert final.edge("c3", "c2").provenance is Provenance.INDUCED
+
+    def test_search_edge_without_probability(self):
+        # TestWeighEdges.graph with c1 -> c2 unweighed: c1 is uncovered, so
+        # its search would read that edge.
+        graph = TestWeighEdges().graph()
+        weighted = WeightedGraph(graph, {("e", "c1"): 0.5})
+        projected = Taxonomy([TaxoEdge("e", "c1")])
+        with pytest.raises(ValueError, match="edge without probability: 'c1' -> 'c2'"):
+            induce(projected, weighted, InductionConfig())
+        # With c1 covered no search reads it.
+        covered = Taxonomy([TaxoEdge("e", "c1"), TaxoEdge("c1", "c2")])
+        final, _ = induce(covered, weighted, InductionConfig())
+        assert final.edge_pairs() == covered.edge_pairs()
 
     def test_errors(self):
         weighted, projected = chain_world()

@@ -1,7 +1,8 @@
 """Whole-pipeline invariants over small random worldgen worlds.
 
 In process: the induced taxonomy keeps every projected edge unchanged,
-adds only network edges, and covers at k=3 every node it covers at k=1.
+adds only network edges, and covers at k=3 every node it covers at k=1;
+weighing only the `search_edges` changes neither taxonomy nor report.
 Through the CLI: permuting the rows of nodes.tsv, langlinks.tsv and
 source_taxonomy.tsv changes no output byte. edges.tsv is left out on
 purpose: projection's breadth-first search breaks ties by stored edge
@@ -25,6 +26,7 @@ from taxonet import (
     induce,
     label_edges,
     project,
+    search_edges,
     split_by_kind,
     train_linear,
     train_val_split,
@@ -71,9 +73,20 @@ def test_induction_extends_projection_within_the_network(world):
     models = train_models(graph, projected)
     assume(models is not None)
     weighted = weigh_edges(graph, *models)
+    edges = search_edges(graph, projected)
+    searched = weigh_edges(graph, *models, InductionConfig(), edges)
+    ones = InductionConfig(uniform=True)
+    uniform = weigh_edges(graph, *models, ones), weigh_edges(graph, *models, ones, edges)
     covered = []
     for k in (1, 3):
-        final, _ = induce(projected, weighted, InductionConfig(k=k))
+        final, report = induce(projected, weighted, InductionConfig(k=k))
+        # Weighing only the edges a search can read changes no output.
+        got, got_report = induce(projected, searched, InductionConfig(k=k))
+        assert (got.edges(), got_report) == (final.edges(), report)
+        (a, a_report), (b, b_report) = (
+            induce(projected, w, InductionConfig(k=k, uniform=True)) for w in uniform
+        )
+        assert (a.edges(), a_report) == (b.edges(), b_report)
         for edge in projected.edges():
             assert final.edge(edge.child, edge.parent) == edge
         for edge in final.edges():
