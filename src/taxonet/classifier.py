@@ -26,6 +26,20 @@ order give the same bits on any one interpreter, but not across Python
 versions: from 3.12 the builtin `sum` compensates its rounding, so
 trained weights differ from 3.11's in their last bits (`tests/golden.py`
 pins both).
+
+A model file is one JSON object on one line, the model as it is held in
+memory:
+
+    {"kind": "ec" | "cc",
+     "tfidf": {"spec": {"mode", "ngram_sizes", "lowercase"}, "n_docs",
+               "features": [the vocabulary in column order],
+               "df": [the document frequency of each feature]},
+     "weights": [[V child weights], [V parent weights]],
+     "bias": float,
+     "config": {"epochs", "learning_rate", "l2_lambda", "seed"}}
+
+idf is not stored: `TfidfModel` computes it from `n_docs` and `df`.
+`save_model(load_model(p))` rewrites `p` byte for byte.
 """
 
 from __future__ import annotations
@@ -38,7 +52,7 @@ from operator import mul
 from pathlib import Path
 
 from .errors import EmptyValidation, MalformedFile, SingleClassDataset
-from .features import TfidfModel, load_tfidf, save_tfidf
+from .features import TfidfModel
 from .graph import EdgeKind, WcnGraph
 from .labeling import EdgeDataset, Label, LabeledEdge
 from .rng import SplitMix64
@@ -72,7 +86,8 @@ class LinearEdgeModel:
     for one edge kind.
 
     `dense` is (child, parent): two lists of V weights, one per half of the
-    [child | parent] vector, that `predict_proba` reads.
+    [child | parent] vector, that `predict_proba` reads and `to_dict`
+    writes as they are.
     """
 
     def __init__(
@@ -89,16 +104,11 @@ class LinearEdgeModel:
         self.hyper = hyper
         self.kind = kind
 
-    @property
-    def weights(self) -> dict[int, float]:
-        """Every nonzero weight, by column in [0, 2V): what `to_dict` writes."""
-        return {c: w for c, w in enumerate(chain(*self.dense)) if w != 0.0}
-
-    def to_dict(self, tfidf_ref: str) -> dict:
+    def to_dict(self) -> dict:
         return {
             "kind": self.kind.value,
-            "tfidf_ref": tfidf_ref,
-            "weights": [[c, w] for c, w in self.weights.items()],
+            "tfidf": self.tfidf.to_dict(),
+            "weights": self.dense,
             "bias": self.bias,
             "config": {
                 "epochs": self.hyper.epochs,
@@ -201,13 +211,10 @@ def validation_accuracy(
 
 
 def save_model(model: LinearEdgeModel, path: str | Path) -> None:
-    """Write the model JSON plus its TFIDF model at `<stem>.tfidf.json`."""
-    path = Path(path)
-    tfidf_ref = path.name.removesuffix(".json") + ".tfidf.json"
-    save_tfidf(model.tfidf, path.with_name(tfidf_ref))
+    """Write the model, TFIDF vocabulary included, as one JSON file."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         # One dumps call: json.dump never uses the C encoder.
-        fh.write(json.dumps(model.to_dict(tfidf_ref), ensure_ascii=False))
+        fh.write(json.dumps(model.to_dict(), ensure_ascii=False))
         fh.write("\n")
 
 
@@ -226,40 +233,31 @@ def _numbers(values: list, what: str) -> list[float]:
 
 
 def load_model(path: str | Path, kind: EdgeKind | None = None) -> LinearEdgeModel:
-    """Read a model written by `save_model`, and its TFIDF model.
+    """Read a model written by `save_model`.
 
     The file must name its edge kind, and with `kind` given it must be that
-    one, so a model cannot score the other kind's edges. Every weight
-    column must be a JSON integer indexing the [child | parent] feature
-    vector, [0, 2V), and every weight value and the bias a finite JSON
-    number. Weights are checked in bulk, not one call per value.
+    one, so a model cannot score the other kind's edges. `weights` must be
+    two lists of V finite JSON numbers, V being the vocabulary size, and the
+    bias a finite JSON number; weights are checked in bulk, not one call per
+    value. Every zero weight is stored as one shared `0.0`, as in a model
+    `train_linear` returns.
     """
-    path = Path(path)
     with open(path, encoding="utf-8") as fh:
         try:
             data = json.load(fh)
             found = EdgeKind(data["kind"])
-            tfidf_path = path.with_name(data["tfidf_ref"])
             cfg = TrainConfig(**data["config"])
-            rows = data["weights"]  # unpacking rejects a row that is not a pair
-            columns = [c for c, _ in rows]
-            if not set(map(type, columns)) <= {int}:
-                bad = next(c for c in columns if type(c) is not int)
-                raise TypeError(f"weight column must be an integer, got {bad!r}")
-            values = _numbers([v for _, v in rows], "weight")
+            tfidf = TfidfModel.from_dict(data["tfidf"])
+            dense = tuple([w or 0.0 for w in _numbers(ws, "weight")] for ws in data["weights"])
+            n = tfidf.n_features
+            if len(dense) != 2 or any(len(ws) != n for ws in dense):
+                lengths = [len(ws) for ws in dense]
+                raise ValueError(f"weights must be two lists of {n} numbers, got lengths {lengths}")
             (bias,) = _numbers([data["bias"]], "bias")
-        except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        except (KeyError, TypeError, ValueError, ArithmeticError) as exc:
             raise MalformedFile(path, f"bad model file: {type(exc).__name__}: {exc}") from None
     if kind is not None and found is not kind:
         raise MalformedFile(
             path, f"bad model file: kind is {found.value!r}, expected {kind.value!r}"
         )
-    tfidf = load_tfidf(tfidf_path)
-    n = tfidf.n_features
-    if columns and not (0 <= min(columns) and max(columns) < 2 * n):
-        bad = min(c for c in columns if not 0 <= c < 2 * n)
-        raise MalformedFile(path, f"bad model file: weight column {bad} outside [0, {2 * n})")
-    dense = [0.0] * (2 * n)
-    for c, w in zip(columns, values):
-        dense[c] = w
-    return LinearEdgeModel(tfidf, (dense[:n], dense[n:]), bias, cfg, found)
+    return LinearEdgeModel(tfidf, dense, bias, cfg, found)

@@ -318,7 +318,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="output taxonomy.tsv")
     p.add_argument("--report", help="report JSON path (default: <out>.report.json)")
     p.add_argument("--k", type=int, help="paths per uncovered node (default: 1)")
-    p.add_argument("--epsilon", type=float, help="probability clamp floor (default: 1e-06)")
+    p.add_argument("--epsilon", type=float,
+                   help="probability clamp floor, in (0, 0.5) (default: 1e-06)")
     p.add_argument("--uniform", action=argparse.BooleanOptionalAction,
                    help="set every edge weight to 1 instead of classifier scores")
     p.add_argument("--config", help="optional JSON config file; flags override it")

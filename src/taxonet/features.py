@@ -21,20 +21,23 @@ for the child's columns and one for the parent's, and reads a title's
 weights on either side without a Python-level lookup per entry. A column
 the model never touched holds `0.0`.
 `char_ngrams` counts in one `Counter` call, sizes ascending, then by position.
+
+`TfidfModel.to_dict` is the `tfidf` object of a model file (see
+`classifier`): the spec, `n_docs`, the features in column order and their
+document frequencies. idf is not stored; `TfidfModel` computes it from
+`n_docs` and `df`.
 """
 
 from __future__ import annotations
 
-import json
 import math
 from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from operator import itemgetter, mul
-from pathlib import Path
 from typing import Callable
 
-from .errors import EmptyVocabulary, MalformedFile
+from .errors import EmptyVocabulary
 
 DEFAULT_NGRAM_SIZES = frozenset({2, 3, 4, 5, 6})
 
@@ -119,7 +122,6 @@ class TfidfModel:
 
     def to_dict(self) -> dict:
         sizes = sorted(self.spec.ngram_sizes) if self.spec.mode is FeatureMode.CHAR_NGRAM else None
-        features = sorted(self.vocabulary, key=self.vocabulary.get)
         return {
             "spec": {
                 "mode": self.spec.mode.value,
@@ -127,8 +129,8 @@ class TfidfModel:
                 "lowercase": self.spec.lowercase,
             },
             "n_docs": self.n_docs,
-            "vocab": [[f, self.df[self.vocabulary[f]]] for f in features],
-            "idf": self.idf,
+            "features": sorted(self.vocabulary, key=self.vocabulary.get),
+            "df": self.df,
         }
 
     @classmethod
@@ -137,8 +139,8 @@ class TfidfModel:
 
         It accepts what `to_dict` writes and nothing else: a char-mode spec
         holds a nonempty list of integers >= 1 and a word-mode spec `null`,
-        the vocabulary is a list of unique [feature, df >= 1] rows, no df
-        exceeds `n_docs`, and `idf` has one entry per row.
+        `features` is a list of unique strings and `df` a list of as many
+        integers >= 1, and no df exceeds `n_docs`.
         """
         raw_spec = data["spec"]
         mode = FeatureMode(raw_spec["mode"])
@@ -154,23 +156,21 @@ class TfidfModel:
         if not _is_int(data["n_docs"]):
             raise TypeError(f"n_docs must be an integer, got {data['n_docs']!r}")
         spec = FeatureSpec(mode=mode, ngram_sizes=frozenset(sizes), lowercase=raw_spec["lowercase"])
-        vocab = data["vocab"]
+        features, df = data["features"], data["df"]
         # Bulk type checks: JSON decodes to exact types, and `bool` is not `int`.
-        if not (set(map(type, vocab)) <= {list} and set(map(len, vocab)) <= {2}):
-            raise ValueError("vocab must be a list of [feature, df] rows")
-        features, df = [f for f, _ in vocab], [d for _, d in vocab]
-        if not (set(map(type, features)) <= {str} and set(map(type, df)) <= {int}):
-            raise TypeError("vocab rows must be [string, integer]")
+        if not (type(features) is list and set(map(type, features)) <= {str}):
+            raise TypeError("features must be a list of strings")
+        if not (type(df) is list and set(map(type, df)) <= {int}):
+            raise TypeError("df must be a list of integers")
+        if len(df) != len(features):
+            raise ValueError(f"df has {len(df)} entries for {len(features)} features")
         if min(df, default=1) < 1:
-            raise ValueError(f"vocab df must be >= 1, got {min(df)}")
+            raise ValueError(f"df must be >= 1, got {min(df)}")
         if max(df, default=0) > data["n_docs"]:
             raise ValueError(f"n_docs {data['n_docs']} is below the largest df, {max(df)}")
-        # idf is recomputed from df, so math.log's last bit may differ from the file's.
-        if not (isinstance(data["idf"], list) and len(data["idf"]) == len(df)):
-            raise ValueError(f"idf must be a list of {len(df)} values, one per vocab row")
         vocabulary = dict(zip(features, range(len(features))))
         if len(vocabulary) < len(features):
-            raise ValueError(f"vocab has {len(features) - len(vocabulary)} repeated features")
+            raise ValueError(f"features holds {len(features) - len(vocabulary)} repeated entries")
         return cls(spec, vocabulary, df, data["n_docs"])
 
 
@@ -220,18 +220,3 @@ def _vectorize(model: TfidfModel, title: str) -> tuple[tuple[int, ...], tuple[fl
     raw = [tf[c] * idf[c] for c in cols]
     norm = math.sqrt(sum(map(mul, raw, raw)))
     return cols, tuple([v / norm for v in raw])
-
-
-def save_tfidf(model: TfidfModel, path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        # One dumps call: json.dump never uses the C encoder.
-        fh.write(json.dumps(model.to_dict(), ensure_ascii=False))
-        fh.write("\n")
-
-
-def load_tfidf(path: str | Path) -> TfidfModel:
-    with open(path, encoding="utf-8") as fh:
-        try:
-            return TfidfModel.from_dict(json.load(fh))
-        except (KeyError, TypeError, ValueError, ArithmeticError) as exc:
-            raise MalformedFile(path, f"bad TFIDF file: {type(exc).__name__}: {exc}") from None

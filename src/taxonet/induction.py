@@ -64,14 +64,15 @@ from .graph import (
 @dataclass(frozen=True)
 class InductionConfig:
     k: int = 1               # paths per uncovered node
-    epsilon: float = 1e-6    # probability clamp floor
+    epsilon: float = 1e-6    # probabilities are clamped to [epsilon, 1 - epsilon]
     uniform: bool = False    # baseline: every edge weight 1
 
     def __post_init__(self):
         if self.k < 1:
             raise ValueError("k must be >= 1")
-        if not 0.0 < self.epsilon < 1.0:
-            raise ValueError("epsilon must be in (0, 1)")
+        # From 0.5 on, the clamp's floor is not below its ceiling.
+        if not 0.0 < self.epsilon < 0.5:
+            raise ValueError(f"epsilon must be in (0, 0.5), got {self.epsilon!r}")
 
 
 class _Cost:

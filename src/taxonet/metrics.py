@@ -132,7 +132,10 @@ def max_depth_sampled(taxonomy: Taxonomy, sample: int, seed: int) -> int:
 
     From each sampled node the walk climbs its highest-scoring hypernym,
     ties taking the smaller id, until a node has no hypernym or repeats.
+    A sample below 1 is an error.
     """
+    if sample < 1:
+        raise ValueError(f"sample must be >= 1, got {sample}")
     covered = sorted(taxonomy.covered_nodes())
     SplitMix64.keyed(seed, "stats-depth").shuffle(covered)
     max_depth = 0

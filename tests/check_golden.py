@@ -3,12 +3,14 @@
 Runs the `trained_world` pipeline of `tests/test_cli.py` through
 `taxonet.cli.main` in a temporary directory and compares the sha256 of
 every file `train` and `induce` write with the pins in `tests/golden.py`
-for the running interpreter. It needs no pytest, so any installed Python
-can run it, fork path included:
+for the running interpreter. It also checks that `save_model(load_model(p))`
+rewrites each trained model file `p` byte for byte. It needs no pytest, so
+any installed Python can run it, fork path included:
 
     python3.12 tests/check_golden.py
 
-Prints one line per file and exits 0 when every digest matches, 1 if not.
+Prints one line per file and per round trip, and exits 0 when every
+digest matches and every round trip holds, 1 if not.
 """
 
 import hashlib
@@ -22,6 +24,7 @@ sys.path[:0] = [str(TESTS.parent / "src"), str(TESTS)]
 from golden import GOLDEN, GOLDEN_UNIFORM, train_golden  # noqa: E402
 from worldgen import build_world  # noqa: E402
 
+from taxonet.classifier import load_model, save_model  # noqa: E402
 from taxonet.cli import main  # noqa: E402
 
 
@@ -62,6 +65,16 @@ def run_pipeline(root: Path) -> dict[str, str]:
     return digests
 
 
+def round_trips(models: Path) -> dict[str, bool]:
+    """Whether `save_model(load_model(p))` rewrites each model file `p` unchanged."""
+    held = {}
+    for name in ("model.ec.json", "model.cc.json"):
+        again = models / f"again.{name}"
+        save_model(load_model(models / name), again)
+        held[name] = again.read_bytes() == (models / name).read_bytes()
+    return held
+
+
 def _name(k: int, flags: tuple[str, ...]) -> str:
     return f"k{k}{''.join(flags)}.tsv"
 
@@ -78,15 +91,20 @@ def expected() -> dict[str, str]:
 def main_check() -> int:
     with tempfile.TemporaryDirectory() as tmp:
         got = run_pipeline(Path(tmp))
+        held = round_trips(Path(tmp) / "char")
     pins = expected()
     failed = 0
     for name, digest in got.items():
         ok = digest == pins[name]
         failed += not ok
         print(f"{'ok' if ok else 'MISMATCH'}  {name}  {digest}")
+    for name, ok in held.items():
+        print(f"{'ok' if ok else 'CHANGED'}  round trip of {name}")
+    broken = list(held.values()).count(False)
     version = ".".join(map(str, sys.version_info[:3]))
-    print(f"Python {version}: {len(got) - failed} of {len(got)} digests match")
-    return 1 if failed else 0
+    print(f"Python {version}: {len(got) - failed} of {len(got)} digests match, "
+          f"{len(held) - broken} of {len(held)} model round trips hold")
+    return 1 if failed or broken else 0
 
 
 if __name__ == "__main__":

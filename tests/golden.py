@@ -31,11 +31,9 @@ GOLDEN_UNIFORM = {
 # these also pin SGD to the last bit, which taxonomy.tsv's six-decimal
 # scores hide. These hold up to Python 3.11.
 TRAIN_GOLDEN = {
-    "model.ec.json": "87e130065163e8851fc5dc3088582ec7ddcb3a39bf10bb6fa6eae48a12eced36",
-    "model.ec.tfidf.json": "130ab0c31db7c28f7da6305de4f78bc9d76be7d0aed6dea4057a56cdc8c8cf5d",
+    "model.ec.json": "82e7114460d6d4c7bf9b8f8f4b307299bc56fc1115f002025fd85c9514f286bf",
     "metrics.ec.json": "e3583b549dd4e7287c81c585e6e98ee2f275e8c733ef6afefc8eef87c2b6eb7c",
-    "model.cc.json": "69a980262d32a880608a62b7cd2ebd43c691adf57f93ddca8caacfe574af0dc4",
-    "model.cc.tfidf.json": "401977ab132bd87412a43f3ec28afe49811cafdee71b91c8aa6da53c2031d78e",
+    "model.cc.json": "2e2b50dce01686fff652069b8d979af46a591a2c0f403ebf85595235889f01b8",
     "metrics.cc.json": "e7cadd8c49996358135a59ac8dc115f10756fe78d515284249d8a5e8a9ebc9e4",
 }
 
@@ -43,8 +41,8 @@ TRAIN_GOLDEN = {
 # weights move in their last bits; the model files differ, nothing else.
 TRAIN_GOLDEN_312 = {
     **TRAIN_GOLDEN,
-    "model.ec.json": "42fb33af6b9fce080a4b27be82a84246156e0173cc77e749ac8b72c6aa999643",
-    "model.cc.json": "2b5f65692c8ba115203f982e042f6eaaaa89a775a265f0352a39ff4083f861a2",
+    "model.ec.json": "99b49b8ac7195b9263ebe1f5386f7e553cf74c29ec67dc080d7f6db7fe2cf655",
+    "model.cc.json": "3d7e4000dc474de718b01e5e4987c35c879a2f38cc3edf9a9a82dee44530cb35",
 }
 
 

@@ -130,8 +130,8 @@ def _dot(weights, cols, vals):
 def reference_proba(model, child_title, parent_title):
     """`classifier.predict_proba` over the sparse vectors: one sum over the
     child's entries, then the parent's at columns offset by V, reading
-    `model.weights` with 0.0 for a missing column; plus the bias, through
-    the sigmoid. The library must match it bit for bit."""
+    the model's weights by column in [0, 2V); plus the bias, through the
+    sigmoid. The library must match it bit for bit."""
     from taxonet.classifier import _sigmoid
 
     offset = model.tfidf.n_features
@@ -139,7 +139,7 @@ def reference_proba(model, child_title, parent_title):
     parent = reference_vectorize_title(model.tfidf, parent_title)
     cols = chain((c for c, _ in child), (c + offset for c, _ in parent))
     vals = chain((v for _, v in child), (v for _, v in parent))
-    return _sigmoid(_dot(model.weights, cols, vals) + model.bias)
+    return _sigmoid(_dot(dict(enumerate(chain(*model.dense))), cols, vals) + model.bias)
 
 
 def reference_train_linear(dataset, tfidf, cfg, graph):

@@ -1,13 +1,12 @@
 import hashlib
 import json
-import math
 
 import pytest
 
 from taxonet.cli import main
 from taxonet.features import FeatureMode
 from taxonet.graph import NodeKind
-from taxonet.classifier import load_model
+from taxonet.classifier import load_model, save_model
 from taxonet import load_taxonomy
 
 from conftest import write_fig1
@@ -126,6 +125,9 @@ def trained_world(world_files, tmp_path_factory):
 class TestTrain:
     def test_char_run_emits_models_and_metrics(self, trained_world):
         _, _, _, out_dir = trained_world
+        assert sorted(p.name for p in out_dir.iterdir()) == [
+            "metrics.cc.json", "metrics.ec.json", "model.cc.json", "model.ec.json",
+        ]
         for name in ("ec", "cc"):
             model = load_model(out_dir / f"model.{name}.json")
             assert model.tfidf.spec.mode is FeatureMode.CHAR_NGRAM
@@ -180,21 +182,19 @@ class TestTrain:
         code, err = run_err(capsys, *train_args(paths, projected, out_dir, seed=5, min_df=20))
         assert code == 2
         assert err == "error: no feature reached min_df=20 over 24 titles\n"
-        assert sorted(p.name for p in out_dir.iterdir()) == [
-            "metrics.ec.json", "model.ec.json", "model.ec.tfidf.json",
-        ]
+        assert sorted(p.name for p in out_dir.iterdir()) == ["metrics.ec.json", "model.ec.json"]
 
     def test_save_error_exits_2(self, trained_world, tmp_path, capsys):
-        # A directory where ec's TFIDF file goes fails ec's save; no metrics
+        # A directory where ec's model file goes fails ec's save; no metrics
         # may be written for the unsaved model, while cc's files are.
         _, paths, projected, _ = trained_world
         out_dir = tmp_path / "m"
-        (out_dir / "model.ec.tfidf.json").mkdir(parents=True)
+        (out_dir / "model.ec.json").mkdir(parents=True)
         code, err = run_err(capsys, *train_args(paths, projected, out_dir, seed=5))
         assert code == 2
-        assert err == f"error: [Errno 21] Is a directory: '{out_dir / 'model.ec.tfidf.json'}'\n"
+        assert err == f"error: [Errno 21] Is a directory: '{out_dir / 'model.ec.json'}'\n"
         assert sorted(p.name for p in out_dir.iterdir()) == [
-            "metrics.cc.json", "model.cc.json", "model.cc.tfidf.json", "model.ec.tfidf.json",
+            "metrics.cc.json", "model.cc.json", "model.ec.json",
         ]
 
     def test_config_number_may_be_an_integer(self, trained_world, tmp_path, capsys):
@@ -299,6 +299,13 @@ def test_train_golden_bytes(trained_world):
     assert digests == train_golden()
 
 
+@pytest.mark.parametrize("name", ["model.ec.json", "model.cc.json"])
+def test_model_file_round_trip_bytes(trained_world, tmp_path, name):
+    _, _, _, out_dir = trained_world
+    save_model(load_model(out_dir / name), tmp_path / name)
+    assert (tmp_path / name).read_bytes() == (out_dir / name).read_bytes()
+
+
 class TestBadInput:
     @pytest.mark.parametrize("name", ["nodes", "edges"])
     def test_crlf_line_ends_rejected(self, world_files, tmp_path, capsys, name):
@@ -319,46 +326,53 @@ class TestBadInput:
         assert code == 2
         assert f"{bad}:1: file starts with a UTF-8 byte order mark" in err
 
-    @pytest.mark.parametrize("edit", [
-        lambda d: d.pop("tfidf_ref"),
-        lambda d: d.update(bias="high"),
-        lambda d: d.update(weights=7),
-        lambda d: d["config"].update(momentum=0.9),
-        lambda d: d.pop("kind"),
-        lambda d: d.update(kind="ce"),
-        lambda d: d["weights"].append([10**6, 1.0]),  # column past 2V
-        lambda d: d["weights"].append([-1, 1.0]),
-        lambda d: d["weights"][0].__setitem__(0, 0.7),  # column not an integer
-        lambda d: d["weights"][0].__setitem__(1, "1.5"),
-        lambda d: d["weights"][0].__setitem__(1, True),
-        lambda d: d.update(bias="0.5"),
-        lambda d: d.update(bias=float("nan")),
-        lambda d: d.update(bias=10**400),  # overflows a float
-        lambda d: d["weights"][0].__setitem__(1, float("nan")),
-        lambda d: d["weights"][0].__setitem__(1, float("inf")),
-        lambda d: d["weights"][0].__setitem__(1, float("-inf")),
-        lambda d: d["weights"][0].__setitem__(1, 10**400),
-        lambda d: d["weights"][0].__setitem__(0, True),
-        lambda d: d["weights"][0].append(1.0),  # a row of three
-        lambda d: d["weights"].append("ab"),  # unpacks into two 1-character strings
-        lambda d: d.update(weights={"0": 1.0}),
-    ])
-    def test_broken_model_file(self, trained_world, tmp_path, capsys, edit):
+    @staticmethod
+    def induce_with_edited_model(trained_world, tmp_path, capsys, edit):
+        """Run `induce` with `edit` applied to the ec model file's JSON;
+        it must exit 2 naming that file."""
         _, paths, projected, models = trained_world
         data = json.loads((models / "model.ec.json").read_text(encoding="utf-8"))
         edit(data)
-        for name in ("model.ec.tfidf.json", "model.cc.json", "model.cc.tfidf.json"):
-            (tmp_path / name).write_bytes((models / name).read_bytes())
+        (tmp_path / "model.cc.json").write_bytes((models / "model.cc.json").read_bytes())
         (tmp_path / "model.ec.json").write_text(json.dumps(data), encoding="utf-8")
         code, err = run_err(capsys, *induce_args(paths, projected, tmp_path, tmp_path / "o.tsv"))
         assert code == 2
         assert err.startswith(f"error: {tmp_path / 'model.ec.json'}: bad model file")
 
     @pytest.mark.parametrize("edit", [
+        lambda d: d.pop("tfidf"),
+        lambda d: d.update(bias="high"),
+        lambda d: d.update(weights=7),
+        lambda d: d["config"].update(momentum=0.9),
+        lambda d: d.pop("kind"),
+        lambda d: d.update(kind="ce"),
+        lambda d: d["weights"][0].append(0.0),  # one entry long
+        lambda d: d["weights"][1].pop(),  # one entry short
+        lambda d: d["weights"].append(list(d["weights"][1])),  # three lists
+        lambda d: d["weights"][0].__setitem__(0, "1.5"),
+        lambda d: d["weights"][0].__setitem__(0, True),
+        lambda d: d.update(bias="0.5"),
+        lambda d: d.update(bias=float("nan")),
+        lambda d: d.update(bias=10**400),  # overflows a float
+        lambda d: d["weights"][1].__setitem__(0, float("nan")),
+        lambda d: d["weights"][1].__setitem__(0, float("inf")),
+        lambda d: d["weights"][1].__setitem__(0, float("-inf")),
+        lambda d: d["weights"][1].__setitem__(0, 10**400),
+        lambda d: d.update(bias=True),
+        lambda d: d["weights"].pop(),  # one list
+        lambda d: d["weights"].__setitem__(1, "ab"),
+        lambda d: d.update(weights={"0": 1.0}),
+        lambda d: d.update(bias=float("-inf")),
+        lambda d: d["weights"].__setitem__(0, {}),
+    ])
+    def test_broken_model_file(self, trained_world, tmp_path, capsys, edit):
+        self.induce_with_edited_model(trained_world, tmp_path, capsys, edit)
+
+    @pytest.mark.parametrize("edit", [
         lambda d: d.pop("n_docs"),
         lambda d: d["spec"].update(mode="phoneme"),
-        lambda d: d.update(vocab=[["ab"]]),
-        lambda d: d["vocab"][0].__setitem__(1, -1),  # idf divides by 1 + df
+        lambda d: d.update(features=[["ab"]]),
+        lambda d: d["df"].__setitem__(0, -1),  # idf divides by 1 + df
         lambda d: d["spec"].update(lowercase="no"),
         lambda d: d["spec"].update(ngram_sizes=[2, 2.5]),
         lambda d: d.update(n_docs=1.5),
@@ -372,43 +386,25 @@ class TestBadInput:
         lambda d: d["spec"].update(ngram_sizes=None),
         lambda d: d["spec"].update(ngram_sizes=[0, 2]),
         lambda d: d["spec"].update(mode="word"),  # word mode writes null sizes
-        lambda d: d["vocab"].append([5, 1]),
-        lambda d: d["vocab"].append(["zz", 1.5]),
-        lambda d: d["vocab"].append(["zz", True]),
-        lambda d: d["vocab"].append(["zz", 0]),
-        lambda d: d["vocab"].append(["zz", 1, 2]),
-        lambda d: d["vocab"].append("zz"),  # unpacks into two 1-character strings
-        lambda d: d["vocab"].append(list(d["vocab"][0])),  # a repeated feature
+        lambda d: (d["features"].append(5), d["df"].append(1)),
+        lambda d: (d["features"].append("zz"), d["df"].append(1.5)),
+        lambda d: (d["features"].append("zz"), d["df"].append(True)),
+        lambda d: (d["features"].append("zz"), d["df"].append(0)),
+        lambda d: d["features"].append("zz"),  # one feature more than df entries
+        lambda d: d["df"].append(1),  # one df entry more than features
+        # A repeated feature: the vocabulary still has V columns, like the weights.
+        lambda d: (d["features"].append(d["features"][0]), d["df"].append(1)),
         # n_docs below a df turns idf negative for df >= 2 and exited 0.
         lambda d: d.update(n_docs=0),
-        lambda d: d.update(n_docs=max(df for _, df in d["vocab"]) - 1),
-        lambda d: d.pop("idf"),
-        lambda d: d["idf"].pop(),
-        lambda d: d.update(idf={}),
+        lambda d: d.update(n_docs=max(d["df"]) - 1),
+        lambda d: d.pop("features"),
+        lambda d: d.pop("df"),
+        lambda d: d.update(df={}),
+        lambda d: d.update(features="zz"),
     ])
     def test_broken_tfidf_file(self, trained_world, tmp_path, capsys, edit):
-        _, paths, projected, models = trained_world
-        data = json.loads((models / "model.cc.tfidf.json").read_text(encoding="utf-8"))
-        edit(data)
-        for name in ("model.ec.json", "model.ec.tfidf.json", "model.cc.json"):
-            (tmp_path / name).write_bytes((models / name).read_bytes())
-        (tmp_path / "model.cc.tfidf.json").write_text(json.dumps(data), encoding="utf-8")
-        code, err = run_err(capsys, *induce_args(paths, projected, tmp_path, tmp_path / "o.tsv"))
-        assert code == 2
-        assert err.startswith(f"error: {tmp_path / 'model.cc.tfidf.json'}: bad TFIDF file")
-
-    def test_idf_is_recomputed(self, trained_world, tmp_path, capsys):
-        # A file whose idf differs in the last bit (another libm) still
-        # loads, and scores with the idf its df rows give.
-        _, paths, projected, models = trained_world
-        data = json.loads((models / "model.cc.tfidf.json").read_text(encoding="utf-8"))
-        data["idf"] = [math.nextafter(v, math.inf) for v in data["idf"]]
-        for name in ("model.ec.json", "model.ec.tfidf.json", "model.cc.json"):
-            (tmp_path / name).write_bytes((models / name).read_bytes())
-        (tmp_path / "model.cc.tfidf.json").write_text(json.dumps(data), encoding="utf-8")
-        out = tmp_path / "o.tsv"
-        assert run(capsys, *induce_args(paths, projected, tmp_path, out, k=1))[0] == 0
-        assert hashlib.sha256(out.read_bytes()).hexdigest() == GOLDEN[1][0]
+        # The TFIDF model is the model file's "tfidf" object.
+        self.induce_with_edited_model(trained_world, tmp_path, capsys, lambda d: edit(d["tfidf"]))
 
     def test_swapped_models_rejected(self, trained_world, tmp_path, capsys):
         _, paths, projected, models = trained_world
@@ -457,6 +453,8 @@ class TestBadInput:
         ("train", '{"mode": "phoneme"}', "mode"),
         ("train", '{"learning_rate": NaN}', "learning_rate"),  # TrainConfig
         ("induce", '{"epsilon": 1.5}', "epsilon"),  # InductionConfig
+        ("induce", '{"epsilon": 0.5}', "epsilon"),  # the clamp would invert
+        ("induce", '{"epsilon": 0.7}', "epsilon"),
         ("project", '{"k": 0}', "k"),  # checked, though project ignores it
         ("train", '{"val_fraction": 1.5}', "val_fraction"),
         ("train", '{"val_fraction": -0.1}', "val_fraction"),
@@ -511,6 +509,25 @@ class TestBadInput:
         code, err = run_err(capsys, *train_args(paths, projected, out), *flags)
         assert (code, err) == (2, f"error: {message}\n")
         assert not any(out.iterdir())
+
+    # From 0.5 on the clamp [epsilon, 1 - epsilon] inverts: 0.7 exited 0
+    # with every edge scored 0.3.
+    @pytest.mark.parametrize("epsilon", ["0.5", "0.7"])
+    def test_induce_epsilon_out_of_range(self, trained_world, tmp_path, capsys, epsilon):
+        _, paths, projected, models = trained_world
+        out = tmp_path / "out.tsv"
+        code, err = run_err(capsys, *induce_args(paths, projected, models, out, epsilon=epsilon))
+        assert (code, err) == (2, f"error: epsilon must be in (0, 0.5), got {epsilon}\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("sample", ["0", "-1"])
+    def test_stats_sample_below_one(self, tmp_path, capsys, sample):
+        # -1 sampled every covered node but the last, 0 reported depth 0.
+        (tmp_path / "t.tsv").write_text("a\tb\nb\tc\n", encoding="utf-8")
+        code = main(["stats", "--taxonomy", str(tmp_path / "t.tsv"), "--sample", sample])
+        captured = capsys.readouterr()
+        assert (code, captured.err) == (2, f"error: sample must be >= 1, got {sample}\n")
+        assert captured.out == ""
 
     def test_crlf_sampled_nodes_rejected(self, tmp_path, capsys):
         (tmp_path / "taxo.tsv").write_text("x\ta\n", encoding="utf-8")

@@ -5,15 +5,13 @@ import random
 import pytest
 from hypothesis import assume, example, given, strategies as st
 
-from taxonet.errors import EmptyVocabulary, MalformedFile
+from taxonet.errors import EmptyVocabulary
 from taxonet.features import (
     FeatureMode,
     FeatureSpec,
     TfidfModel,
     char_ngrams,
     fit_tfidf,
-    load_tfidf,
-    save_tfidf,
     word_tokens,
 )
 
@@ -263,16 +261,24 @@ class TestAgainstReference:
         assert hexes(zip(cols, vals)) == hexes(reference_vectorize_title(model, title))
 
 
-def test_model_json_roundtrip(tmp_path):
+def json_round_trip(model):
+    """The model as a model file holds it, decoded again."""
+    return json.loads(json.dumps(model.to_dict(), ensure_ascii=False))
+
+
+def test_model_json_roundtrip():
     model = fit_tfidf(["Entraîneur sportif", "sportif américain"], CHAR, min_df=1)
-    save_tfidf(model, tmp_path / "m.json")
-    data = json.loads((tmp_path / "m.json").read_text(encoding="utf-8"))
+    data = json_round_trip(model)
     assert data["spec"] == {"mode": "char", "ngram_sizes": [2, 3, 4, 5, 6], "lowercase": True}
-    again = load_tfidf(tmp_path / "m.json")
+    assert set(data) == {"spec", "n_docs", "features", "df"}  # no idf: it is computed
+    assert data["features"] == sorted(model.vocabulary)
+    again = TfidfModel.from_dict(data)
     assert again.vocabulary == model.vocabulary
+    assert again.df == model.df
     assert again.idf == model.idf
     assert again.n_docs == model.n_docs
     assert again.spec == model.spec
+    assert again.to_dict() == model.to_dict()
 
 
 @pytest.mark.parametrize("edit", [
@@ -284,10 +290,8 @@ def test_model_json_roundtrip(tmp_path):
     lambda d: d.update(n_docs=2.0),
     lambda d: d.update(n_docs="2"),
 ])
-def test_mistyped_spec_values_rejected(tmp_path, edit):
-    save_tfidf(fit_tfidf(["Entraîneur sportif"], CHAR), tmp_path / "m.json")
-    data = json.loads((tmp_path / "m.json").read_text(encoding="utf-8"))
+def test_mistyped_spec_values_rejected(edit):
+    data = json_round_trip(fit_tfidf(["Entraîneur sportif"], CHAR))
     edit(data)
-    (tmp_path / "m.json").write_text(json.dumps(data), encoding="utf-8")
-    with pytest.raises(MalformedFile):
-        load_tfidf(tmp_path / "m.json")
+    with pytest.raises((TypeError, ValueError)):
+        TfidfModel.from_dict(data)

@@ -469,6 +469,9 @@ class TestInduce:
             InductionConfig(k=0)
         with pytest.raises(ValueError):
             InductionConfig(epsilon=0.0)
+        for epsilon in (0.5, 0.7):  # the clamp [epsilon, 1 - epsilon] would invert
+            with pytest.raises(ValueError, match=r"epsilon must be in \(0, 0.5\)"):
+                InductionConfig(epsilon=epsilon)
 
 
 class TestWcnBaseline:

@@ -191,6 +191,13 @@ class TestMaxDepthSampled:
         depths = {max_depth_sampled(taxonomy, sample=1, seed=s) for s in range(20)}
         assert depths == {2, 3}  # one start: x or b give 2, a gives 3
 
+    @pytest.mark.parametrize("sample", [0, -1])
+    def test_sample_below_one_rejected(self, sample):
+        # -1 sampled every covered node but the last, 0 reported depth 0.
+        taxonomy = Taxonomy([TaxoEdge("a", "b"), TaxoEdge("b", "c")])
+        with pytest.raises(ValueError, match=f"sample must be >= 1, got {sample}"):
+            max_depth_sampled(taxonomy, sample=sample, seed=0)
+
 
 def kind_graph(n_entities, n_categories):
     nodes = [Node(f"e{i}", NodeKind.ENTITY, f"e{i}") for i in range(n_entities)]
