@@ -11,7 +11,9 @@ TFIDF model's cache (`TfidfModel.half`), so a title is vectorized once per
 model, not once per edge. Weights live in two dense lists of V floats,
 one for the child's columns [0, V) and one for the parent's [V, 2V), both
 indexed from 0: the SGD state during training, and the model's only
-weight layout for scoring and saving. A title's cached `gather` reads its
+weight layout for scoring and saving: at the end of training the final L2
+scale is applied to the two lists in place, so the model keeps the lists
+SGD wrote, never a second pair. A title's cached `gather` reads its
 weights from either list in one C call, so one getter per title serves
 both sides of an edge; the gathers feed every dot product, in SGD and in
 scoring. SGD writes each step back with a plain store loop over the
@@ -39,7 +41,11 @@ memory:
      "config": {"epochs", "learning_rate", "l2_lambda", "seed"}}
 
 idf is not stored: `TfidfModel` computes it from `n_docs` and `df`.
-`save_model(load_model(p))` rewrites `p` byte for byte.
+The file is the bytes of `json.dumps(model.to_dict(), ensure_ascii=False)`
+and a newline, but `save_model` writes the four long lists (`features`,
+`df` and both weight lists) `_SLICE` entries at a time, so the whole
+file's text is never held in memory. `save_model(load_model(p))` rewrites
+`p` byte for byte.
 """
 
 from __future__ import annotations
@@ -174,10 +180,13 @@ def train_linear(
             bias -= g
             step += 1
 
-    # `or 0.0` stores every zero, -0.0 included, as the one shared 0.0 that
-    # an untouched column holds in a loaded model.
-    dense = tuple([scale * w or 0.0 for w in values] for values in (child_values, parent_values))
-    return LinearEdgeModel(tfidf, dense, bias, cfg, dataset.kind)
+    # In place, so no second pair of lists is built. `or 0.0` stores every
+    # zero, -0.0 included, as the one shared 0.0 that an untouched column
+    # holds in a loaded model.
+    for values in (child_values, parent_values):
+        for c, w in enumerate(values):
+            values[c] = scale * w or 0.0
+    return LinearEdgeModel(tfidf, (child_values, parent_values), bias, cfg, dataset.kind)
 
 
 def predict_proba(model: LinearEdgeModel, child_title: str, parent_title: str) -> float:
@@ -210,11 +219,36 @@ def validation_accuracy(
     return correct / len(validation)
 
 
+# Entries per `json.dumps` call when `save_model` writes a long list.
+_SLICE = 4096
+# Stands in for each long list in the text `save_model` writes around them;
+# no key or short value of a model file is this string.
+_HOLE = "\0"
+
+
 def save_model(model: LinearEdgeModel, path: str | Path) -> None:
-    """Write the model, TFIDF vocabulary included, as one JSON file."""
+    """Write the model, TFIDF vocabulary included, as one JSON file: the
+    bytes of `json.dumps(model.to_dict(), ensure_ascii=False) + "\n"`.
+
+    The rest is dumped once with `_HOLE` in each long list's place, and each
+    long list `_SLICE` entries at a time into its hole; `json.dumps`, since
+    `json.dump` never uses the C encoder.
+    """
+    data = model.to_dict()
+    tfidf = data["tfidf"]
+    long_lists = [tfidf["features"], tfidf["df"], *data["weights"]]
+    tfidf["features"] = tfidf["df"] = _HOLE
+    data["weights"] = [_HOLE, _HOLE]
+    head, *tails = json.dumps(data, ensure_ascii=False).split(json.dumps(_HOLE))
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        # One dumps call: json.dump never uses the C encoder.
-        fh.write(json.dumps(model.to_dict(), ensure_ascii=False))
+        fh.write(head)
+        for values, tail in zip(long_lists, tails, strict=True):
+            fh.write("[")
+            for start in range(0, len(values), _SLICE):
+                text = json.dumps(values[start : start + _SLICE], ensure_ascii=False)
+                fh.write(text[1:-1] if start == 0 else ", " + text[1:-1])
+            fh.write("]")
+            fh.write(tail)
         fh.write("\n")
 
 

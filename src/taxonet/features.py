@@ -14,7 +14,10 @@ therefore vectorizes each title once per model and keeps the result as a
 validation and edge weighing read. `_vectorize` builds it in one pass
 over the title's feature counts: TF x idf per in-vocabulary feature,
 columns ascending, L2-normalized per title, so neither title's length
-dominates the pair. `gather(w)` is
+dominates the pair. The columns are a tuple of ints, the one the gather
+holds; the values are an `array('d')`, 8 bytes per entry instead of a
+boxed float each, and iterating it yields the same floats in the same
+order. `gather(w)` is
 `tuple(w[c] for c in columns)` in one C call (an `operator.itemgetter`),
 so a linear model keeps its weights in two dense lists of V floats, one
 for the child's columns and one for the parent's, and reads a title's
@@ -25,12 +28,14 @@ the model never touched holds `0.0`.
 `TfidfModel.to_dict` is the `tfidf` object of a model file (see
 `classifier`): the spec, `n_docs`, the features in column order and their
 document frequencies. idf is not stored; `TfidfModel` computes it from
-`n_docs` and `df`.
+`n_docs` and `df`, once per distinct df value, and features with equal df
+share one float.
 """
 
 from __future__ import annotations
 
 import math
+from array import array
 from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
@@ -41,8 +46,9 @@ from .errors import EmptyVocabulary
 
 DEFAULT_NGRAM_SIZES = frozenset({2, 3, 4, 5, 6})
 
-# A title's vector as (columns, values, gather); see `TfidfModel.half`.
-Half = tuple[tuple[int, ...], tuple[float, ...], Callable[[list], tuple]]
+# A title's vector as (columns, values, gather), the values an `array('d')`;
+# see `TfidfModel.half`.
+Half = tuple[tuple[int, ...], array, Callable[[list], tuple]]
 
 
 class FeatureMode(Enum):
@@ -102,7 +108,8 @@ class TfidfModel:
         self.vocabulary = vocabulary
         self.df = df
         self.n_docs = n_docs
-        self.idf = [math.log((1 + n_docs) / (1 + d)) + 1.0 for d in df]
+        idf_of = {d: math.log((1 + n_docs) / (1 + d)) + 1.0 for d in set(df)}
+        self.idf = list(map(idf_of.__getitem__, df))
         self._halves: dict[str, Half] = {}
 
     @property
@@ -211,7 +218,7 @@ def fit_tfidf(titles: list[str], spec: FeatureSpec, min_df: int = 1) -> TfidfMod
     return TfidfModel(spec, vocabulary, [df_counts[f] for f in kept], len(titles))
 
 
-def _vectorize(model: TfidfModel, title: str) -> tuple[tuple[int, ...], tuple[float, ...]]:
+def _vectorize(model: TfidfModel, title: str) -> tuple[tuple[int, ...], array]:
     """The title's vector as (columns, values): TF x idf over its in-vocabulary
     features, columns ascending, L2-normalized; both empty if all are OOV."""
     get, idf = model.vocabulary.get, model.idf
@@ -219,4 +226,4 @@ def _vectorize(model: TfidfModel, title: str) -> tuple[tuple[int, ...], tuple[fl
     cols = tuple(sorted(tf))
     raw = [tf[c] * idf[c] for c in cols]
     norm = math.sqrt(sum(map(mul, raw, raw)))
-    return cols, tuple([v / norm for v in raw])
+    return cols, array("d", [v / norm for v in raw])

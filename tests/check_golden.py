@@ -3,14 +3,16 @@
 Runs the `trained_world` pipeline of `tests/test_cli.py` through
 `taxonet.cli.main` in a temporary directory and compares the sha256 of
 every file `train` and `induce` write with the pins in `tests/golden.py`
-for the running interpreter. It also checks that `save_model(load_model(p))`
-rewrites each trained model file `p` byte for byte. It needs no pytest, so
-any installed Python can run it, fork path included:
+for the running interpreter. It also checks each trained model file `p`
+twice: `save_model(load_model(p))` rewrites `p` byte for byte, and
+`save_model`, which writes the long lists in slices, writes the bytes of one
+`json.dumps` over the whole model (`oracles.reference_model_text`). It needs
+no pytest, so any installed Python can run it, fork path included:
 
     python3.12 tests/check_golden.py
 
-Prints one line per file and per round trip, and exits 0 when every
-digest matches and every round trip holds, 1 if not.
+Prints one line per file and per model check, and exits 0 when every
+digest matches and every model check holds, 1 if not.
 """
 
 import hashlib
@@ -22,6 +24,7 @@ TESTS = Path(__file__).resolve().parent
 sys.path[:0] = [str(TESTS.parent / "src"), str(TESTS)]
 
 from golden import GOLDEN, GOLDEN_UNIFORM, train_golden  # noqa: E402
+from oracles import reference_model_text  # noqa: E402
 from worldgen import build_world  # noqa: E402
 
 from taxonet.classifier import load_model, save_model  # noqa: E402
@@ -65,13 +68,17 @@ def run_pipeline(root: Path) -> dict[str, str]:
     return digests
 
 
-def round_trips(models: Path) -> dict[str, bool]:
-    """Whether `save_model(load_model(p))` rewrites each model file `p` unchanged."""
+def model_checks(models: Path) -> dict[str, bool]:
+    """For each model file `p`: whether `save_model(load_model(p))` rewrites
+    `p` unchanged, and whether `save_model` writes `reference_model_text`."""
     held = {}
     for name in ("model.ec.json", "model.cc.json"):
+        model = load_model(models / name)
         again = models / f"again.{name}"
-        save_model(load_model(models / name), again)
-        held[name] = again.read_bytes() == (models / name).read_bytes()
+        save_model(model, again)
+        written = again.read_bytes()
+        held[f"round trip of {name}"] = written == (models / name).read_bytes()
+        held[f"one-dumps bytes of {name}"] = written == reference_model_text(model).encode()
     return held
 
 
@@ -91,19 +98,19 @@ def expected() -> dict[str, str]:
 def main_check() -> int:
     with tempfile.TemporaryDirectory() as tmp:
         got = run_pipeline(Path(tmp))
-        held = round_trips(Path(tmp) / "char")
+        held = model_checks(Path(tmp) / "char")
     pins = expected()
     failed = 0
     for name, digest in got.items():
         ok = digest == pins[name]
         failed += not ok
         print(f"{'ok' if ok else 'MISMATCH'}  {name}  {digest}")
-    for name, ok in held.items():
-        print(f"{'ok' if ok else 'CHANGED'}  round trip of {name}")
+    for check, ok in held.items():
+        print(f"{'ok' if ok else 'FAILED'}  {check}")
     broken = list(held.values()).count(False)
     version = ".".join(map(str, sys.version_info[:3]))
     print(f"Python {version}: {len(got) - failed} of {len(got)} digests match, "
-          f"{len(held) - broken} of {len(held)} model round trips hold")
+          f"{len(held) - broken} of {len(held)} model file checks hold")
     return 1 if failed or broken else 0
 
 

@@ -1,6 +1,6 @@
 """Independent brute-force oracles for the path-search tests, and the
-reference featurization, scoring and SGD loops for the feature and
-classifier tests.
+reference featurization, scoring, SGD loops and model file text for the
+feature and classifier tests.
 
 The path oracles deliberately avoid the library's search machinery: paths
 are found by exhaustive DFS enumeration, probabilities are exact Fractions
@@ -10,6 +10,7 @@ via sort. Slow but obviously correct on small graphs.
 
 from __future__ import annotations
 
+import json
 import math
 from collections import Counter, deque
 from fractions import Fraction
@@ -200,3 +201,10 @@ def reference_train_linear(dataset, tfidf, cfg, graph):
 
     weights = {c: scale * v for c, v in values.items() if scale * v != 0.0}
     return weights, bias
+
+
+def reference_model_text(model):
+    """A model file's text as one `json.dumps` call over the whole model,
+    the way `classifier.save_model` wrote it before it wrote the long lists
+    in slices. `save_model` must write these bytes."""
+    return json.dumps(model.to_dict(), ensure_ascii=False) + "\n"

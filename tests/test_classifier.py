@@ -1,10 +1,15 @@
 import json
-from itertools import chain
+import tempfile
+from array import array
+from itertools import chain, cycle, islice
+from pathlib import Path
 
 import pytest
+from hypothesis import example, given, strategies as st
 
 from taxonet import Node, NodeKind, WcnGraph
 from taxonet.classifier import (
+    _SLICE,
     LinearEdgeModel,
     TrainConfig,
     load_model,
@@ -14,7 +19,7 @@ from taxonet.classifier import (
     validation_accuracy,
 )
 from taxonet.errors import EmptyValidation, SingleClassDataset
-from taxonet.features import DEFAULT_NGRAM_SIZES, FeatureMode, FeatureSpec, fit_tfidf
+from taxonet.features import DEFAULT_NGRAM_SIZES, FeatureMode, FeatureSpec, TfidfModel, fit_tfidf
 from taxonet.graph import EdgeKind, edge_kind
 from taxonet.induction import InductionConfig, weigh_edges
 from taxonet.labeling import (
@@ -22,7 +27,9 @@ from taxonet.labeling import (
 )
 from taxonet.projection import ProjectionConfig, project
 
-from oracles import reference_proba, reference_train_linear
+from oracles import (
+    reference_model_text, reference_proba, reference_train_linear, reference_vectorize_title,
+)
 from worldgen import build_world
 
 WORD = FeatureSpec(FeatureMode.WORD)
@@ -172,6 +179,22 @@ class TestReferenceSgd:
         assert any(chain(*model.dense))
 
 
+def test_cached_halves_hold_reference_values(world_datasets):
+    """After training and validation every cached half's values are an
+    `array('d')` of the reference vector's values, to the last bit."""
+    graph, datasets = world_datasets
+    dataset = datasets[EdgeKind.ENTITY_TO_CATEGORY]
+    tfidf = fitted(graph, dataset.train, CHAR)
+    model = train_linear(dataset, tfidf, TrainConfig(epochs=1, seed=5), graph)
+    validation_accuracy(model, dataset.validation, graph)
+    edges = dataset.train + dataset.validation
+    assert set(tfidf._halves) == {graph.title(n) for e in edges for n in (e.child, e.parent)}
+    for title, (cols, vals, _) in tfidf._halves.items():
+        assert type(vals) is array and vals.typecode == "d"
+        expected = reference_vectorize_title(tfidf, title)
+        assert [(c, v.hex()) for c, v in zip(cols, vals)] == [(c, v.hex()) for c, v in expected]
+
+
 class TestGatherEdgeCases:
     """Titles with no in-vocabulary column and with exactly one, where a bare
     `itemgetter` would raise or return an item instead of a tuple."""
@@ -317,3 +340,46 @@ def test_model_file_roundtrip(tmp_path):
         assert predict_proba(again, graph.title(e.child), graph.title(e.parent)) == predict_proba(
             model, graph.title(e.child), graph.title(e.parent)
         )
+
+
+# Feature strings rich in what JSON escapes ('"', '\\', control characters)
+# or, with ensure_ascii=False, writes raw (non-ASCII, U+2028).
+FEATURE_TEXT = st.text(
+    st.one_of(st.sampled_from('"\\\x00\x1f\x7f\n\t\u2028é日'), st.characters(codec="utf-8")),
+    min_size=1, max_size=6,
+)
+# Any finite float, extremes and a repeating binary fraction included.
+FLOATS = st.one_of(
+    st.sampled_from([5e-324, -5e-324, 1e308, -1e308, 1 / 3, 0.0, -0.0]),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+
+
+class TestSavedBytes:
+    """`save_model` writes the long lists `_SLICE` entries at a time; the
+    file must hold the bytes of one `json.dumps` over the whole model."""
+
+    @given(
+        texts=st.lists(FEATURE_TEXT, min_size=1, max_size=8),
+        n=st.sampled_from([0, 1, 2, _SLICE, _SLICE + 1]),
+        weights=st.lists(FLOATS, min_size=1, max_size=8),
+        bias=FLOATS,
+        learning_rate=st.sampled_from([0.1, 5e-324, 1e308, 1 / 3]),
+        spec=st.sampled_from([CHAR, WORD, FeatureSpec(FeatureMode.CHAR_NGRAM, frozenset({3}), False)]),
+        kind=st.sampled_from(list(EdgeKind)),
+    )
+    @example(
+        texts=['a"b\\c\x00é'], n=1, weights=[5e-324, -1e308, 1 / 3], bias=1 / 3,
+        learning_rate=1e308, spec=CHAR, kind=EdgeKind.ENTITY_TO_CATEGORY,
+    )
+    def test_equals_one_dumps(self, texts, n, weights, bias, learning_rate, spec, kind):
+        # A suffix of digits after "\x01" keeps the n features unique.
+        features = [f"{texts[i % len(texts)]}\x01{i}" for i in range(n)]
+        tfidf = TfidfModel(spec, dict(zip(features, range(n))), [1 + i % 3 for i in range(n)], 3)
+        values = list(islice(cycle(weights), 2 * n))
+        hyper = TrainConfig(learning_rate=learning_rate, seed=2**64 - 1)
+        model = LinearEdgeModel(tfidf, (values[:n], values[n:]), bias, hyper, kind)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "model.json"
+            save_model(model, path)
+            assert path.read_bytes() == reference_model_text(model).encode("utf-8")

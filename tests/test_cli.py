@@ -11,6 +11,7 @@ from taxonet import load_taxonomy
 
 from conftest import write_fig1
 from golden import GOLDEN, GOLDEN_UNIFORM, train_golden
+from oracles import reference_model_text
 from worldgen import build_world
 
 
@@ -306,6 +307,14 @@ def test_model_file_round_trip_bytes(trained_world, tmp_path, name):
     assert (tmp_path / name).read_bytes() == (out_dir / name).read_bytes()
 
 
+@pytest.mark.parametrize("name", ["model.ec.json", "model.cc.json"])
+def test_model_file_writer_equals_one_dumps(trained_world, tmp_path, name):
+    _, _, _, out_dir = trained_world
+    model = load_model(out_dir / name)
+    save_model(model, tmp_path / name)
+    assert (tmp_path / name).read_bytes() == reference_model_text(model).encode("utf-8")
+
+
 class TestBadInput:
     @pytest.mark.parametrize("name", ["nodes", "edges"])
     def test_crlf_line_ends_rejected(self, world_files, tmp_path, capsys, name):
@@ -339,68 +348,72 @@ class TestBadInput:
         assert code == 2
         assert err.startswith(f"error: {tmp_path / 'model.ec.json'}: bad model file")
 
+    # Explicit ids, so a case keeps its name when another is added or removed.
+    # They are the positional ids these cases had before; a new case takes a
+    # name that says what it breaks.
     @pytest.mark.parametrize("edit", [
-        lambda d: d.pop("tfidf"),
-        lambda d: d.update(bias="high"),
-        lambda d: d.update(weights=7),
-        lambda d: d["config"].update(momentum=0.9),
-        lambda d: d.pop("kind"),
-        lambda d: d.update(kind="ce"),
-        lambda d: d["weights"][0].append(0.0),  # one entry long
-        lambda d: d["weights"][1].pop(),  # one entry short
-        lambda d: d["weights"].append(list(d["weights"][1])),  # three lists
-        lambda d: d["weights"][0].__setitem__(0, "1.5"),
-        lambda d: d["weights"][0].__setitem__(0, True),
-        lambda d: d.update(bias="0.5"),
-        lambda d: d.update(bias=float("nan")),
-        lambda d: d.update(bias=10**400),  # overflows a float
-        lambda d: d["weights"][1].__setitem__(0, float("nan")),
-        lambda d: d["weights"][1].__setitem__(0, float("inf")),
-        lambda d: d["weights"][1].__setitem__(0, float("-inf")),
-        lambda d: d["weights"][1].__setitem__(0, 10**400),
-        lambda d: d.update(bias=True),
-        lambda d: d["weights"].pop(),  # one list
-        lambda d: d["weights"].__setitem__(1, "ab"),
-        lambda d: d.update(weights={"0": 1.0}),
-        lambda d: d.update(bias=float("-inf")),
-        lambda d: d["weights"].__setitem__(0, {}),
+        pytest.param(lambda d: d.pop("tfidf"), id="<lambda>0"),
+        pytest.param(lambda d: d.update(bias="high"), id="<lambda>1"),
+        pytest.param(lambda d: d.update(weights=7), id="<lambda>2"),
+        pytest.param(lambda d: d["config"].update(momentum=0.9), id="<lambda>3"),
+        pytest.param(lambda d: d.pop("kind"), id="<lambda>4"),
+        pytest.param(lambda d: d.update(kind="ce"), id="<lambda>5"),
+        pytest.param(lambda d: d["weights"][0].append(0.0), id="<lambda>6"),  # one entry long
+        pytest.param(lambda d: d["weights"][1].pop(), id="<lambda>7"),  # one entry short
+        pytest.param(lambda d: d["weights"].append(list(d["weights"][1])), id="<lambda>8"),  # three lists
+        pytest.param(lambda d: d["weights"][0].__setitem__(0, "1.5"), id="<lambda>9"),
+        pytest.param(lambda d: d["weights"][0].__setitem__(0, True), id="<lambda>10"),
+        pytest.param(lambda d: d.update(bias="0.5"), id="<lambda>11"),
+        pytest.param(lambda d: d.update(bias=float("nan")), id="<lambda>12"),
+        pytest.param(lambda d: d.update(bias=10**400), id="<lambda>13"),  # overflows a float
+        pytest.param(lambda d: d["weights"][1].__setitem__(0, float("nan")), id="<lambda>14"),
+        pytest.param(lambda d: d["weights"][1].__setitem__(0, float("inf")), id="<lambda>15"),
+        pytest.param(lambda d: d["weights"][1].__setitem__(0, float("-inf")), id="<lambda>16"),
+        pytest.param(lambda d: d["weights"][1].__setitem__(0, 10**400), id="<lambda>17"),
+        pytest.param(lambda d: d.update(bias=True), id="<lambda>18"),
+        pytest.param(lambda d: d["weights"].pop(), id="<lambda>19"),  # one list
+        pytest.param(lambda d: d["weights"].__setitem__(1, "ab"), id="<lambda>20"),
+        pytest.param(lambda d: d.update(weights={"0": 1.0}), id="<lambda>21"),
+        pytest.param(lambda d: d.update(bias=float("-inf")), id="<lambda>22"),
+        pytest.param(lambda d: d["weights"].__setitem__(0, {}), id="<lambda>23"),
     ])
     def test_broken_model_file(self, trained_world, tmp_path, capsys, edit):
         self.induce_with_edited_model(trained_world, tmp_path, capsys, edit)
 
+    # Explicit ids, as in `test_broken_model_file`.
     @pytest.mark.parametrize("edit", [
-        lambda d: d.pop("n_docs"),
-        lambda d: d["spec"].update(mode="phoneme"),
-        lambda d: d.update(features=[["ab"]]),
-        lambda d: d["df"].__setitem__(0, -1),  # idf divides by 1 + df
-        lambda d: d["spec"].update(lowercase="no"),
-        lambda d: d["spec"].update(ngram_sizes=[2, 2.5]),
-        lambda d: d.update(n_docs=1.5),
-        lambda d: d.update(n_docs=10**400),  # idf overflows a float
+        pytest.param(lambda d: d.pop("n_docs"), id="<lambda>0"),
+        pytest.param(lambda d: d["spec"].update(mode="phoneme"), id="<lambda>1"),
+        pytest.param(lambda d: d.update(features=[["ab"]]), id="<lambda>2"),
+        pytest.param(lambda d: d["df"].__setitem__(0, -1), id="<lambda>3"),  # idf divides by 1 + df
+        pytest.param(lambda d: d["spec"].update(lowercase="no"), id="<lambda>4"),
+        pytest.param(lambda d: d["spec"].update(ngram_sizes=[2, 2.5]), id="<lambda>5"),
+        pytest.param(lambda d: d.update(n_docs=1.5), id="<lambda>6"),
+        pytest.param(lambda d: d.update(n_docs=10**400), id="<lambda>7"),  # idf overflows a float
         # Falsy sizes are not the default sizes.
-        lambda d: d["spec"].update(ngram_sizes=[]),
-        lambda d: d["spec"].update(ngram_sizes=False),
-        lambda d: d["spec"].update(ngram_sizes=0),
-        lambda d: d["spec"].update(ngram_sizes=""),
-        lambda d: d["spec"].update(ngram_sizes={}),
-        lambda d: d["spec"].update(ngram_sizes=None),
-        lambda d: d["spec"].update(ngram_sizes=[0, 2]),
-        lambda d: d["spec"].update(mode="word"),  # word mode writes null sizes
-        lambda d: (d["features"].append(5), d["df"].append(1)),
-        lambda d: (d["features"].append("zz"), d["df"].append(1.5)),
-        lambda d: (d["features"].append("zz"), d["df"].append(True)),
-        lambda d: (d["features"].append("zz"), d["df"].append(0)),
-        lambda d: d["features"].append("zz"),  # one feature more than df entries
-        lambda d: d["df"].append(1),  # one df entry more than features
+        pytest.param(lambda d: d["spec"].update(ngram_sizes=[]), id="<lambda>8"),
+        pytest.param(lambda d: d["spec"].update(ngram_sizes=False), id="<lambda>9"),
+        pytest.param(lambda d: d["spec"].update(ngram_sizes=0), id="<lambda>10"),
+        pytest.param(lambda d: d["spec"].update(ngram_sizes=""), id="<lambda>11"),
+        pytest.param(lambda d: d["spec"].update(ngram_sizes={}), id="<lambda>12"),
+        pytest.param(lambda d: d["spec"].update(ngram_sizes=None), id="<lambda>13"),
+        pytest.param(lambda d: d["spec"].update(ngram_sizes=[0, 2]), id="<lambda>14"),
+        pytest.param(lambda d: d["spec"].update(mode="word"), id="<lambda>15"),  # word mode writes null sizes
+        pytest.param(lambda d: (d["features"].append(5), d["df"].append(1)), id="<lambda>16"),
+        pytest.param(lambda d: (d["features"].append("zz"), d["df"].append(1.5)), id="<lambda>17"),
+        pytest.param(lambda d: (d["features"].append("zz"), d["df"].append(True)), id="<lambda>18"),
+        pytest.param(lambda d: (d["features"].append("zz"), d["df"].append(0)), id="<lambda>19"),
+        pytest.param(lambda d: d["features"].append("zz"), id="<lambda>20"),  # one feature more than df entries
+        pytest.param(lambda d: d["df"].append(1), id="<lambda>21"),  # one df entry more than features
         # A repeated feature: the vocabulary still has V columns, like the weights.
-        lambda d: (d["features"].append(d["features"][0]), d["df"].append(1)),
+        pytest.param(lambda d: (d["features"].append(d["features"][0]), d["df"].append(1)), id="<lambda>22"),
         # n_docs below a df turns idf negative for df >= 2 and exited 0.
-        lambda d: d.update(n_docs=0),
-        lambda d: d.update(n_docs=max(d["df"]) - 1),
-        lambda d: d.pop("features"),
-        lambda d: d.pop("df"),
-        lambda d: d.update(df={}),
-        lambda d: d.update(features="zz"),
+        pytest.param(lambda d: d.update(n_docs=0), id="<lambda>23"),
+        pytest.param(lambda d: d.update(n_docs=max(d["df"]) - 1), id="<lambda>24"),
+        pytest.param(lambda d: d.pop("features"), id="<lambda>25"),
+        pytest.param(lambda d: d.pop("df"), id="<lambda>26"),
+        pytest.param(lambda d: d.update(df={}), id="<lambda>27"),
+        pytest.param(lambda d: d.update(features="zz"), id="<lambda>28"),
     ])
     def test_broken_tfidf_file(self, trained_world, tmp_path, capsys, edit):
         # The TFIDF model is the model file's "tfidf" object.

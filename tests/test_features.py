@@ -1,6 +1,7 @@
 import json
 import math
 import random
+from array import array
 
 import pytest
 from hypothesis import assume, example, given, strategies as st
@@ -154,7 +155,8 @@ class TestVectorize:
 
     def test_oov_zero_vector(self):
         model = fit_tfidf(["ab"], WORD)
-        assert model.half("zz qq")[:2] == ((), ())
+        cols, vals, _ = model.half("zz qq")
+        assert cols == () and vals == array("d")
         assert reference_vectorize_title(model, "zz qq") == ()
 
     def test_edge_halves(self):
@@ -281,14 +283,32 @@ def test_model_json_roundtrip():
     assert again.to_dict() == model.to_dict()
 
 
+@given(st.lists(TITLES, min_size=1, max_size=8), SPECS)
+@example(["aa bb", "aa", "cc"], WORD)
+def test_idf_per_feature(corpus, spec):
+    """idf is ln((1 + N) / (1 + df)) + 1 for every feature, fitted or loaded,
+    computed once per distinct df: features with equal df share one float."""
+    try:
+        fitted = fit_tfidf(corpus, spec)
+    except EmptyVocabulary:
+        assume(False)
+    for model in (fitted, TfidfModel.from_dict(json_round_trip(fitted))):
+        expected = [(math.log((1 + model.n_docs) / (1 + d)) + 1.0).hex() for d in model.df]
+        assert [v.hex() for v in model.idf] == expected
+        assert len(set(map(id, model.idf))) == len(set(model.df))
+
+
+# Explicit ids, so a case keeps its name when another is added or removed.
+# They are the positional ids these cases had before; a new case takes a
+# name that says what it breaks.
 @pytest.mark.parametrize("edit", [
-    lambda d: d["spec"].update(lowercase="no"),
-    lambda d: d["spec"].update(lowercase=1),
-    lambda d: d["spec"].update(ngram_sizes=[2, 3.5]),
-    lambda d: d["spec"].update(ngram_sizes=[True, 3]),
-    lambda d: d["spec"].update(ngram_sizes=[0, 3]),
-    lambda d: d.update(n_docs=2.0),
-    lambda d: d.update(n_docs="2"),
+    pytest.param(lambda d: d["spec"].update(lowercase="no"), id="<lambda>0"),
+    pytest.param(lambda d: d["spec"].update(lowercase=1), id="<lambda>1"),
+    pytest.param(lambda d: d["spec"].update(ngram_sizes=[2, 3.5]), id="<lambda>2"),
+    pytest.param(lambda d: d["spec"].update(ngram_sizes=[True, 3]), id="<lambda>3"),
+    pytest.param(lambda d: d["spec"].update(ngram_sizes=[0, 3]), id="<lambda>4"),
+    pytest.param(lambda d: d.update(n_docs=2.0), id="<lambda>5"),
+    pytest.param(lambda d: d.update(n_docs="2"), id="<lambda>6"),
 ])
 def test_mistyped_spec_values_rejected(edit):
     data = json_round_trip(fit_tfidf(["Entraîneur sportif"], CHAR))
