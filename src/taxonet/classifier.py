@@ -57,7 +57,7 @@ from itertools import chain
 from operator import mul
 from pathlib import Path
 
-from .errors import EmptyValidation, MalformedFile, SingleClassDataset
+from .errors import MalformedFile, TaxonetError
 from .features import TfidfModel
 from .graph import EdgeKind, WcnGraph
 from .labeling import EdgeDataset, Label, LabeledEdge
@@ -136,9 +136,7 @@ def train_linear(
     """
     labels = {e.label for e in dataset.train}
     if len(labels) < 2:
-        raise SingleClassDataset(
-            f"training split needs both labels, got {[l.value for l in labels]}"
-        )
+        raise TaxonetError(f"training split needs both labels, got {[l.value for l in labels]}")
     # A sample is the child's half, the parent's half and the label.
     samples = [
         (
@@ -210,7 +208,7 @@ def validation_accuracy(
     Probability exactly 0.5 counts as a positive prediction.
     """
     if not validation:
-        raise EmptyValidation("no validation edges")
+        raise TaxonetError("no validation edges")
     correct = 0
     for edge in validation:
         p = predict_proba(model, graph.title(edge.child), graph.title(edge.parent))

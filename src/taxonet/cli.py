@@ -18,12 +18,15 @@ cc; a child's error re-raises here unchanged, so it exits 2 with the same
 message. The fork makes these commands POSIX-only, and `main` must be
 called from a single-threaded process.
 
-A `--config` file must hold one JSON object whose keys are those of
-`CONFIG_DEFAULTS`, each with its default's JSON type and within the range
-its config class (or, for `val_fraction` and `min_df`, its own check)
-accepts; the whole file is checked in every command, so
-a mistyped key or a value out of range exits 2, naming the file, even
-where the command does not read it.
+A command's settings come in three layers: `CONFIG_DEFAULTS`, then the
+optional `--config` file, then the flags, each overriding the one before.
+The file must hold one JSON object whose keys are those of
+`CONFIG_DEFAULTS`, each with its default's JSON type. After the file and
+again after the flags, every config class (and the checks of
+`val_fraction` and `min_df`) is built from the merged values, so a value
+out of range exits 2 before the command reads any of its input files. A
+bad file value names the file, even where a flag overrides it or the
+command does not read it; a bad flag value gives its check's bare message.
 """
 
 from __future__ import annotations
@@ -32,10 +35,11 @@ import argparse
 import json
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 from . import __version__
 from .classifier import TrainConfig, load_model, save_model, train_linear, validation_accuracy
-from .errors import MalformedFile, SingleClassDataset, TaxonetError
+from .errors import MalformedFile, TaxonetError
 from .features import FeatureMode, FeatureSpec, _is_int, check_min_df, fit_tfidf
 from .graph import EdgeKind, load_interlang, load_taxonomy, load_wcn, save_taxonomy
 from .induction import InductionConfig, induce, search_edges, weigh_edges
@@ -77,52 +81,60 @@ def _expected_type(default, value) -> str | None:
     return None if isinstance(value, str) else "a string"
 
 
-# Each config class (or a key's own check) with the keys it is built from.
-# `_load_config` builds every one from a config file's values, so the
-# class's own range checks reject a bad value there and the error can name
-# the file.
+# Each setting a command reads: its name, the keys it is built from, and
+# how it is built, by a config class or a key's own check.
 _CONFIG_CLASSES = (
-    (("k1", "k2"), lambda c: ProjectionConfig(c["k1"], c["k2"])),
-    (("mode", "ngram_sizes"),
+    ("projection", ("k1", "k2"), lambda c: ProjectionConfig(c["k1"], c["k2"])),
+    ("spec", ("mode", "ngram_sizes"),
      lambda c: FeatureSpec(FeatureMode(c["mode"]), frozenset(c["ngram_sizes"]))),
-    (("epochs", "learning_rate", "l2_lambda", "seed"),
+    ("train", ("epochs", "learning_rate", "l2_lambda", "seed"),
      lambda c: TrainConfig(c["epochs"], c["learning_rate"], c["l2_lambda"], c["seed"])),
-    (("k", "epsilon", "uniform"), lambda c: InductionConfig(c["k"], c["epsilon"], c["uniform"])),
-    (("val_fraction",), lambda c: check_val_fraction(c["val_fraction"])),
-    (("min_df",), lambda c: check_min_df(c["min_df"])),
+    ("induction", ("k", "epsilon", "uniform"),
+     lambda c: InductionConfig(c["k"], c["epsilon"], c["uniform"])),
+    ("val_fraction", ("val_fraction",), lambda c: check_val_fraction(c["val_fraction"])),
+    ("min_df", ("min_df",), lambda c: check_min_df(c["min_df"])),
 )
 
 
-def _load_config(path: str | None) -> dict:
-    cfg = dict(CONFIG_DEFAULTS)
-    if path is not None:
-        with open(path, encoding="utf-8") as fh:
+def _read_config(path: str) -> dict:
+    """The JSON object in a `--config` file, each key known and typed."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            data = json.load(fh)
+        except ValueError as exc:
+            raise MalformedFile(path, f"bad config file: {exc}") from None
+    if not isinstance(data, dict):
+        raise MalformedFile(path, f"config must be a JSON object, got {data!r}")
+    unknown = sorted(set(data) - set(CONFIG_DEFAULTS))
+    if unknown:
+        raise MalformedFile(path, f"unknown config keys: {', '.join(unknown)}")
+    for key, value in data.items():
+        expected = _expected_type(CONFIG_DEFAULTS[key], value)
+        if expected:
+            raise MalformedFile(path, f"config key {key!r} must be {expected}, got {value!r}")
+    return data
+
+
+def _settings(args: argparse.Namespace) -> SimpleNamespace:
+    """The settings of `_CONFIG_CLASSES` by name, and `seed`. Each is built
+    once the `--config` file is merged, so a bad file value names the file,
+    and again once the flags are."""
+    values = dict(CONFIG_DEFAULTS)
+    layers = [(args.config, _read_config(args.config))] if args.config is not None else []
+    flags = {k: v for k in CONFIG_DEFAULTS if (v := getattr(args, k, None)) is not None}
+    layers.append((None, flags))
+    for path, layer in layers:
+        values.update(layer)
+        built = {}
+        for name, keys, build in _CONFIG_CLASSES:
             try:
-                data = json.load(fh)
+                built[name] = build(values)
             except ValueError as exc:
-                raise MalformedFile(path, f"bad config file: {exc}") from None
-        if not isinstance(data, dict):
-            raise MalformedFile(path, f"config must be a JSON object, got {data!r}")
-        unknown = sorted(set(data) - set(cfg))
-        if unknown:
-            raise MalformedFile(path, f"unknown config keys: {', '.join(unknown)}")
-        for key, value in data.items():
-            expected = _expected_type(cfg[key], value)
-            if expected:
-                raise MalformedFile(path, f"config key {key!r} must be {expected}, got {value!r}")
-        cfg.update(data)
-        for keys, build in _CONFIG_CLASSES:
-            try:
-                build(cfg)
-            except ValueError as exc:
-                named = ", ".join(repr(key) for key in keys if key in data)
+                if path is None:
+                    raise
+                named = ", ".join(repr(key) for key in keys if key in layer)
                 raise MalformedFile(path, f"config key {named}: {exc}") from None
-    return cfg
-
-
-def _resolve(args: argparse.Namespace, cfg: dict, key: str):
-    value = getattr(args, key, None)
-    return cfg[key] if value is None else value
+    return SimpleNamespace(seed=values["seed"], **built)
 
 
 def _write_json(path: str | Path, obj: dict) -> None:
@@ -132,39 +144,19 @@ def _write_json(path: str | Path, obj: dict) -> None:
 
 
 def _cmd_project(args: argparse.Namespace) -> int:
-    cfg = _load_config(args.config)
-    k1 = _resolve(args, cfg, "k1")
-    k2 = _resolve(args, cfg, "k2")
+    cfg = _settings(args).projection
     graph = load_wcn(args.nodes, args.edges)
     links = load_interlang(args.langlinks)
     source = load_taxonomy(args.source_taxonomy)
-    taxonomy, report = project(source, graph, links, ProjectionConfig(k1=k1, k2=k2))
+    taxonomy, report = project(source, graph, links, cfg)
     save_taxonomy(taxonomy, args.out)
     report_path = args.report or args.out + ".report.json"
-    _write_json(report_path, {**report.to_dict(), "k1": k1, "k2": k2})
+    _write_json(report_path, {**report.to_dict(), "k1": cfg.k1, "k2": cfg.k2})
     return 0
 
 
-def _parse_ngram_sizes(raw) -> frozenset[int]:
-    if isinstance(raw, str):
-        raw = [int(part) for part in raw.split(",") if part]
-    return frozenset(raw)
-
-
 def _cmd_train(args: argparse.Namespace) -> int:
-    cfg = _load_config(args.config)
-    seed = _resolve(args, cfg, "seed")
-    mode = FeatureMode(_resolve(args, cfg, "mode"))
-    val_fraction = _resolve(args, cfg, "val_fraction")
-    min_df = _resolve(args, cfg, "min_df")
-    spec = FeatureSpec(mode=mode, ngram_sizes=_parse_ngram_sizes(_resolve(args, cfg, "ngram_sizes")))
-    train_cfg = TrainConfig(
-        epochs=_resolve(args, cfg, "epochs"),
-        learning_rate=_resolve(args, cfg, "learning_rate"),
-        l2_lambda=_resolve(args, cfg, "l2_lambda"),
-        seed=seed,
-    )
-
+    settings = _settings(args)
     graph = load_wcn(args.nodes, args.edges)
     projected = load_taxonomy(args.projected)
     labeled = label_edges(graph, projected)
@@ -177,18 +169,16 @@ def _cmd_train(args: argparse.Namespace) -> int:
         (EdgeKind.ENTITY_TO_CATEGORY, ec_edges, "ec"),
         (EdgeKind.CATEGORY_TO_CATEGORY, cc_edges, "cc"),
     ):
-        train_edges, val_edges = train_val_split(edges, val_fraction, seed)
+        train_edges, val_edges = train_val_split(edges, settings.val_fraction, settings.seed)
         if len({e.label for e in train_edges}) < 2:
-            raise SingleClassDataset(
-                f"{name}: need both labels to train; check the projected taxonomy"
-            )
+            raise TaxonetError(f"{name}: need both labels to train; check the projected taxonomy")
         jobs.append((kind, name, train_edges, val_edges))
 
     def fit(kind: EdgeKind, name: str, train_edges, val_edges) -> None:
         dataset = EdgeDataset(kind, train_edges, val_edges)
         node_ids = sorted({n for e in train_edges for n in (e.child, e.parent)})
-        tfidf = fit_tfidf([graph.title(n) for n in node_ids], spec, min_df)
-        model = train_linear(dataset, tfidf, train_cfg, graph)
+        tfidf = fit_tfidf([graph.title(n) for n in node_ids], settings.spec, settings.min_df)
+        model = train_linear(dataset, tfidf, settings.train, graph)
         save_model(model, out_dir / f"model.{name}.json")
         _write_json(
             out_dir / f"metrics.{name}.json",
@@ -197,8 +187,8 @@ def _cmd_train(args: argparse.Namespace) -> int:
                 "val_acc": validation_accuracy(model, val_edges, graph) if val_edges else None,
                 "n_train": len(train_edges),
                 "n_val": len(val_edges),
-                "mode": mode.value,
-                "seed": seed,
+                "mode": settings.spec.mode.value,
+                "seed": settings.seed,
             },
         )
 
@@ -210,21 +200,17 @@ def _cmd_train(args: argparse.Namespace) -> int:
 
 
 def _cmd_induce(args: argparse.Namespace) -> int:
-    cfg = _load_config(args.config)
-    k = _resolve(args, cfg, "k")
-    epsilon = _resolve(args, cfg, "epsilon")
-    uniform = _resolve(args, cfg, "uniform")
+    cfg = _settings(args).induction
     graph = load_wcn(args.nodes, args.edges)
     projected = load_taxonomy(args.projected)
-    if uniform:  # no edge is scored, so a swapped pair of models is harmless
+    if cfg.uniform:  # no edge is scored, so a swapped pair of models is harmless
         ec_kind = cc_kind = None
     else:
         ec_kind, cc_kind = EdgeKind.ENTITY_TO_CATEGORY, EdgeKind.CATEGORY_TO_CATEGORY
     model_ec = load_model(args.model_ec, ec_kind)
     model_cc = load_model(args.model_cc, cc_kind)
-    icfg = InductionConfig(k=k, epsilon=epsilon, uniform=uniform)
-    weighted = weigh_edges(graph, model_ec, model_cc, icfg, search_edges(graph, projected))
-    taxonomy, report = induce(projected, weighted, icfg)
+    weighted = weigh_edges(graph, model_ec, model_cc, cfg, search_edges(graph, projected))
+    taxonomy, report = induce(projected, weighted, cfg)
     save_taxonomy(taxonomy, args.out)
     report_path = args.report or args.out + ".report.json"
     _write_json(report_path, report.to_dict())
@@ -254,7 +240,7 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
 
 def _cmd_stats(args: argparse.Namespace) -> int:
     taxonomy = load_taxonomy(args.taxonomy)
-    bf = branching_factor(taxonomy)  # raises EmptyTaxonomy -> exit 2
+    bf = branching_factor(taxonomy)  # raises TaxonetError on no edges -> exit 2
     print(
         json.dumps(
             {
@@ -266,6 +252,11 @@ def _cmd_stats(args: argparse.Namespace) -> int:
         )
     )
     return 0
+
+
+def int_list(text: str) -> list[int]:
+    """The `--ngram-sizes` value: integers separated by commas."""
+    return [int(part) for part in text.split(",") if part]
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -299,7 +290,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="validation fraction per label class (default: 0.25)")
     p.add_argument("--min-df", type=int, dest="min_df",
                    help="minimum document frequency for features (default: 1)")
-    p.add_argument("--ngram-sizes", dest="ngram_sizes",
+    p.add_argument("--ngram-sizes", dest="ngram_sizes", type=int_list,
                    help="char n-gram sizes, comma-separated (default: 2,3,4,5,6)")
     p.add_argument("--epochs", type=int, help="SGD epochs (default: 10)")
     p.add_argument("--learning-rate", type=float, dest="learning_rate",
@@ -351,13 +342,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except TaxonetError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
+    except (TaxonetError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # pragma: no cover - defensive

@@ -1,4 +1,13 @@
-"""Exception hierarchy for input validation and contract failures."""
+"""The three exception classes: `TaxonetError` and its two file subclasses.
+
+Every rejected input or broken contract raises one of them, and `cli.main`
+treats them all alike: it prints the message and exits 2. No caller tells
+one failure from another by its class, so each is a `TaxonetError` with
+the message that says what went wrong. `MalformedRow` and `MalformedFile`
+build their message from the file (and the line) they name, and keep
+those as attributes (`path`, `line_no`, `reason`) for the tests that read
+them.
+"""
 
 
 class TaxonetError(Exception):
@@ -34,78 +43,3 @@ class MalformedFile(TaxonetError):
         super().__init__(f"{path}: {reason}")
         self.path = path
         self.reason = reason
-
-
-class DuplicateNodeId(TaxonetError):
-    def __init__(self, node_id):
-        super().__init__(f"duplicate node id: {node_id!r}")
-        self.node_id = node_id
-
-
-class UnknownNodeInEdge(TaxonetError):
-    def __init__(self, child, parent):
-        super().__init__(f"edge references unknown node: {child!r} -> {parent!r}")
-        self.child = child
-        self.parent = parent
-
-
-class ForbiddenEdgeKind(TaxonetError):
-    def __init__(self, child, parent, detail):
-        super().__init__(f"forbidden edge kind ({detail}): {child!r} -> {parent!r}")
-        self.child = child
-        self.parent = parent
-
-
-class SelfLoop(TaxonetError):
-    def __init__(self, node_id):
-        super().__init__(f"self-loop on node: {node_id!r}")
-        self.node_id = node_id
-
-
-class NonBijectiveLink(TaxonetError):
-    def __init__(self, node_id):
-        super().__init__(f"node appears in more than one interlanguage link: {node_id!r}")
-        self.node_id = node_id
-
-
-class ProjectedEdgeNotInGraph(TaxonetError):
-    def __init__(self, child, parent):
-        super().__init__(f"projected edge not present in graph: {child!r} -> {parent!r}")
-        self.child = child
-        self.parent = parent
-
-
-class EmptyVocabulary(TaxonetError):
-    """No feature survived the document-frequency threshold."""
-
-
-class SingleClassDataset(TaxonetError):
-    """Training split contains only one label class."""
-
-
-class EmptyValidation(TaxonetError):
-    """Validation set is empty."""
-
-
-class EmptyProjectedTaxonomy(TaxonetError):
-    """Induction requires a nonempty projected taxonomy."""
-
-
-class EmptyGold(TaxonetError):
-    """Gold edge set contains no sampled nodes."""
-
-
-class EmptyPathSet(TaxonetError):
-    """Annotated path set is empty."""
-
-
-class EmptyTaxonomy(TaxonetError):
-    """Operation requires a nonempty taxonomy."""
-
-
-class InsufficientNodes(TaxonetError):
-    def __init__(self, kind, requested, available):
-        super().__init__(f"requested {requested} {kind} nodes, only {available} available")
-        self.kind = kind
-        self.requested = requested
-        self.available = available

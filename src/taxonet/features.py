@@ -42,7 +42,7 @@ from enum import Enum
 from operator import itemgetter, mul
 from typing import Callable
 
-from .errors import EmptyVocabulary
+from .errors import TaxonetError
 
 DEFAULT_NGRAM_SIZES = frozenset({2, 3, 4, 5, 6})
 
@@ -197,10 +197,11 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-def check_min_df(min_df: int) -> None:
+def check_min_df(min_df: int) -> int:
     """A feature is kept when at least `min_df` titles hold it; below 1 is an error, not 1."""
     if min_df < 1:
         raise ValueError(f"min_df must be >= 1, got {min_df}")
+    return min_df
 
 
 def fit_tfidf(titles: list[str], spec: FeatureSpec, min_df: int = 1) -> TfidfModel:
@@ -211,9 +212,7 @@ def fit_tfidf(titles: list[str], spec: FeatureSpec, min_df: int = 1) -> TfidfMod
         df_counts.update(set(extract_features(title, spec)))
     kept = sorted(f for f, d in df_counts.items() if d >= min_df)
     if not kept:
-        raise EmptyVocabulary(
-            f"no feature reached min_df={min_df} over {len(titles)} titles"
-        )
+        raise TaxonetError(f"no feature reached min_df={min_df} over {len(titles)} titles")
     vocabulary = {f: i for i, f in enumerate(kept)}
     return TfidfModel(spec, vocabulary, [df_counts[f] for f in kept], len(titles))
 

@@ -21,14 +21,7 @@ from enum import Enum
 from pathlib import Path
 from typing import Iterable, Iterator
 
-from .errors import (
-    DuplicateNodeId,
-    ForbiddenEdgeKind,
-    MalformedRow,
-    NonBijectiveLink,
-    SelfLoop,
-    UnknownNodeInEdge,
-)
+from .errors import MalformedRow, TaxonetError
 
 logger = logging.getLogger(__name__)
 
@@ -82,7 +75,7 @@ class WcnGraph:
         self.nodes: dict[str, Node] = {}
         for node in nodes:
             if node.id in self.nodes:
-                raise DuplicateNodeId(node.id)
+                raise TaxonetError(f"duplicate node id: {node.id!r}")
             if not node.id:
                 raise ValueError("empty node id")
             if not node.title.strip():
@@ -93,9 +86,9 @@ class WcnGraph:
         seen: set[tuple[str, str]] = set()
         for child, parent in edges:
             if child == parent:
-                raise SelfLoop(child)
+                raise TaxonetError(f"self-loop on node: {child!r}")
             if child not in self.nodes or parent not in self.nodes:
-                raise UnknownNodeInEdge(child, parent)
+                raise TaxonetError(f"edge references unknown node: {child!r} -> {parent!r}")
             edge_kind(self, child, parent)
             if (child, parent) in seen:
                 logger.warning("duplicate edge dropped: %s -> %s", child, parent)
@@ -136,7 +129,7 @@ def edge_kind(graph: WcnGraph, child: str, parent: str) -> EdgeKind:
     pk = graph.nodes[parent].kind
     if pk is NodeKind.ENTITY:
         detail = "entity->entity" if ck is NodeKind.ENTITY else "category->entity"
-        raise ForbiddenEdgeKind(child, parent, detail)
+        raise TaxonetError(f"forbidden edge kind ({detail}): {child!r} -> {parent!r}")
     if ck is NodeKind.ENTITY:
         return EdgeKind.ENTITY_TO_CATEGORY
     return EdgeKind.CATEGORY_TO_CATEGORY
@@ -205,10 +198,9 @@ class InterlangMap:
         self._to_source: dict[str, str] = {}
         self._to_target: dict[str, str] = {}
         for target, source in pairs:
-            if target in self._to_source:
-                raise NonBijectiveLink(target)
-            if source in self._to_target:
-                raise NonBijectiveLink(source)
+            if target in self._to_source or source in self._to_target:
+                dup = target if target in self._to_source else source
+                raise TaxonetError(f"node appears in more than one interlanguage link: {dup!r}")
             self._to_source[target] = source
             self._to_target[source] = target
 

@@ -55,7 +55,7 @@ import heapq
 from dataclasses import asdict, dataclass
 
 from .classifier import LinearEdgeModel, predict_proba
-from .errors import EmptyProjectedTaxonomy, ProjectedEdgeNotInGraph
+from .errors import TaxonetError
 from .graph import (
     EdgeKind, NodeKind, Provenance, TaxoEdge, Taxonomy, WcnGraph, coverage, edge_kind,
 )
@@ -372,11 +372,13 @@ def induce(
     `search_edges(graph, projected)` must have a probability in `weighted`.
     """
     if len(projected) == 0:
-        raise EmptyProjectedTaxonomy("projected taxonomy has no edges")
+        raise TaxonetError("projected taxonomy has no edges")
     graph = weighted.graph
     for edge in projected.edges():
         if not graph.has_edge(edge.child, edge.parent):
-            raise ProjectedEdgeNotInGraph(edge.child, edge.parent)
+            raise TaxonetError(
+                f"projected edge not present in graph: {edge.child!r} -> {edge.parent!r}"
+            )
     for child, parent in search_edges(graph, projected):
         if (child, parent) not in weighted.prob:
             raise ValueError(f"edge without probability: {child!r} -> {parent!r}")

@@ -12,7 +12,7 @@ import logging
 from dataclasses import dataclass
 from enum import Enum
 
-from .errors import ProjectedEdgeNotInGraph
+from .errors import TaxonetError
 from .graph import EdgeKind, Taxonomy, WcnGraph, edge_kind
 from .rng import SplitMix64
 
@@ -45,7 +45,9 @@ def label_edges(graph: WcnGraph, projected: Taxonomy) -> list[LabeledEdge]:
     """
     for edge in projected.edges():
         if not graph.has_edge(edge.child, edge.parent):
-            raise ProjectedEdgeNotInGraph(edge.child, edge.parent)
+            raise TaxonetError(
+                f"projected edge not present in graph: {edge.child!r} -> {edge.parent!r}"
+            )
     positives = projected.edge_pairs()
     labeled = []
     for child, parent in graph.edges():
@@ -71,9 +73,10 @@ def split_by_kind(
     return entity_edges, category_edges
 
 
-def check_val_fraction(val_fraction: float) -> None:
+def check_val_fraction(val_fraction: float) -> float:
     if not 0.0 <= val_fraction < 1.0:
         raise ValueError(f"val_fraction must be in [0, 1), got {val_fraction!r}")
+    return val_fraction
 
 
 def train_val_split(

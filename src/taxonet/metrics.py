@@ -14,7 +14,7 @@ import json
 from dataclasses import dataclass
 from pathlib import Path
 
-from .errors import EmptyGold, EmptyPathSet, EmptyTaxonomy, InsufficientNodes, MalformedRow
+from .errors import MalformedRow, TaxonetError
 from .graph import NodeKind, Taxonomy, WcnGraph, _rows
 from .labeling import Label
 from .rng import SplitMix64
@@ -72,7 +72,7 @@ def edge_metrics(taxonomy: Taxonomy, gold: GoldEdgeSet) -> EdgeMetrics:
     precision is undefined and reported as 0 with the flag cleared.
     """
     if not gold.sampled_nodes:
-        raise EmptyGold("no sampled nodes")
+        raise TaxonetError("no sampled nodes")
     answered = 0
     hit = 0
     precisions = []
@@ -105,7 +105,7 @@ def edge_metrics(taxonomy: Taxonomy, gold: GoldEdgeSet) -> EdgeMetrics:
 def path_metrics(paths: list[AnnotatedPath]) -> PathMetrics:
     """Average length, correct-prefix length, and prefix ratio (in nodes)."""
     if not paths:
-        raise EmptyPathSet("no annotated paths")
+        raise TaxonetError("no annotated paths")
     lengths = []
     cpps = []
     ratios = []
@@ -122,7 +122,7 @@ def path_metrics(paths: list[AnnotatedPath]) -> PathMetrics:
 def branching_factor(taxonomy: Taxonomy) -> float:
     """Mean hypernym count over nodes that have at least one."""
     if len(taxonomy) == 0:
-        raise EmptyTaxonomy("no edges")
+        raise TaxonetError("no edges")
     covered = taxonomy.covered_nodes()
     return sum(len(taxonomy.hypernyms(n)) for n in covered) / len(covered)
 
@@ -169,7 +169,7 @@ def sample_eval_nodes(
     for kind, count in ((NodeKind.ENTITY, n_entities), (NodeKind.CATEGORY, n_categories)):
         ids = graph.node_ids(kind)
         if count > len(ids):
-            raise InsufficientNodes(kind.value, count, len(ids))
+            raise TaxonetError(f"requested {count} {kind.value} nodes, only {len(ids)} available")
         SplitMix64.keyed(seed, "sample", kind.value).shuffle(ids)
         sample.update(ids[:count])
     return sample

@@ -1,3 +1,4 @@
+import re
 from pathlib import Path
 
 import pytest
@@ -13,6 +14,12 @@ from taxonet import (
     save_taxonomy,
     save_wcn,
 )
+from taxonet.errors import TaxonetError
+
+
+def raises_error(message: str):
+    """`pytest.raises` for a `TaxonetError` whose message is exactly `message`."""
+    return pytest.raises(TaxonetError, match=f"^{re.escape(message)}$")
 
 
 def fig1_graph() -> WcnGraph:

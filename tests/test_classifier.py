@@ -18,7 +18,6 @@ from taxonet.classifier import (
     train_linear,
     validation_accuracy,
 )
-from taxonet.errors import EmptyValidation, SingleClassDataset
 from taxonet.features import DEFAULT_NGRAM_SIZES, FeatureMode, FeatureSpec, TfidfModel, fit_tfidf
 from taxonet.graph import EdgeKind, edge_kind
 from taxonet.induction import InductionConfig, weigh_edges
@@ -27,6 +26,7 @@ from taxonet.labeling import (
 )
 from taxonet.projection import ProjectionConfig, project
 
+from conftest import raises_error
 from oracles import (
     reference_model_text, reference_proba, reference_train_linear, reference_vectorize_title,
 )
@@ -103,7 +103,7 @@ class TestTrainLinear:
         graph, labeled = separable_world(4)
         positives = [e for e in labeled if e.label is Label.ISA]
         tfidf = fitted(graph, positives)
-        with pytest.raises(SingleClassDataset):
+        with raises_error("training split needs both labels, got ['isa']"):
             train_linear(
                 EdgeDataset(EdgeKind.ENTITY_TO_CATEGORY, positives, []),
                 tfidf,
@@ -319,7 +319,7 @@ class TestValidationAccuracy:
 
     def test_empty_validation(self):
         graph, model, _ = trained()
-        with pytest.raises(EmptyValidation):
+        with raises_error("no validation edges"):
             validation_accuracy(model, [], graph)
 
 

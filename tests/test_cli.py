@@ -521,7 +521,40 @@ class TestBadInput:
         out = tmp_path / "out"
         code, err = run_err(capsys, *train_args(paths, projected, out), *flags)
         assert (code, err) == (2, f"error: {message}\n")
-        assert not any(out.iterdir())
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command, flag, message", [
+        ("train", ["--min-df", "0"], "min_df must be >= 1, got 0"),
+        ("induce", ["--k", "0"], "k must be >= 1"),
+    ])
+    def test_bad_flag_rejected_before_any_input_is_read(
+        self, tmp_path, capsys, command, flag, message
+    ):
+        missing = {key: tmp_path / key for key in ("nodes", "edges")}
+        argv = {
+            "train": train_args(missing, tmp_path / "p.tsv", tmp_path / "out"),
+            "induce": induce_args(missing, tmp_path / "p.tsv", tmp_path, tmp_path / "out"),
+        }[command]
+        code, err = run_err(capsys, *argv, *flag)
+        assert (code, err) == (2, f"error: {message}\n")
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("text, min_df, message", [
+        # A bad file value names the file, though the flag overrides it.
+        ('{"min_df": 0}', 2, "{cfg}: config key 'min_df': min_df must be >= 1, got 0"),
+        # A bad flag over a valid file gives the flag's bare message.
+        ('{"min_df": 2, "epochs": 3}', 0, "min_df must be >= 1, got 0"),
+    ])
+    def test_config_file_and_flag_for_one_key(
+        self, trained_world, tmp_path, capsys, text, min_df, message
+    ):
+        _, paths, projected, _ = trained_world
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(text, encoding="utf-8")
+        out = tmp_path / "out"
+        code, err = run_err(capsys, *train_args(paths, projected, out, min_df=min_df, config=cfg))
+        assert (code, err) == (2, f"error: {message.format(cfg=cfg)}\n")
+        assert not out.exists()
 
     # From 0.5 on the clamp [epsilon, 1 - epsilon] inverts: 0.7 exited 0
     # with every edge scored 0.3.

@@ -1,7 +1,10 @@
-"""Every library module uses every name it imports.
+"""Every library module uses every name it imports, and the package
+exports every name the benchmark and `worldgen` read from it.
 
-No lint tool is a dependency, so this stdlib `ast` check stands in for
-one. `__init__.py` is skipped: its imports are the package's exports.
+No lint tool is a dependency, so these stdlib `ast` checks stand in for
+one. `__init__.py` is skipped by the first: its imports are the package's
+exports. The benchmark's own tests do not run here, so the second keeps a
+trimmed export from breaking it unseen.
 """
 
 import ast
@@ -9,8 +12,13 @@ from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "taxonet"
+import taxonet
+
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "taxonet"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+PACKAGE_READERS = [ROOT / "bench" / "replay.py", ROOT / "bench" / "run.py",
+                   ROOT / "tests" / "worldgen.py"]
 
 
 def unused_imports(source: str) -> list[str]:
@@ -39,3 +47,38 @@ def test_checker_finds_unused_names():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def package_names(source: str) -> set[str]:
+    """Names read from the `taxonet` package: each name of a `from taxonet
+    import`, and each `<alias>.<name>` where `import taxonet` binds alias."""
+    tree = ast.parse(source)
+    names, aliases = set(), set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "taxonet" and not node.level:
+            names.update(a.name for a in node.names)
+        elif isinstance(node, ast.Import):
+            aliases.update(a.asname or a.name for a in node.names if a.name == "taxonet")
+    names.update(
+        node.attr for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+        and node.value.id in aliases
+    )
+    return names
+
+
+def test_checker_finds_package_names():
+    source = (
+        "import json, taxonet as tx\n"
+        "from taxonet import load_wcn, Node as N\n"
+        "from taxonet.graph import edge_kind\n"
+        "def f(p): return tx.induce(json.loads(p), tx.InductionConfig(), N, json.x)\n"
+    )
+    assert package_names(source) == {"InductionConfig", "Node", "induce", "load_wcn"}
+
+
+@pytest.mark.parametrize("path", PACKAGE_READERS, ids=lambda p: f"{p.parent.name}/{p.name}")
+def test_package_exports_every_name_read_from_it(path):
+    names = package_names(path.read_text(encoding="utf-8"))
+    assert names, "no name read from taxonet: the checker no longer sees this file's imports"
+    assert sorted(name for name in names if not hasattr(taxonet, name)) == []

@@ -10,7 +10,6 @@ from taxonet import (
     Node,
     NodeKind,
     ProjectionConfig,
-    Provenance,
     TaxoEdge,
     Taxonomy,
     WcnGraph,
@@ -21,9 +20,8 @@ from taxonet import (
     train_val_split,
 )
 from taxonet.classifier import LinearEdgeModel, TrainConfig
-from taxonet.errors import EmptyProjectedTaxonomy, ProjectedEdgeNotInGraph
 from taxonet.features import FeatureMode, FeatureSpec, fit_tfidf
-from taxonet.graph import EdgeKind, edge_kind
+from taxonet.graph import EdgeKind, Provenance, edge_kind
 from taxonet.induction import (
     InductionConfig,
     _PathFinder,
@@ -35,6 +33,7 @@ from taxonet.induction import (
 )
 from taxonet.metrics import branching_factor
 
+from conftest import raises_error
 from oracles import bfs_min_hops, enumerate_paths, random_instance, reference_proba
 from worldgen import build_world
 
@@ -461,9 +460,9 @@ class TestInduce:
 
     def test_errors(self):
         weighted, projected = chain_world()
-        with pytest.raises(EmptyProjectedTaxonomy):
+        with raises_error("projected taxonomy has no edges"):
             induce(Taxonomy([]), weighted, InductionConfig())
-        with pytest.raises(ProjectedEdgeNotInGraph):
+        with raises_error("projected edge not present in graph: 'e0' -> 'd'"):
             induce(Taxonomy([TaxoEdge("e0", "d")]), weighted, InductionConfig())
         with pytest.raises(ValueError):
             InductionConfig(k=0)

@@ -2,7 +2,6 @@ import pytest
 from hypothesis import given, strategies as st
 
 from taxonet import Node, NodeKind, TaxoEdge, Taxonomy, WcnGraph
-from taxonet.errors import ProjectedEdgeNotInGraph
 from taxonet.labeling import (
     Label,
     LabeledEdge,
@@ -12,7 +11,7 @@ from taxonet.labeling import (
 )
 from taxonet.projection import project
 
-from conftest import fig1_graph, fig1_links, fig1_source
+from conftest import fig1_graph, fig1_links, fig1_source, raises_error
 
 
 def fig1_labeled():
@@ -65,7 +64,7 @@ def test_notisa_requires_covered_child():
 
 def test_projected_edge_not_in_graph():
     graph = fig1_graph()
-    with pytest.raises(ProjectedEdgeNotInGraph):
+    with raises_error("projected edge not present in graph: 'Auguste' -> 'Personne'"):
         label_edges(graph, Taxonomy([TaxoEdge("Auguste", "Personne")]))
 
 

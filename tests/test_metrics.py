@@ -3,13 +3,7 @@ import random
 import pytest
 
 from taxonet import Node, NodeKind, TaxoEdge, Taxonomy, WcnGraph
-from taxonet.errors import (
-    EmptyGold,
-    EmptyPathSet,
-    EmptyTaxonomy,
-    InsufficientNodes,
-    MalformedRow,
-)
+from taxonet.errors import MalformedRow
 from taxonet.labeling import Label
 from taxonet.metrics import (
     AnnotatedPath,
@@ -24,6 +18,8 @@ from taxonet.metrics import (
     save_gold,
     save_paths,
 )
+
+from conftest import raises_error
 
 
 class TestEdgeMetrics:
@@ -76,7 +72,7 @@ class TestEdgeMetrics:
         assert m.unjudged_returned == 1
 
     def test_empty_gold(self):
-        with pytest.raises(EmptyGold):
+        with raises_error("no sampled nodes"):
             edge_metrics(Taxonomy([]), GoldEdgeSet(frozenset(), {}))
 
     def test_judgment_child_must_be_sampled(self):
@@ -126,7 +122,7 @@ class TestPathMetrics:
         assert m.avg_ratio_cpp == pytest.approx(0.7)
 
     def test_empty(self):
-        with pytest.raises(EmptyPathSet):
+        with raises_error("no annotated paths"):
             path_metrics([])
 
     def test_annotation_validation(self):
@@ -163,7 +159,7 @@ class TestBranchingFactor:
         assert branching_factor(taxonomy) == 2.0  # degrees {1, 3}
 
     def test_empty(self):
-        with pytest.raises(EmptyTaxonomy):
+        with raises_error("no edges"):
             branching_factor(Taxonomy([]))
 
 
@@ -221,7 +217,7 @@ class TestSampleEvalNodes:
         assert sample_eval_nodes(graph, 10, 10, 1) != sample_eval_nodes(graph, 10, 10, 2)
 
     def test_insufficient(self):
-        with pytest.raises(InsufficientNodes):
+        with raises_error("requested 4 entity nodes, only 3 available"):
             sample_eval_nodes(kind_graph(3, 5), 4, 0, seed=1)
 
 
