@@ -52,6 +52,7 @@ from __future__ import annotations
 
 import json
 import math
+from collections import deque
 from dataclasses import dataclass
 from itertools import chain
 from operator import mul
@@ -250,18 +251,18 @@ def save_model(model: LinearEdgeModel, path: str | Path) -> None:
         fh.write("\n")
 
 
-def _numbers(values: list, what: str) -> list[float]:
-    """JSON numbers as floats, checked in bulk; a bool, NaN or an infinity
-    is not one, and an integer too large for a float raises OverflowError.
-    JSON decodes to exact types, and `bool` is not `int`."""
+def _numbers(values: list, what: str) -> list:
+    """`values` itself, once each entry is a finite JSON number, checked in
+    bulk; a bool, NaN or an infinity is not one, and an integer too large
+    for a float raises OverflowError. JSON decodes to exact types, and
+    `bool` is not `int`."""
     if not set(map(type, values)) <= {int, float}:
         bad = next(v for v in values if type(v) not in (int, float))
         raise TypeError(f"{what} must be a number, got {bad!r}")
-    floats = list(map(float, values))
-    if not all(map(math.isfinite, floats)):
-        bad = next(v for v in floats if not math.isfinite(v))
+    if not all(map(math.isfinite, values)):
+        bad = next(v for v in values if not math.isfinite(v))
         raise ValueError(f"{what} must be finite, got {bad!r}")
-    return floats
+    return values
 
 
 def load_model(path: str | Path, kind: EdgeKind | None = None) -> LinearEdgeModel:
@@ -279,13 +280,18 @@ def load_model(path: str | Path, kind: EdgeKind | None = None) -> LinearEdgeMode
             data = json.load(fh)
             found = EdgeKind(data["kind"])
             cfg = TrainConfig(**data["config"])
-            tfidf = TfidfModel.from_dict(data["tfidf"])
-            dense = tuple([w or 0.0 for w in _numbers(ws, "weight")] for ws in data["weights"])
+            tfidf = TfidfModel.from_dict(data.pop("tfidf"))
+            # Each parsed list leaves the queue, and memory, as it is converted.
+            parsed = deque(data.pop("weights"))
+            dense = tuple(
+                [w or 0.0 for w in map(float, _numbers(parsed.popleft(), "weight"))]
+                for _ in range(len(parsed))
+            )
             n = tfidf.n_features
             if len(dense) != 2 or any(len(ws) != n for ws in dense):
                 lengths = [len(ws) for ws in dense]
                 raise ValueError(f"weights must be two lists of {n} numbers, got lengths {lengths}")
-            (bias,) = _numbers([data["bias"]], "bias")
+            (bias,) = map(float, _numbers([data["bias"]], "bias"))
         except (KeyError, TypeError, ValueError, ArithmeticError) as exc:
             raise MalformedFile(path, f"bad model file: {type(exc).__name__}: {exc}") from None
     if kind is not None and found is not kind:

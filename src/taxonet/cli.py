@@ -20,6 +20,11 @@ called from a single-threaded process.
 
 A command's settings come in three layers: `CONFIG_DEFAULTS`, then the
 optional `--config` file, then the flags, each overriding the one before.
+`CONFIG_DEFAULTS` reads each default from the library: the fields of
+`ProjectionConfig`, `TrainConfig` and `InductionConfig`, and
+`features.DEFAULT_NGRAM_SIZES`; only `mode`, `val_fraction` and `min_df`,
+which no library class defaults, are written here. Each flag's help shows
+its default from `CONFIG_DEFAULTS`.
 The file must hold one JSON object whose keys are those of
 `CONFIG_DEFAULTS`, each with its default's JSON type. After the file and
 again after the flags, every config class (and the checks of
@@ -34,14 +39,18 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import fields
+from inspect import signature
 from pathlib import Path
 from types import SimpleNamespace
 
 from . import __version__
 from .classifier import TrainConfig, load_model, save_model, train_linear, validation_accuracy
 from .errors import MalformedFile, TaxonetError
-from .features import FeatureMode, FeatureSpec, _is_int, check_min_df, fit_tfidf
-from .graph import EdgeKind, load_interlang, load_taxonomy, load_wcn, save_taxonomy
+from .features import (
+    DEFAULT_NGRAM_SIZES, FeatureMode, FeatureSpec, _is_int, check_min_df, fit_tfidf,
+)
+from .graph import EdgeKind, _write_lines, load_interlang, load_taxonomy, load_wcn, save_taxonomy
 from .induction import InductionConfig, induce, search_edges, weigh_edges
 from .labeling import EdgeDataset, check_val_fraction, label_edges, split_by_kind, train_val_split
 from .metrics import (
@@ -50,19 +59,10 @@ from .metrics import (
 from .projection import ProjectionConfig, project
 
 CONFIG_DEFAULTS = {
-    "k1": 14,
-    "k2": 3,
-    "val_fraction": 0.25,
-    "seed": 0,
-    "mode": "char",
-    "ngram_sizes": [2, 3, 4, 5, 6],
-    "min_df": 1,
-    "epochs": 10,
-    "learning_rate": 0.1,
-    "l2_lambda": 1e-6,
-    "k": 1,
-    "epsilon": 1e-6,
-    "uniform": False,
+    **{f.name: f.default for cls in (ProjectionConfig, TrainConfig, InductionConfig)
+       for f in fields(cls)},
+    "ngram_sizes": sorted(DEFAULT_NGRAM_SIZES),
+    "mode": "char", "val_fraction": 0.25, "min_df": 1,
 }
 
 
@@ -81,19 +81,16 @@ def _expected_type(default, value) -> str | None:
     return None if isinstance(value, str) else "a string"
 
 
-# Each setting a command reads: its name, the keys it is built from, and
-# how it is built, by a config class or a key's own check.
-_CONFIG_CLASSES = (
-    ("projection", ("k1", "k2"), lambda c: ProjectionConfig(c["k1"], c["k2"])),
-    ("spec", ("mode", "ngram_sizes"),
-     lambda c: FeatureSpec(FeatureMode(c["mode"]), frozenset(c["ngram_sizes"]))),
-    ("train", ("epochs", "learning_rate", "l2_lambda", "seed"),
-     lambda c: TrainConfig(c["epochs"], c["learning_rate"], c["l2_lambda"], c["seed"])),
-    ("induction", ("k", "epsilon", "uniform"),
-     lambda c: InductionConfig(c["k"], c["epsilon"], c["uniform"])),
-    ("val_fraction", ("val_fraction",), lambda c: check_val_fraction(c["val_fraction"])),
-    ("min_df", ("min_df",), lambda c: check_min_df(c["min_df"])),
-)
+# Each setting a command reads, by name, and what builds it: a config class
+# or a key's own check, called with the keys its parameters name.
+_CONFIG_CLASSES = {
+    "projection": ProjectionConfig,
+    "spec": lambda mode, ngram_sizes: FeatureSpec(FeatureMode(mode), frozenset(ngram_sizes)),
+    "train": TrainConfig,
+    "induction": InductionConfig,
+    "val_fraction": check_val_fraction,
+    "min_df": check_min_df,
+}
 
 
 def _read_config(path: str) -> dict:
@@ -126,9 +123,10 @@ def _settings(args: argparse.Namespace) -> SimpleNamespace:
     for path, layer in layers:
         values.update(layer)
         built = {}
-        for name, keys, build in _CONFIG_CLASSES:
+        for name, build in _CONFIG_CLASSES.items():
+            keys = signature(build).parameters
             try:
-                built[name] = build(values)
+                built[name] = build(**{key: values[key] for key in keys})
             except ValueError as exc:
                 if path is None:
                     raise
@@ -138,9 +136,7 @@ def _settings(args: argparse.Namespace) -> SimpleNamespace:
 
 
 def _write_json(path: str | Path, obj: dict) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(json.dumps(obj, sort_keys=True, ensure_ascii=False, indent=2))
-        fh.write("\n")
+    _write_lines(path, [json.dumps(obj, sort_keys=True, ensure_ascii=False, indent=2) + "\n"])
 
 
 def _cmd_project(args: argparse.Namespace) -> int:
@@ -259,6 +255,13 @@ def int_list(text: str) -> list[int]:
     return [int(part) for part in text.split(",") if part]
 
 
+def _setting(parser: argparse.ArgumentParser, key: str, text: str, **kwargs) -> None:
+    """Add the flag of a `CONFIG_DEFAULTS` key; its help ends in the default."""
+    default = CONFIG_DEFAULTS[key]
+    shown = ",".join(map(str, default)) if isinstance(default, list) else default
+    parser.add_argument("--" + key.replace("_", "-"), help=f"{text} (default: {shown})", **kwargs)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="taxonet",
@@ -274,8 +277,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--source-taxonomy", required=True, help="source-language taxonomy.tsv")
     p.add_argument("--out", required=True, help="output taxonomy.tsv")
     p.add_argument("--report", help="report JSON path (default: <out>.report.json)")
-    p.add_argument("--k1", type=int, help="max ancestor height in the source taxonomy (default: 14)")
-    p.add_argument("--k2", type=int, help="max projection path length in hops (default: 3)")
+    _setting(p, "k1", "max ancestor height in the source taxonomy", type=int)
+    _setting(p, "k2", "max projection path length in hops", type=int)
     p.add_argument("--config", help="optional JSON config file; flags override it")
     p.set_defaults(func=_cmd_project)
 
@@ -283,20 +286,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--nodes", required=True)
     p.add_argument("--edges", required=True)
     p.add_argument("--projected", required=True, help="projected taxonomy.tsv")
-    p.add_argument("--mode", choices=["word", "char"], help="feature mode (default: char)")
+    _setting(p, "mode", "feature mode", choices=["word", "char"])
     p.add_argument("--out-dir", required=True, help="directory for model and metrics files")
-    p.add_argument("--seed", type=int, help="seed for the split and SGD shuffles (default: 0)")
-    p.add_argument("--val-fraction", type=float, dest="val_fraction",
-                   help="validation fraction per label class (default: 0.25)")
-    p.add_argument("--min-df", type=int, dest="min_df",
-                   help="minimum document frequency for features (default: 1)")
-    p.add_argument("--ngram-sizes", dest="ngram_sizes", type=int_list,
-                   help="char n-gram sizes, comma-separated (default: 2,3,4,5,6)")
-    p.add_argument("--epochs", type=int, help="SGD epochs (default: 10)")
-    p.add_argument("--learning-rate", type=float, dest="learning_rate",
-                   help="initial SGD learning rate (default: 0.1)")
-    p.add_argument("--l2-lambda", type=float, dest="l2_lambda",
-                   help="L2 regularization strength (default: 1e-06)")
+    _setting(p, "seed", "seed for the split and SGD shuffles", type=int)
+    _setting(p, "val_fraction", "validation fraction per label class", type=float)
+    _setting(p, "min_df", "minimum document frequency for features", type=int)
+    _setting(p, "ngram_sizes", "char n-gram sizes, comma-separated", type=int_list)
+    _setting(p, "epochs", "SGD epochs", type=int)
+    _setting(p, "learning_rate", "initial SGD learning rate", type=float)
+    _setting(p, "l2_lambda", "L2 regularization strength", type=float)
     p.add_argument("--config", help="optional JSON config file; flags override it")
     p.set_defaults(func=_cmd_train)
 
@@ -308,9 +306,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model-cc", required=True, dest="model_cc", help="category-edge model JSON")
     p.add_argument("--out", required=True, help="output taxonomy.tsv")
     p.add_argument("--report", help="report JSON path (default: <out>.report.json)")
-    p.add_argument("--k", type=int, help="paths per uncovered node (default: 1)")
-    p.add_argument("--epsilon", type=float,
-                   help="probability clamp floor, in (0, 0.5) (default: 1e-06)")
+    _setting(p, "k", "paths per uncovered node", type=int)
+    _setting(p, "epsilon", "probability clamp floor, in (0, 0.5)", type=float)
     p.add_argument("--uniform", action=argparse.BooleanOptionalAction,
                    help="set every edge weight to 1 instead of classifier scores")
     p.add_argument("--config", help="optional JSON config file; flags override it")
@@ -329,9 +326,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("stats", help="structural statistics of a taxonomy")
     p.add_argument("--taxonomy", required=True)
-    p.add_argument("--seed", type=int, default=0, help="seed for depth sampling (default: 0)")
+    p.add_argument("--seed", type=int, default=0,
+                   help="seed for depth sampling (default: %(default)s)")
     p.add_argument("--sample", type=int, default=100,
-                   help="number of nodes sampled for max depth (default: 100)")
+                   help="number of nodes sampled for max depth (default: %(default)s)")
     p.set_defaults(func=_cmd_stats)
 
     return parser

@@ -11,6 +11,10 @@ All structures are immutable after construction, so a child forked by
 `taxonet.forking.run_pair` works on the same data as its parent for as
 long as both run. Titles are stored verbatim; normalization is the
 feature layer's job.
+
+Every line-based file is read by `_lines`, which reports invalid UTF-8 as
+`file:line`, and written by `_write_lines`. `check_projected` is the one
+check that a projected taxonomy's edges are all network edges.
 """
 
 from __future__ import annotations
@@ -191,6 +195,15 @@ def coverage(graph: WcnGraph, taxonomy: Taxonomy, kind: NodeKind) -> float:
     return sum(1 for n in ids if taxonomy.covered(n)) / len(ids)
 
 
+def check_projected(graph: WcnGraph, projected: Taxonomy) -> None:
+    """Raise unless every edge of the projected taxonomy is a network edge."""
+    for edge in projected.edges():
+        if not graph.has_edge(edge.child, edge.parent):
+            raise TaxonetError(
+                f"projected edge not present in graph: {edge.child!r} -> {edge.parent!r}"
+            )
+
+
 class InterlangMap:
     """1:1 partial mapping between target-language and source-language ids."""
 
@@ -217,20 +230,41 @@ class InterlangMap:
         return sorted(self._to_source.items())
 
 
+def _lines(path: Path) -> Iterator[tuple[int, str]]:
+    """Each line of a UTF-8 file, split on LF only, numbered from 1. Only a
+    file that fails to decode is read again, in binary, for its bad line."""
+    try:
+        with open(path, encoding="utf-8", newline="\n") as fh:
+            yield from enumerate(fh, start=1)
+    except UnicodeDecodeError:
+        with open(path, "rb") as fh:
+            for line_no, raw in enumerate(fh, start=1):
+                try:
+                    raw.decode("utf-8")
+                except UnicodeDecodeError:
+                    raise MalformedRow(path, line_no, "invalid UTF-8") from None
+        raise
+
+
+def _write_lines(path: str | Path, lines: Iterable[str]) -> None:
+    """Write `lines`, each ending in its own LF, as a UTF-8 file."""
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.writelines(lines)
+
+
 def _rows(path: Path, *n_cols: int) -> Iterator[tuple[int, list[str]]]:
     """Split each line on tabs; every row needs one of `n_cols` nonempty columns."""
     expected = " or ".join(map(str, n_cols))
-    with open(path, encoding="utf-8", newline="\n") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if line.endswith("\r"):
-                raise MalformedRow(path, line_no, "line ends in CR; files must use LF line ends")
-            if line_no == 1 and line.startswith("\ufeff"):
-                raise MalformedRow(path, line_no, "file starts with a UTF-8 byte order mark")
-            cols = line.split("\t")
-            if len(cols) not in n_cols or any(c == "" for c in cols):
-                raise MalformedRow(path, line_no, f"expected {expected} nonempty columns, got {line!r}")
-            yield line_no, cols
+    for line_no, line in _lines(path):
+        line = line.rstrip("\n")
+        if line.endswith("\r"):
+            raise MalformedRow(path, line_no, "line ends in CR; files must use LF line ends")
+        if line_no == 1 and line.startswith("\ufeff"):
+            raise MalformedRow(path, line_no, "file starts with a UTF-8 byte order mark")
+        cols = line.split("\t")
+        if len(cols) not in n_cols or any(c == "" for c in cols):
+            raise MalformedRow(path, line_no, f"expected {expected} nonempty columns, got {line!r}")
+        yield line_no, cols
 
 
 def load_wcn(nodes_file: str | Path, edges_file: str | Path) -> WcnGraph:
@@ -252,13 +286,9 @@ def load_wcn(nodes_file: str | Path, edges_file: str | Path) -> WcnGraph:
 
 def save_wcn(graph: WcnGraph, nodes_file: str | Path, edges_file: str | Path) -> None:
     """Write a graph back out; round-trips through load_wcn."""
-    with open(nodes_file, "w", encoding="utf-8", newline="\n") as fh:
-        for node_id in sorted(graph.nodes):
-            node = graph.nodes[node_id]
-            fh.write(f"{node.id}\t{node.kind.value}\t{node.title}\n")
-    with open(edges_file, "w", encoding="utf-8", newline="\n") as fh:
-        for child, parent in graph.edges():
-            fh.write(f"{child}\t{parent}\n")
+    nodes = (graph.nodes[node_id] for node_id in sorted(graph.nodes))
+    _write_lines(nodes_file, (f"{node.id}\t{node.kind.value}\t{node.title}\n" for node in nodes))
+    _write_lines(edges_file, (f"{child}\t{parent}\n" for child, parent in graph.edges()))
 
 
 def load_interlang(path: str | Path) -> InterlangMap:
@@ -267,9 +297,7 @@ def load_interlang(path: str | Path) -> InterlangMap:
 
 
 def save_interlang(links: InterlangMap, path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for target, source in links.pairs():
-            fh.write(f"{target}\t{source}\n")
+    _write_lines(path, (f"{target}\t{source}\n" for target, source in links.pairs()))
 
 
 def load_taxonomy(path: str | Path) -> Taxonomy:
@@ -308,6 +336,5 @@ def load_taxonomy(path: str | Path) -> Taxonomy:
 
 def save_taxonomy(taxonomy: Taxonomy, path: str | Path) -> None:
     """Write taxonomy.tsv sorted by (child, parent), scores at 6 decimals."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for edge in taxonomy.edges():
-            fh.write(f"{edge.child}\t{edge.parent}\t{edge.score:.6f}\t{edge.provenance.value}\n")
+    _write_lines(path, (f"{edge.child}\t{edge.parent}\t{edge.score:.6f}\t{edge.provenance.value}\n"
+                        for edge in taxonomy.edges()))

@@ -57,7 +57,8 @@ from dataclasses import asdict, dataclass
 from .classifier import LinearEdgeModel, predict_proba
 from .errors import TaxonetError
 from .graph import (
-    EdgeKind, NodeKind, Provenance, TaxoEdge, Taxonomy, WcnGraph, coverage, edge_kind,
+    EdgeKind, NodeKind, Provenance, TaxoEdge, Taxonomy, WcnGraph, check_projected, coverage,
+    edge_kind,
 )
 
 
@@ -374,11 +375,7 @@ def induce(
     if len(projected) == 0:
         raise TaxonetError("projected taxonomy has no edges")
     graph = weighted.graph
-    for edge in projected.edges():
-        if not graph.has_edge(edge.child, edge.parent):
-            raise TaxonetError(
-                f"projected edge not present in graph: {edge.child!r} -> {edge.parent!r}"
-            )
+    check_projected(graph, projected)
     for child, parent in search_edges(graph, projected):
         if (child, parent) not in weighted.prob:
             raise ValueError(f"edge without probability: {child!r} -> {parent!r}")

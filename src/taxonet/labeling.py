@@ -12,8 +12,7 @@ import logging
 from dataclasses import dataclass
 from enum import Enum
 
-from .errors import TaxonetError
-from .graph import EdgeKind, Taxonomy, WcnGraph, edge_kind
+from .graph import EdgeKind, Taxonomy, WcnGraph, check_projected, edge_kind
 from .rng import SplitMix64
 
 logger = logging.getLogger(__name__)
@@ -43,11 +42,7 @@ def label_edges(graph: WcnGraph, projected: Taxonomy) -> list[LabeledEdge]:
 
     Returns edges sorted by (child, parent) for determinism.
     """
-    for edge in projected.edges():
-        if not graph.has_edge(edge.child, edge.parent):
-            raise TaxonetError(
-                f"projected edge not present in graph: {edge.child!r} -> {edge.parent!r}"
-            )
+    check_projected(graph, projected)
     positives = projected.edge_pairs()
     labeled = []
     for child, parent in graph.edges():

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .errors import MalformedRow, TaxonetError
-from .graph import NodeKind, Taxonomy, WcnGraph, _rows
+from .graph import NodeKind, Taxonomy, WcnGraph, _lines, _rows, _write_lines
 from .labeling import Label
 from .rng import SplitMix64
 
@@ -143,16 +143,9 @@ def max_depth_sampled(taxonomy: Taxonomy, sample: int, seed: int) -> int:
         depth = 1
         seen = {start}
         node = start
-        while True:
-            hypernyms = taxonomy.hypernyms(node)
-            if not hypernyms:
-                break
-            best = None
-            for parent in hypernyms:  # sorted by construction
-                score = taxonomy.edge(node, parent).score
-                if best is None or score > best[1]:
-                    best = (parent, score)
-            node = best[0]
+        while hypernyms := taxonomy.hypernyms(node):
+            scores = [taxonomy.edge(node, parent).score for parent in hypernyms]
+            node = hypernyms[scores.index(max(scores))]  # sorted, so ties take the smaller id
             if node in seen:
                 break
             seen.add(node)
@@ -189,39 +182,26 @@ def load_gold(edges_path: str | Path, nodes_path: str | Path) -> GoldEdgeSet:
 
 
 def save_gold(gold: GoldEdgeSet, edges_path: str | Path, nodes_path: str | Path) -> None:
-    with open(nodes_path, "w", encoding="utf-8", newline="\n") as fh:
-        for node in sorted(gold.sampled_nodes):
-            fh.write(node + "\n")
-    with open(edges_path, "w", encoding="utf-8", newline="\n") as fh:
-        for (child, parent), label in sorted(gold.judgments.items()):
-            fh.write(f"{child}\t{parent}\t{label.value}\n")
+    _write_lines(nodes_path, (node + "\n" for node in sorted(gold.sampled_nodes)))
+    judgments = sorted(gold.judgments.items())
+    _write_lines(edges_path, (f"{c}\t{p}\t{label.value}\n" for (c, p), label in judgments))
 
 
 def load_paths(path: str | Path) -> list[AnnotatedPath]:
     """Read paths.jsonl: {"nodes": [...], "first_wrong_index": int|null}."""
     path = Path(path)
     paths = []
-    with open(path, encoding="utf-8", newline="\n") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                data = json.loads(line)
-                paths.append(
-                    AnnotatedPath(tuple(data["nodes"]), data.get("first_wrong_index"))
-                )
-            except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
-                raise MalformedRow(path, line_no, str(exc)) from None
+    for line_no, line in _lines(path):
+        if not line.strip():
+            continue
+        try:
+            data = json.loads(line)
+            paths.append(AnnotatedPath(tuple(data["nodes"]), data.get("first_wrong_index")))
+        except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
+            raise MalformedRow(path, line_no, str(exc)) from None
     return paths
 
 
 def save_paths(paths: list[AnnotatedPath], path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for p in paths:
-            fh.write(
-                json.dumps(
-                    {"nodes": list(p.nodes), "first_wrong_index": p.first_wrong_index},
-                    ensure_ascii=False,
-                )
-                + "\n"
-            )
+    rows = ({"nodes": list(p.nodes), "first_wrong_index": p.first_wrong_index} for p in paths)
+    _write_lines(path, (json.dumps(row, ensure_ascii=False) + "\n" for row in rows))

@@ -11,6 +11,9 @@ no pytest, so any installed Python can run it, fork path included:
 
     python3.12 tests/check_golden.py
 
+`tests/test_check_golden.py` runs it under every other installed version
+and calls its functions in process for the interpreter pytest runs on.
+
 Prints one line per file and per model check, and exits 0 when every
 digest matches and every model check holds, 1 if not.
 """
@@ -33,6 +36,8 @@ from taxonet.cli import main  # noqa: E402
 
 # `induce`'s extra flags, and the pins of its outputs at each k.
 INDUCE_PINS = (((), GOLDEN), (("--uniform",), GOLDEN_UNIFORM))
+# The files `train` writes that `model_checks` reads back.
+MODEL_FILES = ("model.ec.json", "model.cc.json")
 
 
 def _digest(path: Path) -> str:
@@ -72,7 +77,7 @@ def model_checks(models: Path) -> dict[str, bool]:
     """For each model file `p`: whether `save_model(load_model(p))` rewrites
     `p` unchanged, and whether `save_model` writes `reference_model_text`."""
     held = {}
-    for name in ("model.ec.json", "model.cc.json"):
+    for name in MODEL_FILES:
         model = load_model(models / name)
         again = models / f"again.{name}"
         save_model(model, again)

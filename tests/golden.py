@@ -4,8 +4,9 @@ The pipeline: `build_world(seed=21, families=4)`, `project` with default
 flags, `train --mode char --seed 5`, then `induce` at k=1 and k=3, with and
 without `--uniform`. The CLI
 promises byte-identical output, so a pin changes only with an output change
-that CHANGES.md names. `tests/test_cli.py` asserts these under pytest and
-`tests/check_golden.py` checks them with the standard library alone.
+that CHANGES.md names. `tests/check_golden.py` checks them with the
+standard library alone, and `tests/test_check_golden.py` runs that check
+on every installed Python version.
 """
 
 import sys

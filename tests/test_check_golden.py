@@ -1,9 +1,12 @@
-"""Run `tests/check_golden.py` under every other supported Python version.
+"""Check the golden pins with `tests/check_golden.py` on every supported Python.
 
-The golden pins differ between interpreters (the builtin `sum` compensates
-its rounding from 3.12), and pytest runs under one of them only, so each
-other version checks its pins in a subprocess that needs the standard
-library alone. A version that is not installed is skipped.
+The running interpreter checks its pins in process, through the same
+`run_pipeline` and `expected` the script's own `main_check` calls, one test
+per pinned file; `tests/test_cli.py` checks its model files. The pins differ between
+interpreters (the builtin `sum` compensates its rounding from 3.12), and
+pytest runs under one of them only, so each other version runs the script
+in a subprocess that needs the standard library alone. A version that is
+not installed is skipped.
 """
 
 import shutil
@@ -12,6 +15,8 @@ import sys
 from pathlib import Path
 
 import pytest
+
+import check_golden
 
 CHECK = Path(__file__).resolve().parent / "check_golden.py"
 VERSIONS = [v for v in ("3.10", "3.11", "3.12", "3.13") if v != "%d.%d" % sys.version_info[:2]]
@@ -52,3 +57,19 @@ def test_golden_pins_hold(version, tmp_path):
     )
     assert done.returncode == 0, done.stdout + done.stderr
     assert done.stdout.splitlines()[-1].startswith(f"Python {version}.")
+
+
+@pytest.fixture(scope="module")
+def pipeline(tmp_path_factory):
+    """The digests of the pipeline run in this interpreter."""
+    return check_golden.run_pipeline(tmp_path_factory.mktemp("golden"))
+
+
+def test_every_pin_is_checked(pipeline):
+    assert sorted(pipeline) == sorted(check_golden.expected())
+
+
+@pytest.mark.parametrize("name", sorted(check_golden.expected()))
+def test_pin_holds_here(pipeline, name):
+    assert pipeline[name] == check_golden.expected()[name]
+

@@ -1,16 +1,16 @@
-import hashlib
 import json
 
 import pytest
 
+from taxonet import cli
 from taxonet.cli import main
-from taxonet.features import FeatureMode
+from taxonet.features import FeatureMode, FeatureSpec
 from taxonet.graph import NodeKind
-from taxonet.classifier import load_model, save_model
+from taxonet.classifier import TrainConfig, load_model, save_model
+from taxonet.induction import InductionConfig
+from taxonet.projection import ProjectionConfig
 from taxonet import load_taxonomy
 
-from conftest import write_fig1
-from golden import GOLDEN, GOLDEN_UNIFORM, train_golden
 from oracles import reference_model_text
 from worldgen import build_world
 
@@ -271,35 +271,6 @@ class TestInduce:
         assert load_taxonomy(out1).edge_pairs() <= load_taxonomy(out2).edge_pairs()
 
 
-def induce_digests(trained_world, tmp_path, capsys, **flags) -> tuple[str, str]:
-    _, paths, projected, models = trained_world
-    out = tmp_path / "final.tsv"
-    assert run(capsys, *induce_args(paths, projected, models, out, **flags))[0] == 0
-    return tuple(
-        hashlib.sha256(p.read_bytes()).hexdigest()
-        for p in (out, tmp_path / "final.tsv.report.json")
-    )
-
-
-@pytest.mark.parametrize("k", sorted(GOLDEN))
-def test_induce_golden_bytes(trained_world, tmp_path, capsys, k):
-    assert induce_digests(trained_world, tmp_path, capsys, k=k) == GOLDEN[k]
-
-
-@pytest.mark.parametrize("k", sorted(GOLDEN_UNIFORM))
-def test_induce_uniform_golden_bytes(trained_world, tmp_path, capsys, k):
-    digests = induce_digests(trained_world, tmp_path, capsys, k=k, uniform=None)
-    assert digests == GOLDEN_UNIFORM[k]
-
-
-def test_train_golden_bytes(trained_world):
-    _, _, _, out_dir = trained_world
-    digests = {
-        name: hashlib.sha256((out_dir / name).read_bytes()).hexdigest() for name in train_golden()
-    }
-    assert digests == train_golden()
-
-
 @pytest.mark.parametrize("name", ["model.ec.json", "model.cc.json"])
 def test_model_file_round_trip_bytes(trained_world, tmp_path, name):
     _, _, _, out_dir = trained_world
@@ -334,6 +305,19 @@ class TestBadInput:
         code, err = run_err(capsys, *argv)
         assert code == 2
         assert f"{bad}:1: file starts with a UTF-8 byte order mark" in err
+
+    # Lines on both sides of the text reader's first 8 KiB chunk; the
+    # second bad byte on line 1,999 must not be the one reported.
+    @pytest.mark.parametrize("line_no", [1, 3, 1500])
+    def test_invalid_utf8_names_file_and_line(self, world_files, tmp_path, capsys, line_no):
+        _, paths = world_files
+        lines = [f"n{i}\tentity\tTitle {i}\n".encode() for i in range(1, 2001)]
+        for bad_line in (line_no, 1999):
+            lines[bad_line - 1] = lines[bad_line - 1].replace(b"\n", b"\xff\n")
+        bad = tmp_path / "nodes.tsv"
+        bad.write_bytes(b"".join(lines))
+        code, err = run_err(capsys, *project_args({**paths, "nodes": bad}, tmp_path / "o.tsv"))
+        assert (code, err) == (2, f"error: {bad}:{line_no}: invalid UTF-8\n")
 
     @staticmethod
     def induce_with_edited_model(trained_world, tmp_path, capsys, edit):
@@ -589,6 +573,41 @@ class TestBadInput:
         assert f"{tmp_path / 'nodes.txt'}:1: line ends in CR" in err
 
 
+class TestDefaults:
+    # `bench/replay.py` calls the library with its defaults and relies on
+    # the CLI's defaults being the same.
+    BARE = {
+        "project": ["project", "--nodes", "n", "--edges", "e", "--langlinks", "l",
+                    "--source-taxonomy", "s", "--out", "o"],
+        "train": ["train", "--nodes", "n", "--edges", "e", "--projected", "p", "--out-dir", "d"],
+        "induce": ["induce", "--nodes", "n", "--edges", "e", "--projected", "p",
+                   "--model-ec", "a", "--model-cc", "b", "--out", "o"],
+    }
+
+    @pytest.mark.parametrize("command, name, expected", [
+        ("project", "projection", ProjectionConfig()),
+        ("train", "train", TrainConfig()),
+        ("train", "spec", FeatureSpec(FeatureMode.CHAR_NGRAM)),
+        ("induce", "induction", InductionConfig()),
+    ])
+    def test_bare_command_uses_library_defaults(self, command, name, expected):
+        settings = cli._settings(cli.build_parser().parse_args(self.BARE[command]))
+        assert getattr(settings, name) == expected
+
+    def test_setting_flag_help_shows_its_default(self):
+        subparsers = next(a for a in cli.build_parser()._actions if a.choices)
+        seen = set()
+        for command in self.BARE:  # the commands that read settings
+            for action in subparsers.choices[command]._actions:
+                if action.dest not in cli.CONFIG_DEFAULTS or action.dest == "uniform":
+                    continue  # argparse writes --uniform/--no-uniform's help itself
+                default = cli.CONFIG_DEFAULTS[action.dest]
+                shown = ",".join(map(str, default)) if isinstance(default, list) else str(default)
+                assert action.help.endswith(f" (default: {shown})"), action.option_strings
+                seen.add(action.dest)
+        assert seen == set(cli.CONFIG_DEFAULTS) - {"uniform"}
+
+
 class TestEvaluate:
     def test_paths_worked_example(self, tmp_path, capsys):
         paths_file = tmp_path / "paths.jsonl"
@@ -642,6 +661,12 @@ class TestEvaluate:
             "--nodes-file", str(tmp_path / "nodes.txt"),
         )
         assert code == 2
+
+    def test_invalid_utf8_paths(self, tmp_path, capsys):
+        path = tmp_path / "p.jsonl"
+        path.write_bytes(b'{"nodes": ["a", "b"]}\n{"nodes": ["\xff"]}\n')
+        code, err = run_err(capsys, "evaluate", "paths", "--paths", str(path))
+        assert (code, err) == (2, f"error: {path}:2: invalid UTF-8\n")
 
     def test_empty_paths_fails(self, tmp_path, capsys):
         (tmp_path / "p.jsonl").write_text("", encoding="utf-8")

@@ -1,5 +1,5 @@
-"""Every library module uses every name it imports, and the package
-exports every name the benchmark and `worldgen` read from it.
+"""Every library module and test file uses every name it imports, and the
+package exports every name the benchmark and `worldgen` read from it.
 
 No lint tool is a dependency, so these stdlib `ast` checks stand in for
 one. `__init__.py` is skipped by the first: its imports are the package's
@@ -17,6 +17,7 @@ import taxonet
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "taxonet"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+TEST_FILES = sorted((ROOT / "tests").glob("*.py"))
 PACKAGE_READERS = [ROOT / "bench" / "replay.py", ROOT / "bench" / "run.py",
                    ROOT / "tests" / "worldgen.py"]
 
@@ -44,7 +45,8 @@ def test_checker_finds_unused_names():
     assert unused_imports(source) == ["os", "rep"]
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+@pytest.mark.parametrize("path", MODULES + TEST_FILES,
+                         ids=lambda p: p.name if p.parent == SRC else f"tests/{p.name}")
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
 
