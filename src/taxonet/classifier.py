@@ -53,7 +53,7 @@ from __future__ import annotations
 import json
 import math
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from itertools import chain
 from operator import mul
 from pathlib import Path
@@ -117,12 +117,7 @@ class LinearEdgeModel:
             "tfidf": self.tfidf.to_dict(),
             "weights": self.dense,
             "bias": self.bias,
-            "config": {
-                "epochs": self.hyper.epochs,
-                "learning_rate": self.hyper.learning_rate,
-                "l2_lambda": self.hyper.l2_lambda,
-                "seed": self.hyper.seed,
-            },
+            "config": asdict(self.hyper),  # fields in the written key order
         }
 
 

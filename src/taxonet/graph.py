@@ -13,8 +13,11 @@ long as both run. Titles are stored verbatim; normalization is the
 feature layer's job.
 
 Every line-based file is read by `_lines`, which reports invalid UTF-8 as
-`file:line`, and written by `_write_lines`. `check_projected` is the one
-check that a projected taxonomy's edges are all network edges.
+`file:line`, and written by `_write_lines`. A loader hands its rows to the
+class that checks their rules (`WcnGraph`, `InterlangMap`) with a `_Cursor`
+at the current row, so a broken rule is reported as `file:line` too.
+`check_projected` is the one check that a projected taxonomy's edges are
+all network edges.
 """
 
 from __future__ import annotations
@@ -252,8 +255,11 @@ def _write_lines(path: str | Path, lines: Iterable[str]) -> None:
         fh.writelines(lines)
 
 
-def _rows(path: Path, *n_cols: int) -> Iterator[tuple[int, list[str]]]:
-    """Split each line on tabs; every row needs one of `n_cols` nonempty columns."""
+def _rows(
+    path: Path, *n_cols: int, cursor: _Cursor | None = None
+) -> Iterator[tuple[int, list[str]]]:
+    """Split each line on tabs; every row needs one of `n_cols` nonempty
+    columns. A `cursor` is kept at the row handed out last."""
     expected = " or ".join(map(str, n_cols))
     for line_no, line in _lines(path):
         line = line.rstrip("\n")
@@ -264,24 +270,46 @@ def _rows(path: Path, *n_cols: int) -> Iterator[tuple[int, list[str]]]:
         cols = line.split("\t")
         if len(cols) not in n_cols or any(c == "" for c in cols):
             raise MalformedRow(path, line_no, f"expected {expected} nonempty columns, got {line!r}")
+        if cursor is not None:
+            cursor.at = (path, line_no)
         yield line_no, cols
+    if cursor is not None:
+        cursor.at = None
+
+
+class _Cursor:
+    """The file and line of the row that `_rows` handed out last, so that a
+    rule a class checks as it consumes the rows is blamed on that row."""
+
+    def __init__(self):
+        self.at: tuple[Path, int] | None = None
+
+    def build(self, cls, *args):
+        """`cls(*args)`, with a rule it breaks raised as a `MalformedRow`."""
+        try:
+            return cls(*args)
+        except (TaxonetError, ValueError) as exc:
+            if isinstance(exc, MalformedRow) or self.at is None:
+                raise
+            raise MalformedRow(*self.at, str(exc)) from None
 
 
 def load_wcn(nodes_file: str | Path, edges_file: str | Path) -> WcnGraph:
     """Load and validate a category network from nodes.tsv + edges.tsv."""
     nodes_file = Path(nodes_file)
     edges_file = Path(edges_file)
-    nodes = []
-    for line_no, (node_id, kind_str, title) in _rows(nodes_file, 3):
-        try:
-            kind = NodeKind(kind_str)
-        except ValueError:
-            raise MalformedRow(nodes_file, line_no, f"unknown node kind {kind_str!r}") from None
-        if not title.strip():
-            raise MalformedRow(nodes_file, line_no, "empty title")
-        nodes.append(Node(node_id, kind, title))
-    edges = [(c, p) for _, (c, p) in _rows(edges_file, 2)]
-    return WcnGraph(nodes, edges)
+    cursor = _Cursor()
+
+    def nodes() -> Iterator[Node]:
+        for line_no, (node_id, kind_str, title) in _rows(nodes_file, 3, cursor=cursor):
+            try:
+                kind = NodeKind(kind_str)
+            except ValueError:
+                raise MalformedRow(nodes_file, line_no, f"unknown node kind {kind_str!r}") from None
+            yield Node(node_id, kind, title)
+
+    edges = ((c, p) for _, (c, p) in _rows(edges_file, 2, cursor=cursor))
+    return cursor.build(WcnGraph, nodes(), edges)
 
 
 def save_wcn(graph: WcnGraph, nodes_file: str | Path, edges_file: str | Path) -> None:
@@ -293,7 +321,9 @@ def save_wcn(graph: WcnGraph, nodes_file: str | Path, edges_file: str | Path) ->
 
 def load_interlang(path: str | Path) -> InterlangMap:
     """Load langlinks.tsv; an id on either side may appear at most once."""
-    return InterlangMap((t, s) for _, (t, s) in _rows(Path(path), 2))
+    cursor = _Cursor()
+    pairs = ((t, s) for _, (t, s) in _rows(Path(path), 2, cursor=cursor))
+    return cursor.build(InterlangMap, pairs)
 
 
 def save_interlang(links: InterlangMap, path: str | Path) -> None:

@@ -9,11 +9,13 @@ ties break on fewer hops, then on the lexicographically smallest node
 sequence, making results total-ordered.
 
 Comparing float products (or summed -log costs) can invert genuinely equal
-probabilities through rounding, so path comparisons here use exact dyadic
-arithmetic: every edge probability is converted once to integers
-(num, exp) with value num / 2**exp, products stay exact, and the tie rules
-fire exactly when values are mathematically equal. Maximizing the product
-is then provably identical to minimizing the -log sum.
+probabilities through rounding, so path comparisons here are exact: every
+edge probability is converted once to a `Decimal`, which holds a float
+exactly, and products are taken in a context that raises rather than
+rounds. A path's cost is the tuple (-probability, hops), so the built-in
+ordering puts the best path first, and the tie rules fire exactly when
+values are mathematically equal. Maximizing the product is then provably
+identical to minimizing the -log sum.
 
 The k-best search is a deviation (spur) search over loopless paths, and
 one finder serves every start of an `induce` call. Its 1-best subroutine
@@ -53,6 +55,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import asdict, dataclass
+from itertools import accumulate
 
 from .classifier import LinearEdgeModel, predict_proba
 from .errors import TaxonetError
@@ -74,50 +77,6 @@ class InductionConfig:
         # From 0.5 on, the clamp's floor is not below its ceiling.
         if not 0.0 < self.epsilon < 0.5:
             raise ValueError(f"epsilon must be in (0, 0.5), got {self.epsilon!r}")
-
-
-class _Cost:
-    """A path's exact probability num / 2**exp, and its hop count.
-
-    Floats are dyadic, so every edge probability converts losslessly and
-    products of them never round. Ordered best first: higher probability,
-    then fewer hops. Only `<` is defined, so heap comparisons make a single
-    Python call; two costs of equal value are not `==` unless identical.
-    """
-
-    __slots__ = ("num", "exp", "hops")
-
-    def __init__(self, num: int, exp: int, hops: int):
-        self.num = num
-        self.exp = exp
-        self.hops = hops
-
-    def __lt__(self, other: "_Cost") -> bool:
-        a, b = self.num, other.num
-        shift = self.exp - other.exp
-        if shift > 0:
-            b <<= shift
-        elif shift < 0:
-            a <<= -shift
-        if a != b:
-            return a > b
-        return self.hops < other.hops
-
-    def then(self, other: "_Cost") -> "_Cost":
-        """This path followed by `other`: probabilities multiply, hops add."""
-        return _Cost(self.num * other.num, self.exp + other.exp, self.hops + other.hops)
-
-    def probability(self) -> float:
-        # int true division rounds correctly, however large the operands
-        return self.num / (1 << self.exp)
-
-
-_EMPTY_PATH = _Cost(1, 0, 0)
-
-
-def _edge_cost(p: float) -> _Cost:
-    num, den = p.as_integer_ratio()
-    return _Cost(num, den.bit_length() - 1, 1)
 
 
 @dataclass(frozen=True)
@@ -194,17 +153,21 @@ def weigh_edges(
 class _PathFinder:
     """k-best simple paths from any start to one shared absorbing target set.
 
-    Edge probabilities are converted to exact costs once and shared by
-    every search. Each search, the first path and every Yen spur alike,
-    computes distances only over its start's ancestor cone. A start that
-    is itself a target searches the rest of the set instead, in this same
-    finder.
+    Edge probabilities are converted to exact `Decimal`s once and shared by
+    every search. A cost is (-probability, hops). Each search, the first
+    path and every Yen spur alike, computes distances only over its
+    start's ancestor cone. A start that is itself a target searches the
+    rest of the set instead, in this same finder.
     """
 
     def __init__(self, weighted: WeightedGraph, targets: frozenset[str]):
+        # here, so that only a search loads `decimal`
+        from decimal import MAX_PREC, Context, Decimal, Inexact
+
         self.weighted = weighted
         self.targets = targets
-        self._edge_cost = {e: _edge_cost(p) for e, p in weighted.prob.items()}
+        self._prob = {e: Decimal(p) for e, p in weighted.prob.items()}
+        self._mul = Context(prec=MAX_PREC, traps=[Inexact]).multiply
 
     def _dist(
         self,
@@ -212,8 +175,8 @@ class _PathFinder:
         targets: frozenset[str],
         banned_nodes: frozenset[str],
         banned_edges: frozenset[tuple[str, str]],
-    ) -> dict[str, _Cost]:
-        """Best (probability, hops) to the target set from each node of start's cone.
+    ) -> dict[str, tuple]:
+        """Best cost to the target set from each node of start's cone.
 
         The cone is every node reachable from start through unbanned parent
         edges without passing through a target. Any path from a cone node to
@@ -238,17 +201,18 @@ class _PathFinder:
                 else:
                     children[parent] = [node]
                     stack.append(parent)
-        heap = [(_EMPTY_PATH, t) for t in children if t in targets]
+        heap = [(-1, 0, t) for t in children if t in targets]  # each target's empty path
         heapq.heapify(heap)
-        dist: dict[str, _Cost] = {}
+        dist: dict[str, tuple] = {}
         while heap:
-            cost, node = heapq.heappop(heap)
+            neg, hops, node = heapq.heappop(heap)
             if node in dist:
                 continue
-            dist[node] = cost
+            dist[node] = (neg, hops)
             for child in children[node]:
                 if child not in dist:
-                    heapq.heappush(heap, (self._edge_cost[(child, node)].then(cost), child))
+                    neg_child = self._mul(self._prob[(child, node)], neg)
+                    heapq.heappush(heap, (neg_child, hops + 1, child))
         return dist
 
     def _best_path(
@@ -257,39 +221,36 @@ class _PathFinder:
         targets: frozenset[str],
         banned_nodes: frozenset[str] = frozenset(),
         banned_edges: frozenset[tuple[str, str]] = frozenset(),
-    ) -> tuple[_Cost, tuple[str, ...]] | None:
+    ) -> tuple[tuple, tuple[str, ...]] | None:
         """Total-order minimum path from start, or None if unreachable.
 
         Walks forward from start along cost-tight edges, picking the
         smallest node id at each step; that yields the lexicographic
-        minimum among the (probability, hops)-optimal paths, and any tight
-        walk is automatically simple. Every unbanned parent of a node on
-        the walk lies in start's cone, so `_dist` covers it.
+        minimum among the cost-optimal paths, and any tight walk is
+        automatically simple. Every unbanned parent of a node on the walk
+        lies in start's cone, so `_dist` covers it, and no banned node is
+        in `dist`.
         """
         dist = self._dist(start, targets, banned_nodes, banned_edges)
         total = dist.get(start)
         if total is None:
             return None
         nodes = [start]
-        remaining = total
-        current = start
-        while current not in targets:
+        neg, hops = total
+        while nodes[-1] not in targets:
+            current = nodes[-1]
             step = None
             for parent in self.weighted.parents(current):
-                if parent in banned_nodes or (current, parent) in banned_edges:
-                    continue
                 d = dist.get(parent)
-                if d is None or d.hops + 1 != remaining.hops:
+                if d is None or d[1] != hops - 1 or (current, parent) in banned_edges:
                     continue
-                if step is not None and parent >= step[0]:
-                    continue
-                via = self._edge_cost[(current, parent)].then(d)
-                if not (via < remaining or remaining < via):
-                    step = (parent, d)
+                if step is None or parent < step:
+                    if self._mul(self._prob[(current, parent)], d[0]) == neg:
+                        step = parent
             if step is None:  # cannot happen when dist[start] is finite
                 raise RuntimeError(f"no cost-tight edge out of {current!r}")
-            nodes.append(step[0])
-            current, remaining = step
+            nodes.append(step)
+            neg, hops = dist[step]
         return total, tuple(nodes)
 
     def top_k(self, start: str, k: int) -> list[ScoredPath]:
@@ -305,13 +266,14 @@ class _PathFinder:
         if first is None:
             return []
         accepted = [first]
-        candidates: list[tuple[_Cost, tuple[str, ...]]] = []
+        candidates: list[tuple[tuple, tuple[str, ...]]] = []  # a heap
         seen = {first[1]}
         while len(accepted) < k:
             _, base_nodes = accepted[-1]
-            prefix = [_EMPTY_PATH]
-            for edge in zip(base_nodes, base_nodes[1:]):
-                prefix.append(prefix[-1].then(self._edge_cost[edge]))
+            # prefix[j]: the probability of base_nodes[: j + 1]
+            prefix = list(accumulate(
+                (self._prob[e] for e in zip(base_nodes, base_nodes[1:])), self._mul, initial=1
+            ))
             for j in range(len(base_nodes) - 1):
                 root = base_nodes[: j + 1]
                 banned_nodes = frozenset(base_nodes[:j])
@@ -321,29 +283,17 @@ class _PathFinder:
                 spur = self._best_path(base_nodes[j], targets, banned_nodes, banned_edges)
                 if spur is None:
                     continue
-                spur_cost, spur_nodes = spur
+                (neg, hops), spur_nodes = spur
                 cand_nodes = root[:-1] + spur_nodes
                 if cand_nodes in seen:
                     continue
                 seen.add(cand_nodes)
-                candidates.append((prefix[j].then(spur_cost), cand_nodes))
+                heapq.heappush(candidates, ((self._mul(prefix[j], neg), j + hops), cand_nodes))
             if not candidates:
                 break
-            accepted.append(_pop_best(candidates))
-        return [
-            ScoredPath(nodes, cost.probability(), cost.hops) for cost, nodes in accepted
-        ]
-
-
-def _pop_best(candidates: list[tuple[_Cost, tuple[str, ...]]]) -> tuple[_Cost, tuple[str, ...]]:
-    """Remove and return the best candidate; equal costs go to the smaller node sequence."""
-    best = 0
-    for i in range(1, len(candidates)):
-        cost, nodes = candidates[i]
-        best_cost, best_nodes = candidates[best]
-        if cost < best_cost or (not best_cost < cost and nodes < best_nodes):
-            best = i
-    return candidates.pop(best)
+            accepted.append(heapq.heappop(candidates))
+        # float() of a Decimal rounds correctly
+        return [ScoredPath(nodes, -float(neg), hops) for (neg, hops), nodes in accepted]
 
 
 @dataclass(frozen=True)

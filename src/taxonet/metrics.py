@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .errors import MalformedRow, TaxonetError
-from .graph import NodeKind, Taxonomy, WcnGraph, _lines, _rows, _write_lines
+from .graph import NodeKind, Taxonomy, WcnGraph, _Cursor, _lines, _rows, _write_lines
 from .labeling import Label
 from .rng import SplitMix64
 
@@ -178,7 +178,13 @@ def load_gold(edges_path: str | Path, nodes_path: str | Path) -> GoldEdgeSet:
             judgments[(child, parent)] = Label(label)
         except ValueError:
             raise MalformedRow(edges_path, line_no, f"bad label {label!r}") from None
-    return GoldEdgeSet(sampled, judgments)
+    try:
+        return GoldEdgeSet(sampled, judgments)
+    except ValueError:
+        cursor = _Cursor()  # blame the first row whose judgment alone breaks a rule
+        for _, (child, parent, label) in _rows(edges_path, 3, cursor=cursor):
+            cursor.build(GoldEdgeSet, sampled, {(child, parent): Label(label)})
+        raise
 
 
 def save_gold(gold: GoldEdgeSet, edges_path: str | Path, nodes_path: str | Path) -> None:

@@ -319,6 +319,33 @@ class TestBadInput:
         code, err = run_err(capsys, *project_args({**paths, "nodes": bad}, tmp_path / "o.tsv"))
         assert (code, err) == (2, f"error: {bad}:{line_no}: invalid UTF-8\n")
 
+    # A row that breaks a rule of the class that holds the file's contents
+    # (`WcnGraph`, `InterlangMap`, `GoldEdgeSet`) is named by file and line.
+    @pytest.mark.parametrize("name, row, message", [
+        ("edges", "Rome\tRome", "self-loop on node: 'Rome'"),
+        ("edges", "Rome\tLatium", "edge references unknown node: 'Rome' -> 'Latium'"),
+        ("edges", "Rome\tAuguste", "forbidden edge kind (category->entity): 'Rome' -> 'Auguste'"),
+        ("nodes", "Empereur\tcategory\tKaiser", "duplicate node id: 'Empereur'"),
+        ("langlinks", "Rome\tPeople",
+         "node appears in more than one interlanguage link: 'People'"),
+        ("gold", "Rome\tEmpereur\tnotisa", "judged edge child 'Rome' not in sampled nodes"),
+    ], ids=["self-loop", "unknown-node", "forbidden-kind", "duplicate-node", "two-links",
+            "unsampled-child"])
+    def test_broken_rule_names_file_and_line(self, fig1, tmp_path, capsys, name, row, message):
+        (tmp_path / "nodes.txt").write_text("Auguste\n", encoding="utf-8")
+        fig1["gold"] = tmp_path / "gold.tsv"
+        fig1["gold"].write_text("Auguste\tEmpereur romain\tisa\n", encoding="utf-8")
+        with open(fig1[name], "a", encoding="utf-8") as fh:
+            fh.write(row + "\n")
+        line_no = len(fig1[name].read_text(encoding="utf-8").splitlines())
+        if name == "gold":
+            argv = ["evaluate", "edges", "--taxonomy", str(fig1["source_taxonomy"]),
+                    "--gold", str(fig1["gold"]), "--nodes-file", str(tmp_path / "nodes.txt")]
+        else:
+            argv = project_args(fig1, tmp_path / "o.tsv")
+        code, err = run_err(capsys, *argv)
+        assert (code, err) == (2, f"error: {fig1[name]}:{line_no}: {message}\n")
+
     @staticmethod
     def induce_with_edited_model(trained_world, tmp_path, capsys, edit):
         """Run `induce` with `edit` applied to the ec model file's JSON;

@@ -50,33 +50,33 @@ def test_duplicate_edges_collapse(tmp_path):
 def test_entity_to_entity_rejected(tmp_path):
     nodes = write_lines(tmp_path / "n.tsv", ["e1\tentity\ta", "e2\tentity\tb"])
     edges = write_lines(tmp_path / "e.tsv", ["e1\te2"])
-    with raises_error("forbidden edge kind (entity->entity): 'e1' -> 'e2'"):
+    with raises_error(f"{edges}:1: forbidden edge kind (entity->entity): 'e1' -> 'e2'"):
         load_wcn(nodes, edges)
 
 
 def test_category_to_entity_rejected(tmp_path):
     nodes = write_lines(tmp_path / "n.tsv", ["e1\tentity\ta", "c1\tcategory\tb"])
     edges = write_lines(tmp_path / "e.tsv", ["c1\te1"])
-    with raises_error("forbidden edge kind (category->entity): 'c1' -> 'e1'"):
+    with raises_error(f"{edges}:1: forbidden edge kind (category->entity): 'c1' -> 'e1'"):
         load_wcn(nodes, edges)
 
 
 def test_load_errors(tmp_path):
     nodes = write_lines(tmp_path / "n.tsv", ["e1\tentity\ta", "c1\tcategory\tb"])
-    with raises_error("edge references unknown node: 'e1' -> 'cX'"):
-        load_wcn(nodes, write_lines(tmp_path / "e1.tsv", ["e1\tcX"]))
-    with raises_error("self-loop on node: 'c1'"):
+    with raises_error(f"{tmp_path / 'e1.tsv'}:2: edge references unknown node: 'e1' -> 'cX'"):
+        load_wcn(nodes, write_lines(tmp_path / "e1.tsv", ["e1\tc1", "e1\tcX"]))
+    with raises_error(f"{tmp_path / 'e2.tsv'}:1: self-loop on node: 'c1'"):
         load_wcn(nodes, write_lines(tmp_path / "e2.tsv", ["c1\tc1"]))
     with pytest.raises(MalformedRow):
         load_wcn(nodes, write_lines(tmp_path / "e3.tsv", ["e1 c1"]))
-    with raises_error("duplicate node id: 'e1'"):
+    with raises_error(f"{tmp_path / 'n2.tsv'}:2: duplicate node id: 'e1'"):
         load_wcn(
             write_lines(tmp_path / "n2.tsv", ["e1\tentity\ta", "e1\tentity\tb"]),
             write_lines(tmp_path / "e4.tsv", []),
         )
     with pytest.raises(MalformedRow):
         load_wcn(write_lines(tmp_path / "n3.tsv", ["e1\twidget\ta"]), tmp_path / "e4.tsv")
-    with pytest.raises(MalformedRow):
+    with raises_error(f"{tmp_path / 'n4.tsv'}:1: empty title for node 'e1'"):
         load_wcn(write_lines(tmp_path / "n4.tsv", ["e1\tentity\t "]), tmp_path / "e4.tsv")
 
 
@@ -126,9 +126,10 @@ def test_interlang_empty_file_ok(tmp_path):
 
 
 def test_interlang_non_bijective(tmp_path):
-    with raises_error("node appears in more than one interlanguage link: 'x'"):
+    message = "node appears in more than one interlanguage link"
+    with raises_error(f"{tmp_path / 'l.tsv'}:2: {message}: 'x'"):
         load_interlang(write_lines(tmp_path / "l.tsv", ["x\ta", "x\tb"]))
-    with raises_error("node appears in more than one interlanguage link: 'a'"):
+    with raises_error(f"{tmp_path / 'l2.tsv'}:2: {message}: 'a'"):
         load_interlang(write_lines(tmp_path / "l2.tsv", ["x\ta", "y\ta"]))
     with pytest.raises(MalformedRow):
         load_interlang(write_lines(tmp_path / "l3.tsv", ["x\t"]))

@@ -1,4 +1,5 @@
-"""Every library module and test file uses every name it imports, and the
+"""Every library module and test file uses every name it imports, every
+private module-level name of the library is read somewhere, and the
 package exports every name the benchmark and `worldgen` read from it.
 
 No lint tool is a dependency, so these stdlib `ast` checks stand in for
@@ -16,7 +17,8 @@ import taxonet
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "taxonet"
-MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+SOURCES = sorted(SRC.glob("*.py"))
+MODULES = [p for p in SOURCES if p.name != "__init__.py"]
 TEST_FILES = sorted((ROOT / "tests").glob("*.py"))
 PACKAGE_READERS = [ROOT / "bench" / "replay.py", ROOT / "bench" / "run.py",
                    ROOT / "tests" / "worldgen.py"]
@@ -49,6 +51,48 @@ def test_checker_finds_unused_names():
                          ids=lambda p: p.name if p.parent == SRC else f"tests/{p.name}")
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def private_definitions(source: str) -> set[str]:
+    """`_name`s a module binds at its top level by a def, a class or an assignment."""
+    names = set()
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names.update(t.id for t in targets if isinstance(t, ast.Name))
+    return {n for n in names if n.startswith("_") and not n.startswith("__")}
+
+
+def names_read(source: str) -> set[str]:
+    """Every name read as a variable, and every attribute name."""
+    return {
+        node.id if isinstance(node, ast.Name) else node.attr
+        for node in ast.walk(ast.parse(source))
+        if (isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load))
+        or isinstance(node, ast.Attribute)
+    }
+
+
+def test_checker_finds_unread_private_names():
+    source = (
+        "_LIMIT = 3\n"
+        "_unused: int = 0\n"
+        "def _helper(): return _LIMIT\n"
+        "def _dead(): pass\n"
+        "class _Shape: pass\n"
+        "def public(): return _helper()\n"
+    )
+    reader = "import m\nm._Shape()\n"
+    unread = private_definitions(source) - names_read(source) - names_read(reader)
+    assert unread == {"_dead", "_unused"}
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_unread_private_names(path):
+    read = set().union(*(names_read(p.read_text(encoding="utf-8")) for p in SOURCES + TEST_FILES))
+    assert sorted(private_definitions(path.read_text(encoding="utf-8")) - read) == []
 
 
 def package_names(source: str) -> set[str]:

@@ -218,6 +218,17 @@ class TestTopKPaths:
         (best,) = top_k(w, "s", {"t"}, 1)
         assert best.nodes == ("s", "a", "t")
 
+    def test_near_tie_that_rounding_would_flip(self):
+        # (1 - 2**-53)**2 = 1 - 2**-52 + 2**-106 exceeds 1 - 2**-52 by
+        # 2**-106; float products, or a 28-digit decimal context, round it
+        # away and let the node sequence pick (s, a, t)
+        w = category_graph(
+            {("s", "a"): 1 - 2**-52, ("a", "t"): 1.0,
+             ("s", "b"): 1 - 2**-53, ("b", "t"): 1 - 2**-53}
+        )
+        assert (1 - 2**-53) * (1 - 2**-53) == 1 - 2**-52
+        assert [p.nodes for p in top_k(w, "s", {"t"}, 2)] == [("s", "b", "t"), ("s", "a", "t")]
+
     def test_targets_absorb(self):
         # the path through target m to the better target t is not allowed
         w = category_graph({("s", "m"): 0.9, ("m", "t"): 0.9, ("s", "t"): 0.1})
@@ -334,7 +345,7 @@ class TestTopKPaths:
 
         targets = frozenset(projected.node_ids())
         finder = _PathFinder(weighted, targets)
-        finder._edge_cost = RecordingCosts(finder._edge_cost)
+        finder._prob = RecordingCosts(finder._prob)
         only = _PathFinder(WeightedGraph(weighted.graph, {e: probs[e] for e in allowed}), targets)
         for start in weighted.graph.node_ids():
             if start != "t":
