@@ -12,33 +12,30 @@ Comparing float products (or summed -log costs) can invert genuinely equal
 probabilities through rounding, so path comparisons here are exact: every
 edge probability is converted once to a `Decimal`, which holds a float
 exactly, and products are taken in a context that raises rather than
-rounds. A path's cost is the tuple (-probability, hops), so the built-in
-ordering puts the best path first, and the tie rules fire exactly when
-values are mathematically equal. Maximizing the product is then provably
-identical to minimizing the -log sum.
+rounds. A path's key is the tuple (-probability, hops, nodes), so the
+built-in ordering puts the best path first, and the tie rules fire
+exactly when values are mathematically equal. Maximizing the product is
+then provably identical to minimizing the -log sum.
 
 The k-best search is a deviation (spur) search over loopless paths, and
 one finder serves every start of an `induce` call. Its 1-best subroutine
-works inside the start's ancestor cone: the nodes reachable from the start
-through parent edges, stopping at targets, which absorb (no path passes
-through one target on the way to another). A value-only Dijkstra runs over
-the cone's reversed edges from the targets it contains, then the
-lexicographically smallest optimal path is reconstructed greedily forward.
-Every path from a cone node to a target stays inside the cone, so the cone
-distances are the whole graph's, and each search costs the size of the
-cone, not of the graph.
+is one forward Dijkstra from the start whose heap holds the keys of
+whole paths, so the first target it pops ends the total-order minimum.
+Targets absorb (no path passes through one target on the way to
+another), so a search stays inside its start's cone, the nodes reachable
+from the start without passing through a target, and costs the size of
+that cone, not of the graph.
 
 Edge weighing scores only the edges a search can read: the parent edges
 of the nodes the projected taxonomy leaves uncovered (`search_edges`).
 That set is exact. Every covered node is a child in the projected
-taxonomy, so it is a target, and a search expands only its start and
-non-target nodes: `_dist` walks the parents of those alone, the greedy
-walk of `_best_path` steps only out of them, and a Yen prefix is made of
-edges of accepted paths, whose tails are the start or non-targets. So
-every edge a search weighs leaves an uncovered node, and no other edge is
-scored. On a 4,801-node world with 90% of its nodes linked, that is 774
-of 10,056 edges. `induce` checks that each of them has a probability
-before any search starts.
+taxonomy, so it is a target. A search reads only the edges out of the
+nodes it pops, and it pops only its start and non-targets; a Yen prefix
+is made of edges of accepted paths, whose tails are the start or
+non-targets. So every edge a search weighs leaves an uncovered node, and
+no other edge is scored. On a 4,801-node world with 90% of its nodes
+linked, that is 774 of 10,056 edges. `induce` checks that each of them
+has a probability before any search starts.
 
 Weighing uses both cores: a forked child (`forking.run_pair`) scores the
 second half of the edge list while this process scores the first. An
@@ -55,7 +52,6 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import asdict, dataclass
-from itertools import accumulate
 
 from .classifier import LinearEdgeModel, predict_proba
 from .errors import TaxonetError
@@ -154,10 +150,12 @@ class _PathFinder:
     """k-best simple paths from any start to one shared absorbing target set.
 
     Edge probabilities are converted to exact `Decimal`s once and shared by
-    every search. A cost is (-probability, hops). Each search, the first
-    path and every Yen spur alike, computes distances only over its
-    start's ancestor cone. A start that is itself a target searches the
-    rest of the set instead, in this same finder.
+    every search. A path's key is (-probability, hops, nodes), so the
+    built-in tuple order is the total order, best first. Each search, the
+    first path and every Yen spur alike, is one forward Dijkstra that pops
+    only its start and non-targets and reads only the edges out of the
+    nodes it pops. A start that is itself a target searches the rest of
+    the set instead, in this same finder.
     """
 
     def __init__(self, weighted: WeightedGraph, targets: frozenset[str]):
@@ -169,89 +167,37 @@ class _PathFinder:
         self._prob = {e: Decimal(p) for e, p in weighted.prob.items()}
         self._mul = Context(prec=MAX_PREC, traps=[Inexact]).multiply
 
-    def _dist(
-        self,
-        start: str,
-        targets: frozenset[str],
-        banned_nodes: frozenset[str],
-        banned_edges: frozenset[tuple[str, str]],
-    ) -> dict[str, tuple]:
-        """Best cost to the target set from each node of start's cone.
-
-        The cone is every node reachable from start through unbanned parent
-        edges without passing through a target. Any path from a cone node to
-        a target stays inside it, so these are whole-graph distances. A
-        forward walk collects the cone and its reversed edges, then Dijkstra
-        runs over them from the cone's targets; values only, so the pop
-        order among equal costs does not matter. Dropping a node into a
-        cycle always costs hops, so walk-optima equal simple-path optima
-        and no simplicity bookkeeping is needed here.
-        """
-        children: dict[str, list[str]] = {start: []}
-        stack = [start]
-        while stack:
-            node = stack.pop()
-            if node in targets:  # targets absorb: a path never continues through one
-                continue
-            for parent in self.weighted.parents(node):
-                if parent in banned_nodes or (node, parent) in banned_edges:
-                    continue
-                if parent in children:
-                    children[parent].append(node)
-                else:
-                    children[parent] = [node]
-                    stack.append(parent)
-        heap = [(-1, 0, t) for t in children if t in targets]  # each target's empty path
-        heapq.heapify(heap)
-        dist: dict[str, tuple] = {}
-        while heap:
-            neg, hops, node = heapq.heappop(heap)
-            if node in dist:
-                continue
-            dist[node] = (neg, hops)
-            for child in children[node]:
-                if child not in dist:
-                    neg_child = self._mul(self._prob[(child, node)], neg)
-                    heapq.heappush(heap, (neg_child, hops + 1, child))
-        return dist
-
     def _best_path(
         self,
-        start: str,
+        root: tuple,
         targets: frozenset[str],
-        banned_nodes: frozenset[str] = frozenset(),
         banned_edges: frozenset[tuple[str, str]] = frozenset(),
-    ) -> tuple[tuple, tuple[str, ...]] | None:
-        """Total-order minimum path from start, or None if unreachable.
+    ) -> tuple | None:
+        """The key of the total-order minimum path that begins with the
+        path keyed `root`, or None if it reaches no target.
 
-        Walks forward from start along cost-tight edges, picking the
-        smallest node id at each step; that yields the lexicographic
-        minimum among the cost-optimal paths, and any tight walk is
-        automatically simple. Every unbanned parent of a node on the walk
-        lies in start's cone, so `_dist` covers it, and no banned node is
-        in `dist`.
+        Dijkstra from root's last node, with whole keys on the heap. A
+        probability lies in (0, 1], so extending a path never improves its
+        key, and extending two paths to one node by the same edge keeps
+        their order; so the first key popped for a node is its best path,
+        and the first target popped ends the minimum. Root's other nodes
+        and popped nodes are never entered again, so every path is simple.
         """
-        dist = self._dist(start, targets, banned_nodes, banned_edges)
-        total = dist.get(start)
-        if total is None:
-            return None
-        nodes = [start]
-        neg, hops = total
-        while nodes[-1] not in targets:
-            current = nodes[-1]
-            step = None
-            for parent in self.weighted.parents(current):
-                d = dist.get(parent)
-                if d is None or d[1] != hops - 1 or (current, parent) in banned_edges:
-                    continue
-                if step is None or parent < step:
-                    if self._mul(self._prob[(current, parent)], d[0]) == neg:
-                        step = parent
-            if step is None:  # cannot happen when dist[start] is finite
-                raise RuntimeError(f"no cost-tight edge out of {current!r}")
-            nodes.append(step)
-            neg, hops = dist[step]
-        return total, tuple(nodes)
+        heap = [root]
+        popped = set(root[2][:-1])
+        while heap:
+            neg, hops, nodes = heapq.heappop(heap)
+            node = nodes[-1]
+            if node in targets:  # targets absorb: a path never continues through one
+                return neg, hops, nodes
+            if node in popped:
+                continue
+            popped.add(node)
+            for parent in self.weighted.parents(node):
+                if parent not in popped and (node, parent) not in banned_edges:
+                    neg_parent = self._mul(self._prob[(node, parent)], neg)
+                    heapq.heappush(heap, (neg_parent, hops + 1, nodes + (parent,)))
+        return None
 
     def top_k(self, start: str, k: int) -> list[ScoredPath]:
         """The k most probable simple paths from start to a target, best first:
@@ -262,38 +208,30 @@ class _PathFinder:
             # A node can appear in the taxonomy only as a parent and still
             # lack a hypernym of its own; it must not be its own target.
             targets = targets - {start}
-        first = self._best_path(start, targets)
+        first = self._best_path((-1, 0, (start,)), targets)
         if first is None:
             return []
         accepted = [first]
-        candidates: list[tuple[tuple, tuple[str, ...]]] = []  # a heap
-        seen = {first[1]}
+        candidates: list[tuple] = []  # a heap
+        seen = {first[2]}
         while len(accepted) < k:
-            _, base_nodes = accepted[-1]
-            # prefix[j]: the probability of base_nodes[: j + 1]
-            prefix = list(accumulate(
-                (self._prob[e] for e in zip(base_nodes, base_nodes[1:])), self._mul, initial=1
-            ))
-            for j in range(len(base_nodes) - 1):
-                root = base_nodes[: j + 1]
-                banned_nodes = frozenset(base_nodes[:j])
+            base = accepted[-1][2]
+            neg = -1  # -probability of base[: j + 1]
+            for j in range(len(base) - 1):
+                root = base[: j + 1]
                 banned_edges = frozenset(
-                    (p[j], p[j + 1]) for _, p in accepted if p[: j + 1] == root
+                    (p[j], p[j + 1]) for _, _, p in accepted if p[: j + 1] == root
                 )
-                spur = self._best_path(base_nodes[j], targets, banned_nodes, banned_edges)
-                if spur is None:
-                    continue
-                (neg, hops), spur_nodes = spur
-                cand_nodes = root[:-1] + spur_nodes
-                if cand_nodes in seen:
-                    continue
-                seen.add(cand_nodes)
-                heapq.heappush(candidates, ((self._mul(prefix[j], neg), j + hops), cand_nodes))
+                found = self._best_path((neg, j, root), targets, banned_edges)
+                if found is not None and found[2] not in seen:
+                    seen.add(found[2])
+                    heapq.heappush(candidates, found)
+                neg = self._mul(self._prob[(base[j], base[j + 1])], neg)
             if not candidates:
                 break
             accepted.append(heapq.heappop(candidates))
         # float() of a Decimal rounds correctly
-        return [ScoredPath(nodes, -float(neg), hops) for (neg, hops), nodes in accepted]
+        return [ScoredPath(nodes, -float(neg), hops) for neg, hops, nodes in accepted]
 
 
 @dataclass(frozen=True)

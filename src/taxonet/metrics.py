@@ -175,9 +175,12 @@ def load_gold(edges_path: str | Path, nodes_path: str | Path) -> GoldEdgeSet:
     judgments: dict[tuple[str, str], Label] = {}
     for line_no, (child, parent, label) in _rows(edges_path, 3):
         try:
-            judgments[(child, parent)] = Label(label)
+            judged = judgments.setdefault((child, parent), Label(label))
         except ValueError:
             raise MalformedRow(edges_path, line_no, f"bad label {label!r}") from None
+        if judged.value != label:
+            message = f"{child!r} -> {parent!r} judged {label!r} here, {judged.value!r} earlier"
+            raise MalformedRow(edges_path, line_no, message)
     try:
         return GoldEdgeSet(sampled, judgments)
     except ValueError:

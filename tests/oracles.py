@@ -43,12 +43,12 @@ def enumerate_paths(weighted, start: str, targets: set[str]):
     return results
 
 
-def random_instance(rng, max_nodes=12, p_edge=0.3, uniform=False):
+def random_instance(rng, max_nodes=12, p_edge=0.3, uniform=False, weights=None):
     """A random weighted digraph plus a (start, targets) query.
 
     All nodes are categories so any edge direction is legal; self-loops
-    are skipped. Probabilities are uniform in [0.05, 0.95], or exactly
-    1.0 when `uniform`.
+    are skipped. Probabilities are uniform in [0.05, 0.95], exactly 1.0
+    when `uniform`, or drawn from the sequence `weights` when given.
     """
     from taxonet import Node, NodeKind, WcnGraph
     from taxonet.induction import WeightedGraph
@@ -62,7 +62,12 @@ def random_instance(rng, max_nodes=12, p_edge=0.3, uniform=False):
         for v in names:
             if u != v and rng.random() < p_edge:
                 edges.append((u, v))
-                prob[(u, v)] = 1.0 if uniform else rng.uniform(0.05, 0.95)
+                if uniform:
+                    prob[(u, v)] = 1.0
+                elif weights:
+                    prob[(u, v)] = rng.choice(weights)
+                else:
+                    prob[(u, v)] = rng.uniform(0.05, 0.95)
     weighted = WeightedGraph(WcnGraph(nodes, edges), prob)
     start = rng.choice(names)
     pool = [x for x in names if x != start]

@@ -664,6 +664,38 @@ class TestEvaluate:
         assert code == 0
         assert json.loads(out) == {"P": 0.75, "R": 1.0, "C": 1.0}
 
+    # Two rows that judge one edge differently must not leave the last one
+    # to decide P and R; a repeated identical row is harmless.
+    @pytest.mark.parametrize("first, second", [("isa", "notisa"), ("notisa", "isa")])
+    def test_contradicting_gold_rows_rejected(self, tmp_path, capsys, first, second):
+        gold = tmp_path / "gold.tsv"
+        gold.write_text(f"x\ta\t{first}\ny\tc\tisa\nx\ta\t{second}\n", encoding="utf-8")
+        (tmp_path / "taxo.tsv").write_text("x\ta\ny\tc\n", encoding="utf-8")
+        (tmp_path / "nodes.txt").write_text("x\ny\n", encoding="utf-8")
+        code, err = run_err(
+            capsys, "evaluate", "edges",
+            "--taxonomy", str(tmp_path / "taxo.tsv"),
+            "--gold", str(gold),
+            "--nodes-file", str(tmp_path / "nodes.txt"),
+        )
+        message = f"'x' -> 'a' judged {second!r} here, {first!r} earlier"
+        assert (code, err) == (2, f"error: {gold}:3: {message}\n")
+
+    def test_repeated_gold_row_accepted(self, tmp_path, capsys):
+        (tmp_path / "taxo.tsv").write_text("x\ta\nx\tb\ny\tc\n", encoding="utf-8")
+        (tmp_path / "gold.tsv").write_text(
+            "x\tb\tnotisa\nx\ta\tisa\nx\tb\tnotisa\ny\tc\tisa\n", encoding="utf-8"
+        )
+        (tmp_path / "nodes.txt").write_text("x\ny\n", encoding="utf-8")
+        code, out = run(
+            capsys, "evaluate", "edges",
+            "--taxonomy", str(tmp_path / "taxo.tsv"),
+            "--gold", str(tmp_path / "gold.tsv"),
+            "--nodes-file", str(tmp_path / "nodes.txt"),
+        )
+        assert code == 0
+        assert json.loads(out) == {"P": 0.75, "R": 1.0, "C": 1.0}
+
     def test_all_correct_p_equals_r_equals_c(self, tmp_path, capsys):
         (tmp_path / "taxo.tsv").write_text("x\ta\ny\tc\n", encoding="utf-8")
         (tmp_path / "gold.tsv").write_text("x\ta\tisa\ny\tc\tisa\n", encoding="utf-8")

@@ -297,6 +297,27 @@ class TestTopKPaths:
                 checked += len(got)
         assert checked > 300
 
+    def test_k4_exact_ties_against_bruteforce(self):
+        # weights that are powers of two make products tie exactly across
+        # hop counts (1/2 * 1/2 == 1/4) and across node orders, so the
+        # hops and node-sequence tie-breaks decide many ranks here
+        rng = random.Random(1357)
+        checked = tied = 0
+        for _ in range(300):
+            weighted, _, targets = random_instance(
+                rng, max_nodes=14, p_edge=rng.uniform(0.1, 0.2), weights=(1.0, 0.5, 0.25, 0.125)
+            )
+            finder = _PathFinder(weighted, frozenset(targets))
+            for node in weighted.graph.node_ids():
+                expected = enumerate_paths(weighted, node, targets - {node})[:4]
+                got = finder.top_k(node, 4)
+                assert [(p.nodes, p.hops) for p in got] == [(n, h) for _, h, n in expected]
+                for path, (prob, _, _) in zip(got, expected):
+                    assert Fraction(*path.probability.as_integer_ratio()) == prob
+                checked += len(got)
+                tied += sum(a[0] == b[0] for a, b in zip(expected, expected[1:]))
+        assert checked > 3000 and tied > 500
+
     def test_search_touches_only_the_start_cone(self):
         # s climbs to target t through a and b; a long chain x00 -> ... ->
         # x39 hangs below a and t, where s cannot reach it
@@ -320,7 +341,7 @@ class TestTopKPaths:
 
             def children_of(self, node):
                 # a reverse search over the whole graph would walk down from
-                # t through this; a cone search has no use for it
+                # t through this; a forward search from s has no use for it
                 self.touched.add(node)
                 return [c for c, p in self.graph.edges() if p == node]
 
