@@ -53,14 +53,15 @@ from __future__ import annotations
 import json
 import math
 from collections import deque
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from itertools import chain
 from operator import mul
 from pathlib import Path
+from typing import Iterator
 
 from .errors import MalformedFile, TaxonetError
-from .features import TfidfModel
-from .graph import EdgeKind, WcnGraph
+from .features import TfidfModel, check_json_types
+from .graph import EdgeKind, WcnGraph, _write_lines
 from .labeling import EdgeDataset, Label, LabeledEdge
 from .rng import SplitMix64
 
@@ -221,29 +222,29 @@ _HOLE = "\0"
 
 
 def save_model(model: LinearEdgeModel, path: str | Path) -> None:
-    """Write the model, TFIDF vocabulary included, as one JSON file: the
-    bytes of `json.dumps(model.to_dict(), ensure_ascii=False) + "\n"`.
-
-    The rest is dumped once with `_HOLE` in each long list's place, and each
-    long list `_SLICE` entries at a time into its hole; `json.dumps`, since
-    `json.dump` never uses the C encoder.
-    """
+    """Write the model file (see the module docstring). The rest is dumped
+    once with `_HOLE` in each long list's place, and `_filled` puts each list
+    into its hole; `json.dumps`, since `json.dump` never uses the C encoder."""
     data = model.to_dict()
     tfidf = data["tfidf"]
     long_lists = [tfidf["features"], tfidf["df"], *data["weights"]]
     tfidf["features"] = tfidf["df"] = _HOLE
     data["weights"] = [_HOLE, _HOLE]
     head, *tails = json.dumps(data, ensure_ascii=False).split(json.dumps(_HOLE))
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(head)
-        for values, tail in zip(long_lists, tails, strict=True):
-            fh.write("[")
-            for start in range(0, len(values), _SLICE):
-                text = json.dumps(values[start : start + _SLICE], ensure_ascii=False)
-                fh.write(text[1:-1] if start == 0 else ", " + text[1:-1])
-            fh.write("]")
-            fh.write(tail)
-        fh.write("\n")
+    _write_lines(path, _filled(head, zip(long_lists, tails, strict=True)))
+
+
+def _filled(head: str, holes: Iterator[tuple[list, str]]) -> Iterator[str]:
+    """`head`; each long list, `_SLICE` entries at a time, and the text after its hole; LF."""
+    yield head
+    for values, tail in holes:
+        yield "["
+        for start in range(0, len(values), _SLICE):
+            if start:
+                yield ", "
+            yield json.dumps(values[start : start + _SLICE], ensure_ascii=False)[1:-1]
+        yield "]" + tail
+    yield "\n"
 
 
 def _numbers(values: list, what: str) -> list:
@@ -267,14 +268,15 @@ def load_model(path: str | Path, kind: EdgeKind | None = None) -> LinearEdgeMode
     one, so a model cannot score the other kind's edges. `weights` must be
     two lists of V finite JSON numbers, V being the vocabulary size, and the
     bias a finite JSON number; weights are checked in bulk, not one call per
-    value. Every zero weight is stored as one shared `0.0`, as in a model
-    `train_linear` returns.
+    value. `config` has the JSON types of `TrainConfig`'s defaults. Every
+    zero weight is one shared `0.0`, as in a model `train_linear` returns.
     """
     with open(path, encoding="utf-8") as fh:
         try:
             data = json.load(fh)
             found = EdgeKind(data["kind"])
             cfg = TrainConfig(**data["config"])
+            check_json_types({f.name: f.default for f in fields(cfg)}, asdict(cfg))
             tfidf = TfidfModel.from_dict(data.pop("tfidf"))
             # Each parsed list leaves the queue, and memory, as it is converted.
             parsed = deque(data.pop("weights"))

@@ -48,7 +48,7 @@ from . import __version__
 from .classifier import TrainConfig, load_model, save_model, train_linear, validation_accuracy
 from .errors import MalformedFile, TaxonetError
 from .features import (
-    DEFAULT_NGRAM_SIZES, FeatureMode, FeatureSpec, _is_int, check_min_df, fit_tfidf,
+    DEFAULT_NGRAM_SIZES, FeatureMode, FeatureSpec, check_json_types, check_min_df, fit_tfidf,
 )
 from .graph import EdgeKind, _write_lines, load_interlang, load_taxonomy, load_wcn, save_taxonomy
 from .induction import InductionConfig, induce, search_edges, weigh_edges
@@ -64,21 +64,6 @@ CONFIG_DEFAULTS = {
     "ngram_sizes": sorted(DEFAULT_NGRAM_SIZES),
     "mode": "char", "val_fraction": 0.25, "min_df": 1,
 }
-
-
-def _expected_type(default, value) -> str | None:
-    """What `value` must be to have the JSON type of `default`, or None if
-    it has it. A number may be an integer, and stays one."""
-    if isinstance(default, bool):
-        return None if isinstance(value, bool) else "true or false"
-    if isinstance(default, int):
-        return None if _is_int(value) else "an integer"
-    if isinstance(default, float):
-        return None if _is_int(value) or isinstance(value, float) else "a number"
-    if isinstance(default, list):
-        ok = isinstance(value, list) and all(map(_is_int, value))
-        return None if ok else "a list of integers"
-    return None if isinstance(value, str) else "a string"
 
 
 # Each setting a command reads, by name, and what builds it: a config class
@@ -105,10 +90,10 @@ def _read_config(path: str) -> dict:
     unknown = sorted(set(data) - set(CONFIG_DEFAULTS))
     if unknown:
         raise MalformedFile(path, f"unknown config keys: {', '.join(unknown)}")
-    for key, value in data.items():
-        expected = _expected_type(CONFIG_DEFAULTS[key], value)
-        if expected:
-            raise MalformedFile(path, f"config key {key!r} must be {expected}, got {value!r}")
+    try:
+        check_json_types(CONFIG_DEFAULTS, data)
+    except TypeError as exc:
+        raise MalformedFile(path, str(exc)) from None
     return data
 
 

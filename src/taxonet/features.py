@@ -1,10 +1,10 @@
 """Title featurization: word / character n-gram TFIDF.
 
-Character n-grams are taken over the whole normalized title (whitespace
-runs collapsed to a single space), so they deliberately cross word
-boundaries; that is where most of the sub-word morphological signal for
-hypernym detection lives. Word features are plain whitespace-delimited
-bags of tokens.
+Titles are always lowercased, in `_tokens`. Character n-grams are taken
+over the whole normalized title (whitespace runs collapsed to one space),
+so they deliberately cross word boundaries; that is where most of the
+sub-word morphological signal for hypernym detection lives. Word features
+are plain whitespace-delimited bags of tokens.
 
 Each title's vector depends only on the title and its TFIDF model, and an
 edge's vector is the child's vector beside the parent's: child entries
@@ -60,7 +60,6 @@ class FeatureMode(Enum):
 class FeatureSpec:
     mode: FeatureMode
     ngram_sizes: frozenset[int] = DEFAULT_NGRAM_SIZES
-    lowercase: bool = True
 
     def __post_init__(self):
         if self.mode is FeatureMode.CHAR_NGRAM:
@@ -68,30 +67,31 @@ class FeatureSpec:
                 raise ValueError("ngram_sizes must be nonempty with sizes >= 1")
 
 
-def word_tokens(title: str, spec: FeatureSpec) -> Counter:
-    """Bag of whitespace-delimited tokens."""
-    if spec.lowercase:
-        title = title.lower()
-    return Counter(title.split())
+def _tokens(title: str) -> list[str]:
+    """The lowercased title's whitespace-delimited tokens."""
+    return title.lower().split()
+
+
+def word_tokens(title: str) -> Counter:
+    """Bag of whitespace-delimited tokens, lowercased."""
+    return Counter(_tokens(title))
 
 
 def char_ngrams(title: str, spec: FeatureSpec) -> Counter:
     """Bag of character n-grams over the normalized title.
 
-    Normalization collapses internal whitespace runs to one space and
-    trims the ends, so a single space participates in n-grams that span
-    word boundaries. Counting is per Unicode code point.
+    Normalization lowercases, collapses internal whitespace runs to one
+    space and trims the ends, so a single space participates in n-grams
+    that span word boundaries. Counting is per Unicode code point.
     """
-    if spec.lowercase:
-        title = title.lower()
-    text = " ".join(title.split())
+    text = " ".join(_tokens(title))
     sizes = sorted(spec.ngram_sizes)
     return Counter([text[i : i + n] for n in sizes for i in range(len(text) - n + 1)])
 
 
 def extract_features(title: str, spec: FeatureSpec) -> Counter:
     if spec.mode is FeatureMode.WORD:
-        return word_tokens(title, spec)
+        return word_tokens(title)
     return char_ngrams(title, spec)
 
 
@@ -133,7 +133,7 @@ class TfidfModel:
             "spec": {
                 "mode": self.spec.mode.value,
                 "ngram_sizes": sizes,
-                "lowercase": self.spec.lowercase,
+                "lowercase": True,
             },
             "n_docs": self.n_docs,
             "features": sorted(self.vocabulary, key=self.vocabulary.get),
@@ -146,8 +146,8 @@ class TfidfModel:
 
         It accepts what `to_dict` writes and nothing else: a char-mode spec
         holds a nonempty list of integers >= 1 and a word-mode spec `null`,
-        `features` is a list of unique strings and `df` a list of as many
-        integers >= 1, and no df exceeds `n_docs`.
+        `lowercase` is `true`, `features` is a list of unique strings and
+        `df` a list of as many integers >= 1, and no df exceeds `n_docs`.
         """
         raw_spec = data["spec"]
         mode = FeatureMode(raw_spec["mode"])
@@ -158,11 +158,11 @@ class TfidfModel:
             sizes = DEFAULT_NGRAM_SIZES
         elif not (isinstance(sizes, list) and all(_is_int(n) for n in sizes)):
             raise TypeError(f"ngram_sizes must be a list of integers, got {sizes!r}")
-        if not isinstance(raw_spec["lowercase"], bool):
-            raise TypeError(f"lowercase must be true or false, got {raw_spec['lowercase']!r}")
+        if raw_spec["lowercase"] is not True:  # titles are always lowercased
+            raise ValueError(f"lowercase must be true, got {raw_spec['lowercase']!r}")
         if not _is_int(data["n_docs"]):
             raise TypeError(f"n_docs must be an integer, got {data['n_docs']!r}")
-        spec = FeatureSpec(mode=mode, ngram_sizes=frozenset(sizes), lowercase=raw_spec["lowercase"])
+        spec = FeatureSpec(mode=mode, ngram_sizes=frozenset(sizes))
         features, df = data["features"], data["df"]
         # Bulk type checks: JSON decodes to exact types, and `bool` is not `int`.
         if not (type(features) is list and set(map(type, features)) <= {str}):
@@ -195,6 +195,17 @@ def _gatherer(cols: tuple[int, ...]) -> Callable[[list], tuple]:
 def _is_int(value) -> bool:
     """A JSON integer; `bool` subclasses `int` but is not one."""
     return isinstance(value, int) and not isinstance(value, bool)
+
+
+def check_json_types(defaults: dict, values: dict) -> None:
+    """Raise TypeError unless each value has the JSON type of its default; an int is a number."""
+    for key, value in values.items():
+        kind = type(defaults[key])
+        ok = type(value) is kind or (kind is float and _is_int(value))
+        if not ok or (kind is list and not all(map(_is_int, value))):
+            expected = {bool: "true or false", int: "an integer", float: "a number",
+                        list: "a list of integers", str: "a string"}[kind]
+            raise TypeError(f"config key {key!r} must be {expected}, got {value!r}")
 
 
 def check_min_df(min_df: int) -> int:

@@ -13,11 +13,11 @@ long as both run. Titles are stored verbatim; normalization is the
 feature layer's job.
 
 Every line-based file is read by `_lines`, which reports invalid UTF-8 as
-`file:line`, and written by `_write_lines`. A loader hands its rows to the
-class that checks their rules (`WcnGraph`, `InterlangMap`) with a `_Cursor`
-at the current row, so a broken rule is reported as `file:line` too.
-`check_projected` is the one check that a projected taxonomy's edges are
-all network edges.
+`file:line`; every output file, a model too, is written by `_write_lines`.
+A loader hands its rows to the class that checks their rules (`WcnGraph`,
+`InterlangMap`) with a `_Cursor` at the current row, so a broken rule is
+reported as `file:line` too. `check_projected` is the one check that a
+projected taxonomy's edges are all network edges.
 """
 
 from __future__ import annotations
@@ -72,10 +72,10 @@ class TaxoEdge:
 class WcnGraph:
     """Directed category network: child -> parent means "grouped into".
 
-    Edge lists preserve input order (after dedup); search code relies on
-    that order for deterministic tie-breaking. Entity->Entity and
-    Category->Entity edges are rejected; cycles among categories are
-    allowed.
+    Each child's parent list, in input order without repeated rows, is the
+    one store of its edges. Only Phase 1's BFS relies on that order (for
+    ties); Phase 3 orders paths by key. Entity->Entity and Category->Entity
+    edges are rejected; cycles among categories are allowed.
     """
 
     def __init__(self, nodes: Iterable[Node], edges: Iterable[tuple[str, str]]):
@@ -90,25 +90,24 @@ class WcnGraph:
             self.nodes[node.id] = node
 
         self._parents: dict[str, list[str]] = {}
-        seen: set[tuple[str, str]] = set()
         for child, parent in edges:
             if child == parent:
                 raise TaxonetError(f"self-loop on node: {child!r}")
             if child not in self.nodes or parent not in self.nodes:
                 raise TaxonetError(f"edge references unknown node: {child!r} -> {parent!r}")
             edge_kind(self, child, parent)
-            if (child, parent) in seen:
+            parents = self._parents.setdefault(child, [])
+            if parent in parents:
                 logger.warning("duplicate edge dropped: %s -> %s", child, parent)
                 continue
-            seen.add((child, parent))
-            self._parents.setdefault(child, []).append(parent)
-        self._edge_set = seen
+            parents.append(parent)
+        self._n_edges = sum(map(len, self._parents.values()))
 
     def parents(self, child: str) -> list[str]:
         return self._parents.get(child, [])
 
     def has_edge(self, child: str, parent: str) -> bool:
-        return (child, parent) in self._edge_set
+        return parent in self.parents(child)
 
     def edges(self) -> Iterator[tuple[str, str]]:
         """All edges, children sorted, parents in stored order."""
@@ -127,7 +126,7 @@ class WcnGraph:
 
     @property
     def n_edges(self) -> int:
-        return len(self._edge_set)
+        return self._n_edges
 
 
 def edge_kind(graph: WcnGraph, child: str, parent: str) -> EdgeKind:
@@ -250,7 +249,7 @@ def _lines(path: Path) -> Iterator[tuple[int, str]]:
 
 
 def _write_lines(path: str | Path, lines: Iterable[str]) -> None:
-    """Write `lines`, each ending in its own LF, as a UTF-8 file."""
+    """Write the strings of `lines`, LFs included, to a UTF-8 file as they are drawn."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.writelines(lines)
 

@@ -150,12 +150,9 @@ class _PathFinder:
     """k-best simple paths from any start to one shared absorbing target set.
 
     Edge probabilities are converted to exact `Decimal`s once and shared by
-    every search. A path's key is (-probability, hops, nodes), so the
-    built-in tuple order is the total order, best first. Each search, the
-    first path and every Yen spur alike, is one forward Dijkstra that pops
-    only its start and non-targets and reads only the edges out of the
-    nodes it pops. A start that is itself a target searches the rest of
-    the set instead, in this same finder.
+    every search; each search, the first path and every Yen spur alike, is
+    one `_best_path`. A start that is itself a target (a node that is only
+    a parent in the taxonomy) searches the rest of the set.
     """
 
     def __init__(self, weighted: WeightedGraph, targets: frozenset[str]):
@@ -168,10 +165,7 @@ class _PathFinder:
         self._mul = Context(prec=MAX_PREC, traps=[Inexact]).multiply
 
     def _best_path(
-        self,
-        root: tuple,
-        targets: frozenset[str],
-        banned_edges: frozenset[tuple[str, str]] = frozenset(),
+        self, root: tuple, banned_edges: frozenset[tuple[str, str]] = frozenset()
     ) -> tuple | None:
         """The key of the total-order minimum path that begins with the
         path keyed `root`, or None if it reaches no target.
@@ -180,15 +174,15 @@ class _PathFinder:
         probability lies in (0, 1], so extending a path never improves its
         key, and extending two paths to one node by the same edge keeps
         their order; so the first key popped for a node is its best path,
-        and the first target popped ends the minimum. Root's other nodes
-        and popped nodes are never entered again, so every path is simple.
+        and the first target popped ends the minimum. Root's and popped nodes are
+        never entered again: paths are simple, and only the start's pop has 0 hops.
         """
         heap = [root]
         popped = set(root[2][:-1])
         while heap:
             neg, hops, nodes = heapq.heappop(heap)
             node = nodes[-1]
-            if node in targets:  # targets absorb: a path never continues through one
+            if hops and node in self.targets:  # targets absorb: no path continues through one
                 return neg, hops, nodes
             if node in popped:
                 continue
@@ -203,12 +197,7 @@ class _PathFinder:
         """The k most probable simple paths from start to a target, best first:
         probability descending, hops ascending, node sequence ascending.
         Fewer (possibly none) when the graph runs out of alternatives."""
-        targets = self.targets
-        if start in targets:
-            # A node can appear in the taxonomy only as a parent and still
-            # lack a hypernym of its own; it must not be its own target.
-            targets = targets - {start}
-        first = self._best_path((-1, 0, (start,)), targets)
+        first = self._best_path((-1, 0, (start,)))
         if first is None:
             return []
         accepted = [first]
@@ -222,7 +211,7 @@ class _PathFinder:
                 banned_edges = frozenset(
                     (p[j], p[j + 1]) for _, _, p in accepted if p[: j + 1] == root
                 )
-                found = self._best_path((neg, j, root), targets, banned_edges)
+                found = self._best_path((neg, j, root), banned_edges)
                 if found is not None and found[2] not in seen:
                     seen.add(found[2])
                     heapq.heappush(candidates, found)

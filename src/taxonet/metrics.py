@@ -197,7 +197,7 @@ def save_gold(gold: GoldEdgeSet, edges_path: str | Path, nodes_path: str | Path)
 
 
 def load_paths(path: str | Path) -> list[AnnotatedPath]:
-    """Read paths.jsonl: {"nodes": [...], "first_wrong_index": int|null}."""
+    """Read paths.jsonl: {"nodes": [nonempty ids], "first_wrong_index": int|null}."""
     path = Path(path)
     paths = []
     for line_no, line in _lines(path):
@@ -205,7 +205,12 @@ def load_paths(path: str | Path) -> list[AnnotatedPath]:
             continue
         try:
             data = json.loads(line)
-            paths.append(AnnotatedPath(tuple(data["nodes"]), data.get("first_wrong_index")))
+            nodes, index = data["nodes"], data.get("first_wrong_index")
+            if not (type(nodes) is list and all(type(n) is str and n for n in nodes)):
+                raise TypeError(f"nodes must be a list of nonempty strings, got {nodes!r}")
+            if index is not None and type(index) is not int:  # JSON types are exact
+                raise TypeError(f"first_wrong_index must be an integer or null, got {index!r}")
+            paths.append(AnnotatedPath(tuple(nodes), index))
         except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
             raise MalformedRow(path, line_no, str(exc)) from None
     return paths

@@ -10,8 +10,8 @@ induction phase fills in the rest.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import asdict, dataclass
+from typing import Callable, Iterator
 
 from .graph import (
     InterlangMap, NodeKind, Provenance, TaxoEdge, Taxonomy, WcnGraph, coverage,
@@ -40,36 +40,32 @@ class ProjectionReport:
         return asdict(self)
 
 
-def collect_ancestors(taxonomy: Taxonomy, node: str, k1: int) -> set[str]:
-    """All nodes reachable from `node` by 1..k1 child->parent hops.
+def _reach(parents: Callable, start: str, max_hops: int, prev: dict) -> Iterator[str]:
+    """Yield each node but `start` within `max_hops` child->parent hops, breadth
+    first in `parents` order, once `prev` maps it to its source (`start`: None)."""
+    prev[start] = None
+    level = [start]
+    while level and max_hops:
+        max_hops -= 1
+        reached = []
+        for child in level:
+            for parent in parents(child):
+                if parent not in prev:
+                    prev[parent] = child
+                    yield parent
+                    reached.append(parent)
+        level = reached
 
-    Excludes the node itself; tolerates cycles.
-    """
-    ancestors: set[str] = set()
-    frontier = [node]
-    visited = {node}
-    for _ in range(k1):
-        next_frontier = []
-        for current in frontier:
-            for parent in taxonomy.hypernyms(current):
-                if parent not in visited:
-                    visited.add(parent)
-                    ancestors.add(parent)
-                    next_frontier.append(parent)
-        if not next_frontier:
-            break
-        frontier = next_frontier
-    return ancestors
+
+def collect_ancestors(taxonomy: Taxonomy, node: str, k1: int) -> set[str]:
+    """All nodes reachable from `node` by 1..k1 child->parent hops, `node`
+    itself excluded; cycles are fine."""
+    return set(_reach(taxonomy.hypernyms, node, k1, {}))
 
 
 def map_equivalents(ancestors: set[str], links: InterlangMap) -> set[str]:
     """Target-language equivalents of the given source-language nodes."""
-    out = set()
-    for source_id in ancestors:
-        target_id = links.to_target(source_id)
-        if target_id is not None:
-            out.add(target_id)
-    return out
+    return {t for s in ancestors if (t := links.to_target(s)) is not None}
 
 
 def bounded_shortest_path(
@@ -78,31 +74,19 @@ def bounded_shortest_path(
     """Shortest child->parent path from start to any target, <= k2 edges.
 
     BFS explores parents in stored edge order, so with equal-length
-    options the first target dequeued wins deterministically. Returns the
+    options the first target reached wins deterministically. Returns the
     node sequence start..target, or None when no target is within reach.
     A start that is itself a target yields the single-node path [start].
     """
     if start in targets:
         return [start]
-    prev: dict[str, str] = {}
-    depth = {start: 0}
-    queue = deque([start])
-    while queue:
-        current = queue.popleft()
-        if depth[current] == k2:
-            continue
-        for parent in graph.parents(current):
-            if parent in depth:
-                continue
-            depth[parent] = depth[current] + 1
-            prev[parent] = current
-            if parent in targets:
-                path = [parent]
-                while path[-1] != start:
-                    path.append(prev[path[-1]])
-                path.reverse()
-                return path
-            queue.append(parent)
+    prev: dict[str, str | None] = {}
+    for node in _reach(graph.parents, start, k2, prev):
+        if node in targets:
+            path = [node]
+            while (node := prev[node]) is not None:
+                path.append(node)
+            return path[::-1]
     return None
 
 

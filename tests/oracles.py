@@ -1,6 +1,7 @@
-"""Independent brute-force oracles for the path-search tests, and the
-reference featurization, scoring, SGD loops and model file text for the
-feature and classifier tests.
+"""Independent brute-force oracles for the path-search tests, the two
+projection walks that `projection._reach` replaced, and the reference
+featurization, scoring, SGD loops and model file text for the feature and
+classifier tests.
 
 The path oracles deliberately avoid the library's search machinery: paths
 are found by exhaustive DFS enumeration, probabilities are exact Fractions
@@ -93,12 +94,70 @@ def bfs_min_hops(graph, start: str, targets: set[str]) -> int | None:
     return None
 
 
+# `projection.collect_ancestors` and `projection.bounded_shortest_path` as
+# they were before both became one walk, `projection._reach`: two copies of
+# one hop-bounded BFS. The library must return the same sets and the same
+# paths, node for node.
+
+
+def reference_collect_ancestors(taxonomy, node: str, k1: int) -> set[str]:
+    """All nodes reachable from `node` by 1..k1 child->parent hops.
+
+    Excludes the node itself; tolerates cycles.
+    """
+    ancestors: set[str] = set()
+    frontier = [node]
+    visited = {node}
+    for _ in range(k1):
+        next_frontier = []
+        for current in frontier:
+            for parent in taxonomy.hypernyms(current):
+                if parent not in visited:
+                    visited.add(parent)
+                    ancestors.add(parent)
+                    next_frontier.append(parent)
+        if not next_frontier:
+            break
+        frontier = next_frontier
+    return ancestors
+
+
+def reference_bounded_shortest_path(graph, start: str, targets: set[str], k2: int):
+    """Shortest child->parent path from start to any target, <= k2 edges.
+
+    BFS explores parents in stored edge order, so with equal-length
+    options the first target dequeued wins deterministically. Returns the
+    node sequence start..target, or None when no target is within reach.
+    A start that is itself a target yields the single-node path [start].
+    """
+    if start in targets:
+        return [start]
+    prev: dict[str, str] = {}
+    depth = {start: 0}
+    queue = deque([start])
+    while queue:
+        current = queue.popleft()
+        if depth[current] == k2:
+            continue
+        for parent in graph.parents(current):
+            if parent in depth:
+                continue
+            depth[parent] = depth[current] + 1
+            prev[parent] = current
+            if parent in targets:
+                path = [parent]
+                while path[-1] != start:
+                    path.append(prev[path[-1]])
+                path.reverse()
+                return path
+            queue.append(parent)
+    return None
+
+
 def reference_char_ngrams(title, spec):
     """`features.char_ngrams` as the loop it replaced: one `+= 1` per n-gram,
     sizes ascending, then by position."""
-    if spec.lowercase:
-        title = title.lower()
-    text = " ".join(title.split())
+    text = " ".join(title.lower().split())
     grams = Counter()
     for n in sorted(spec.ngram_sizes):
         for i in range(len(text) - n + 1):
@@ -113,7 +172,7 @@ def reference_vectorize_title(model, title):
     from taxonet.features import FeatureMode, word_tokens
 
     if model.spec.mode is FeatureMode.WORD:
-        counts = word_tokens(title, model.spec)
+        counts = word_tokens(title)
     else:
         counts = reference_char_ngrams(title, model.spec)
     entries = []

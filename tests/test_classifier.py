@@ -365,7 +365,7 @@ class TestSavedBytes:
         weights=st.lists(FLOATS, min_size=1, max_size=8),
         bias=FLOATS,
         learning_rate=st.sampled_from([0.1, 5e-324, 1e308, 1 / 3]),
-        spec=st.sampled_from([CHAR, WORD, FeatureSpec(FeatureMode.CHAR_NGRAM, frozenset({3}), False)]),
+        spec=st.sampled_from([CHAR, WORD, FeatureSpec(FeatureMode.CHAR_NGRAM, frozenset({3}))]),
         kind=st.sampled_from(list(EdgeKind)),
     )
     @example(

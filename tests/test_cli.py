@@ -387,6 +387,10 @@ class TestBadInput:
         pytest.param(lambda d: d.update(weights={"0": 1.0}), id="<lambda>21"),
         pytest.param(lambda d: d.update(bias=float("-inf")), id="<lambda>22"),
         pytest.param(lambda d: d["weights"].__setitem__(0, {}), id="<lambda>23"),
+        # Mistyped config values that `--config` rejects loaded and were written back.
+        pytest.param(lambda d: d["config"].update(epochs=10.5), id="config-epochs-float"),
+        pytest.param(lambda d: d["config"].update(epochs=True), id="config-epochs-bool"),
+        pytest.param(lambda d: d["config"].update(seed=True), id="config-seed-bool"),
     ])
     def test_broken_model_file(self, trained_world, tmp_path, capsys, edit):
         self.induce_with_edited_model(trained_world, tmp_path, capsys, edit)
@@ -648,6 +652,25 @@ class TestEvaluate:
         code, out = run(capsys, "evaluate", "paths", "--paths", str(paths_file))
         assert code == 0
         assert json.loads(out) == {"AL": 5.0, "ACPP": 2.0, "ARCPP": 0.4}
+
+    # Each was misread, and scored with exit 0.
+    @pytest.mark.parametrize("row, message", [
+        pytest.param('{"nodes": "abc", "first_wrong_index": 1.5}',
+                     "nodes must be a list of nonempty strings, got 'abc'", id="nodes-string"),
+        pytest.param('{"nodes": [1, 2], "first_wrong_index": true}',
+                     "nodes must be a list of nonempty strings, got [1, 2]", id="nodes-ints"),
+        pytest.param('{"nodes": ["a", ""]}',
+                     "nodes must be a list of nonempty strings, got ['a', '']", id="nodes-empty-id"),
+        pytest.param('{"nodes": ["a", "b"], "first_wrong_index": true}',
+                     "first_wrong_index must be an integer or null, got True", id="index-bool"),
+        pytest.param('{"nodes": ["a", "b"], "first_wrong_index": 1.0}',
+                     "first_wrong_index must be an integer or null, got 1.0", id="index-float"),
+    ])
+    def test_mistyped_paths_rejected(self, tmp_path, capsys, row, message):
+        paths_file = tmp_path / "paths.jsonl"
+        paths_file.write_text('{"nodes": ["a", "b"]}\n' + row + "\n", encoding="utf-8")
+        code, err = run_err(capsys, "evaluate", "paths", "--paths", str(paths_file))
+        assert (code, err) == (2, f"error: {paths_file}:2: {message}\n")
 
     def test_edges_worked_example(self, tmp_path, capsys):
         (tmp_path / "taxo.tsv").write_text("x\ta\nx\tb\ny\tc\n", encoding="utf-8")

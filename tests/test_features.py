@@ -25,21 +25,17 @@ CHAR = FeatureSpec(FeatureMode.CHAR_NGRAM)
 
 class TestWordTokens:
     def test_accented_title(self):
-        assert dict(word_tokens("Entraîneur sportif américain", WORD)) == {
+        assert dict(word_tokens("Entraîneur sportif américain")) == {
             "entraîneur": 1,
             "sportif": 1,
             "américain": 1,
         }
 
     def test_empty(self):
-        assert not word_tokens("", WORD)
+        assert not word_tokens("")
 
     def test_multiset_over_whitespace_runs(self):
-        assert dict(word_tokens("a  b\tb", WORD)) == {"a": 1, "b": 2}
-
-    def test_no_lowercase(self):
-        spec = FeatureSpec(FeatureMode.WORD, lowercase=False)
-        assert dict(word_tokens("Ab aB", spec)) == {"Ab": 1, "aB": 1}
+        assert dict(word_tokens("a  b\tb")) == {"a": 1, "b": 2}
 
 
 class TestCharNgrams:
@@ -216,8 +212,8 @@ TITLES = st.one_of(
 )
 SIZES = st.sets(st.integers(1, 8), min_size=1)
 SPECS = st.one_of(
-    st.builds(FeatureSpec, st.just(FeatureMode.WORD), lowercase=st.booleans()),
-    st.builds(FeatureSpec, st.just(FeatureMode.CHAR_NGRAM), SIZES.map(frozenset), st.booleans()),
+    st.just(WORD),
+    st.builds(FeatureSpec, st.just(FeatureMode.CHAR_NGRAM), SIZES.map(frozenset)),
 )
 
 
@@ -230,11 +226,11 @@ class TestAgainstReference:
     `tests/oracles.py`: the same n-grams in the same order, and the same
     title vectors to the last bit."""
 
-    @given(TITLES, SIZES, st.booleans())
-    @example("ab", {3, 5}, True)  # shorter than every size
-    @example("  a \t\n b  ", {1, 2, 3}, False)
-    def test_char_ngrams_in_reference_order(self, title, sizes, lowercase):
-        spec = FeatureSpec(FeatureMode.CHAR_NGRAM, frozenset(sizes), lowercase)
+    @given(TITLES, SIZES)
+    @example("ab", {3, 5})  # shorter than every size
+    @example("  a \t\n b  ", {1, 2, 3})
+    def test_char_ngrams_in_reference_order(self, title, sizes):
+        spec = FeatureSpec(FeatureMode.CHAR_NGRAM, frozenset(sizes))
         expected = reference_char_ngrams(title, spec)
         assert list(char_ngrams(title, spec).items()) == list(expected.items())
 
@@ -314,6 +310,8 @@ def test_idf_per_feature(corpus, spec):
     pytest.param(lambda d: d["spec"].update(ngram_sizes=[0, 3]), id="<lambda>4"),
     pytest.param(lambda d: d.update(n_docs=2.0), id="<lambda>5"),
     pytest.param(lambda d: d.update(n_docs="2"), id="<lambda>6"),
+    # Titles are always lowercased, so a file that says otherwise is damaged.
+    pytest.param(lambda d: d["spec"].update(lowercase=False), id="lowercase-false"),
 ])
 def test_mistyped_spec_values_rejected(edit):
     data = json_round_trip(fit_tfidf(["Entraîneur sportif"], CHAR))

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from taxonet.graph import (
@@ -45,6 +47,32 @@ def test_duplicate_edges_collapse(tmp_path):
     graph = load_wcn(nodes, edges)
     assert graph.n_edges == 1
     assert graph.parents("e1") == ["c1"]
+
+
+def test_random_edge_lists_with_repeated_rows():
+    """Against a set-based reference: each child's parents in the order of
+    their first row, repeated rows dropped and not counted."""
+    for seed in range(200):
+        rng = random.Random(seed)
+        categories = [f"c{i}" for i in range(rng.randint(2, 6))]
+        entities = [f"e{i}" for i in range(rng.randint(0, 3))]
+        rows = []
+        for _ in range(rng.randint(0, 30)):
+            child, parent = rng.choice(categories + entities), rng.choice(categories)
+            if child != parent:
+                rows.append((child, parent))
+        nodes = [Node(c, NodeKind.CATEGORY, c) for c in categories]
+        nodes += [Node(e, NodeKind.ENTITY, e) for e in entities]
+        graph = WcnGraph(nodes, rows)
+
+        edge_set = set(rows)
+        first_rows = sorted(edge_set, key=rows.index)
+        assert graph.n_edges == len(edge_set), seed
+        for child in categories + entities:
+            assert graph.parents(child) == [p for c, p in first_rows if c == child], seed
+            for parent in categories + entities:
+                assert graph.has_edge(child, parent) == ((child, parent) in edge_set), seed
+        assert list(graph.edges()) == sorted(first_rows, key=lambda e: e[0]), seed
 
 
 def test_entity_to_entity_rejected(tmp_path):

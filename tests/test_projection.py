@@ -1,3 +1,4 @@
+import random
 from collections import deque
 
 from taxonet import InterlangMap, Node, NodeKind, TaxoEdge, Taxonomy, WcnGraph
@@ -10,6 +11,7 @@ from taxonet.projection import (
 )
 
 from conftest import fig1_graph, fig1_links, fig1_source
+from oracles import reference_bounded_shortest_path, reference_collect_ancestors
 from worldgen import build_world
 
 
@@ -75,6 +77,27 @@ class TestBoundedShortestPath:
         graph = WcnGraph(nodes, [("s", "b"), ("s", "a")])
         # both targets at depth 1; "b" was stored first so it wins
         assert bounded_shortest_path(graph, "s", {"a", "b"}, 3) == ["s", "b"]
+
+
+def test_walks_equal_the_two_loops_they_replaced():
+    """On seeded random networks with cycles and several parents per node,
+    stored in no particular order, both walks match their old loops in
+    `tests/oracles.py`: the same ancestor sets, and the same path, node for
+    node, from starts inside and outside the targets."""
+    for seed in range(300):
+        rng = random.Random(seed)
+        names = [f"n{i}" for i in range(rng.randint(2, 10))]
+        pairs = [(u, v) for u in names for v in names if u != v and rng.random() < 0.35]
+        rng.shuffle(pairs)
+        graph = WcnGraph([Node(n, NodeKind.CATEGORY, n) for n in names], pairs)
+        taxonomy = Taxonomy(TaxoEdge(c, p) for c, p in pairs)
+        for k in range(1, 5):
+            for start in names:
+                targets = set(rng.sample(names, rng.randint(0, len(names))))
+                expected = reference_bounded_shortest_path(graph, start, targets, k)
+                assert bounded_shortest_path(graph, start, targets, k) == expected, (seed, k)
+                expected = reference_collect_ancestors(taxonomy, start, k)
+                assert collect_ancestors(taxonomy, start, k) == expected, (seed, k)
 
 
 class TestProject:
