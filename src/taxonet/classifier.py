@@ -268,15 +268,20 @@ def load_model(path: str | Path, kind: EdgeKind | None = None) -> LinearEdgeMode
     one, so a model cannot score the other kind's edges. `weights` must be
     two lists of V finite JSON numbers, V being the vocabulary size, and the
     bias a finite JSON number; weights are checked in bulk, not one call per
-    value. `config` has the JSON types of `TrainConfig`'s defaults. Every
+    value. `config` holds exactly `TrainConfig`'s keys, each with the JSON
+    type of its default, since `save_model` writes them back. Every
     zero weight is one shared `0.0`, as in a model `train_linear` returns.
     """
     with open(path, encoding="utf-8") as fh:
         try:
             data = json.load(fh)
             found = EdgeKind(data["kind"])
-            cfg = TrainConfig(**data["config"])
-            check_json_types({f.name: f.default for f in fields(cfg)}, asdict(cfg))
+            defaults = {f.name: f.default for f in fields(TrainConfig)}
+            config = data["config"]
+            if not (type(config) is dict and config.keys() == defaults.keys()):
+                raise ValueError(f"config must hold exactly the keys {', '.join(defaults)}")
+            check_json_types(defaults, config)
+            cfg = TrainConfig(**config)
             tfidf = TfidfModel.from_dict(data.pop("tfidf"))
             # Each parsed list leaves the queue, and memory, as it is converted.
             parsed = deque(data.pop("weights"))

@@ -18,6 +18,14 @@ cc; a child's error re-raises here unchanged, so it exits 2 with the same
 message. The fork makes these commands POSIX-only, and `main` must be
 called from a single-threaded process.
 
+Each command runs in a fresh process and pays for what it imports.
+Loading this module imports `classifier`, `features`, `graph`,
+`induction`, `labeling`, `projection`, `rng` and `errors`, which
+`project`, `train` and `induce` run; `CONFIG_DEFAULTS` reads the config
+classes of three of them, so every command loads these. `train` also
+imports `forking` (and `pickle`), and `evaluate` and `stats` import
+`metrics`, each inside its command function.
+
 A command's settings come in three layers: `CONFIG_DEFAULTS`, then the
 optional `--config` file, then the flags, each overriding the one before.
 `CONFIG_DEFAULTS` reads each default from the library: the fields of
@@ -53,9 +61,6 @@ from .features import (
 from .graph import EdgeKind, _write_lines, load_interlang, load_taxonomy, load_wcn, save_taxonomy
 from .induction import InductionConfig, induce, search_edges, weigh_edges
 from .labeling import EdgeDataset, check_val_fraction, label_edges, split_by_kind, train_val_split
-from .metrics import (
-    branching_factor, edge_metrics, load_gold, load_paths, max_depth_sampled, path_metrics,
-)
 from .projection import ProjectionConfig, project
 
 CONFIG_DEFAULTS = {
@@ -173,7 +178,7 @@ def _cmd_train(args: argparse.Namespace) -> int:
             },
         )
 
-    from .forking import run_pair  # here, so `import taxonet` does not load pickle
+    from .forking import run_pair  # here, so commands that never fork skip pickle
 
     ec_job, cc_job = jobs
     run_pair(lambda: fit(*ec_job), lambda: fit(*cc_job))
@@ -199,6 +204,8 @@ def _cmd_induce(args: argparse.Namespace) -> int:
 
 
 def _cmd_evaluate(args: argparse.Namespace) -> int:
+    from .metrics import edge_metrics, load_gold, load_paths, path_metrics
+
     if args.what == "edges":
         taxonomy = load_taxonomy(args.taxonomy)
         gold = load_gold(args.gold, args.nodes_file)
@@ -220,6 +227,8 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
 
 
 def _cmd_stats(args: argparse.Namespace) -> int:
+    from .metrics import branching_factor, max_depth_sampled
+
     taxonomy = load_taxonomy(args.taxonomy)
     bf = branching_factor(taxonomy)  # raises TaxonetError on no edges -> exit 2
     print(

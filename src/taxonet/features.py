@@ -39,7 +39,7 @@ from array import array
 from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
-from operator import itemgetter, mul
+from operator import itemgetter, mul, ne
 from typing import Callable
 
 from .errors import TaxonetError
@@ -99,11 +99,15 @@ class TfidfModel:
     """Vocabulary + smoothed idf weights fitted on a title corpus.
 
     Columns are assigned in lexicographic feature order, which makes the
-    model independent of corpus order. Vocabulary and idf are fixed once
-    the model is built, which is what lets `half` cache title vectors.
+    model independent of corpus order. The vocabulary maps each feature to
+    its column, 0 to V-1 in insertion order, so it lists the features in
+    column order as it is. Vocabulary and idf are fixed once the model is
+    built, which is what lets `half` cache title vectors.
     """
 
     def __init__(self, spec: FeatureSpec, vocabulary: dict[str, int], df: list[int], n_docs: int):
+        if any(map(ne, vocabulary.values(), range(len(vocabulary)))):
+            raise ValueError("vocabulary columns must run 0 to V-1 in insertion order")
         self.spec = spec
         self.vocabulary = vocabulary
         self.df = df
@@ -136,7 +140,7 @@ class TfidfModel:
                 "lowercase": True,
             },
             "n_docs": self.n_docs,
-            "features": sorted(self.vocabulary, key=self.vocabulary.get),
+            "features": list(self.vocabulary),
             "df": self.df,
         }
 

@@ -13,7 +13,8 @@ long as both run. Titles are stored verbatim; normalization is the
 feature layer's job.
 
 Every line-based file is read by `_lines`, which reports invalid UTF-8 as
-`file:line`; every output file, a model too, is written by `_write_lines`.
+`file:line`; every output file, a model too, is written whole or not at
+all by `_write_lines`.
 A loader hands its rows to the class that checks their rules (`WcnGraph`,
 `InterlangMap`) with a `_Cursor` at the current row, so a broken rule is
 reported as `file:line` too. `check_projected` is the one check that a
@@ -23,6 +24,7 @@ projected taxonomy's edges are all network edges.
 from __future__ import annotations
 
 import logging
+import os
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
@@ -46,6 +48,11 @@ class EdgeKind(Enum):
 class Provenance(Enum):
     PROJECTED = "projected"
     INDUCED = "induced"
+
+
+# The loaders parse a column by one dict lookup, not an `Enum` call per row.
+_NODE_KINDS = {kind.value: kind for kind in NodeKind}
+_PROVENANCES = {provenance.value: provenance for provenance in Provenance}
 
 
 @dataclass(frozen=True)
@@ -249,9 +256,30 @@ def _lines(path: Path) -> Iterator[tuple[int, str]]:
 
 
 def _write_lines(path: str | Path, lines: Iterable[str]) -> None:
-    """Write the strings of `lines`, LFs included, to a UTF-8 file as they are drawn."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.writelines(lines)
+    """Write the strings of `lines`, LFs included, to a UTF-8 file as they are drawn.
+
+    The file appears whole or not at all: the lines go to a temporary file
+    beside it, which replaces it once all are written and is removed if
+    anything fails, so an error leaves an old file as it was. A failed open
+    names `path`. A path that exists and is not a regular file (a directory,
+    `/dev/null`, a FIFO) is opened in place: a rename would replace it.
+    """
+    if os.path.exists(path) and not os.path.isfile(path):
+        with open(path, "w", encoding="utf-8", newline="\n") as fh:
+            fh.writelines(lines)
+        return
+    tmp = Path(path).with_name(f".{Path(path).name}.{os.getpid()}.tmp")
+    try:
+        fh = open(tmp, "w", encoding="utf-8", newline="\n")
+    except OSError as exc:
+        raise OSError(exc.errno, exc.strerror, os.fspath(path)) from None
+    try:
+        with fh:
+            fh.writelines(lines)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def _rows(
@@ -267,7 +295,7 @@ def _rows(
         if line_no == 1 and line.startswith("\ufeff"):
             raise MalformedRow(path, line_no, "file starts with a UTF-8 byte order mark")
         cols = line.split("\t")
-        if len(cols) not in n_cols or any(c == "" for c in cols):
+        if len(cols) not in n_cols or "" in cols:
             raise MalformedRow(path, line_no, f"expected {expected} nonempty columns, got {line!r}")
         if cursor is not None:
             cursor.at = (path, line_no)
@@ -301,10 +329,9 @@ def load_wcn(nodes_file: str | Path, edges_file: str | Path) -> WcnGraph:
 
     def nodes() -> Iterator[Node]:
         for line_no, (node_id, kind_str, title) in _rows(nodes_file, 3, cursor=cursor):
-            try:
-                kind = NodeKind(kind_str)
-            except ValueError:
-                raise MalformedRow(nodes_file, line_no, f"unknown node kind {kind_str!r}") from None
+            kind = _NODE_KINDS.get(kind_str)
+            if kind is None:
+                raise MalformedRow(nodes_file, line_no, f"unknown node kind {kind_str!r}")
             yield Node(node_id, kind, title)
 
     edges = ((c, p) for _, (c, p) in _rows(edges_file, 2, cursor=cursor))
@@ -346,10 +373,9 @@ def load_taxonomy(path: str | Path) -> Taxonomy:
             except ValueError:
                 raise MalformedRow(path, line_no, f"bad score {cols[2]!r}") from None
         if len(cols) == 4:
-            try:
-                provenance = Provenance(cols[3])
-            except ValueError:
-                raise MalformedRow(path, line_no, f"bad provenance {cols[3]!r}") from None
+            provenance = _PROVENANCES.get(cols[3])
+            if provenance is None:
+                raise MalformedRow(path, line_no, f"bad provenance {cols[3]!r}")
         try:
             edge = TaxoEdge(child, parent, score, provenance)
         except ValueError as exc:

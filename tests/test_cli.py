@@ -187,7 +187,8 @@ class TestTrain:
 
     def test_save_error_exits_2(self, trained_world, tmp_path, capsys):
         # A directory where ec's model file goes fails ec's save; no metrics
-        # may be written for the unsaved model, while cc's files are.
+        # may be written for the unsaved model, while cc's files are, and no
+        # temporary file is left behind.
         _, paths, projected, _ = trained_world
         out_dir = tmp_path / "m"
         (out_dir / "model.ec.json").mkdir(parents=True)
@@ -391,6 +392,9 @@ class TestBadInput:
         pytest.param(lambda d: d["config"].update(epochs=10.5), id="config-epochs-float"),
         pytest.param(lambda d: d["config"].update(epochs=True), id="config-epochs-bool"),
         pytest.param(lambda d: d["config"].update(seed=True), id="config-seed-bool"),
+        # Missing keys loaded as TrainConfig's defaults, and were written back.
+        pytest.param(lambda d: [d["config"].pop(k) for k in ("epochs", "seed")],
+                     id="config-missing-keys"),
     ])
     def test_broken_model_file(self, trained_world, tmp_path, capsys, edit):
         self.induce_with_edited_model(trained_world, tmp_path, capsys, edit)

@@ -282,6 +282,13 @@ def test_model_json_roundtrip():
     assert again.to_dict() == model.to_dict()
 
 
+@pytest.mark.parametrize("vocabulary", [{"b": 1, "a": 0}, {"a": 1}, {"a": 0, "b": 2}])
+def test_vocabulary_out_of_column_order_rejected(vocabulary):
+    # `to_dict` writes the vocabulary as it is, as the features in column order.
+    with pytest.raises(ValueError, match="^vocabulary columns must run 0 to V-1 in insertion order$"):
+        TfidfModel(CHAR, vocabulary, [1] * len(vocabulary), 1)
+
+
 @given(st.lists(TITLES, min_size=1, max_size=8), SPECS)
 @example(["aa bb", "aa", "cc"], WORD)
 def test_idf_per_feature(corpus, spec):

@@ -1,4 +1,6 @@
+import os
 import random
+import stat
 
 import pytest
 
@@ -11,6 +13,7 @@ from taxonet.graph import (
     TaxoEdge,
     Taxonomy,
     WcnGraph,
+    _write_lines,
     edge_kind,
     load_interlang,
     load_taxonomy,
@@ -102,7 +105,7 @@ def test_load_errors(tmp_path):
             write_lines(tmp_path / "n2.tsv", ["e1\tentity\ta", "e1\tentity\tb"]),
             write_lines(tmp_path / "e4.tsv", []),
         )
-    with pytest.raises(MalformedRow):
+    with raises_error(f"{tmp_path / 'n3.tsv'}:1: unknown node kind 'widget'"):
         load_wcn(write_lines(tmp_path / "n3.tsv", ["e1\twidget\ta"]), tmp_path / "e4.tsv")
     with raises_error(f"{tmp_path / 'n4.tsv'}:1: empty title for node 'e1'"):
         load_wcn(write_lines(tmp_path / "n4.tsv", ["e1\tentity\t "]), tmp_path / "e4.tsv")
@@ -200,7 +203,7 @@ def test_taxonomy_load_defaults_and_errors(tmp_path):
     assert taxo.edge("c", "d").provenance is Provenance.INDUCED
     with pytest.raises(MalformedRow):
         load_taxonomy(write_lines(tmp_path / "bad1.tsv", ["a\tb\tnot-a-number"]))
-    with pytest.raises(MalformedRow):
+    with raises_error(f"{tmp_path / 'bad2.tsv'}:1: bad provenance 'guessed'"):
         load_taxonomy(write_lines(tmp_path / "bad2.tsv", ["a\tb\t0.5\tguessed"]))
     with pytest.raises(MalformedRow):
         load_taxonomy(write_lines(tmp_path / "bad3.tsv", ["a\tb\t1.7"]))
@@ -209,3 +212,41 @@ def test_taxonomy_load_defaults_and_errors(tmp_path):
 def test_taxonomy_duplicate_rows_keep_max(tmp_path):
     path = write_lines(tmp_path / "t.tsv", ["a\tb\t0.3\tinduced", "a\tb\t0.8\tinduced"])
     assert load_taxonomy(path).edge("a", "b").score == 0.8
+
+
+def test_write_lines_error_keeps_old_file(tmp_path):
+    path = tmp_path / "t.tsv"
+    path.write_bytes(b"old\tfile\n")
+
+    def lines():
+        yield "a\tb\n"
+        raise RuntimeError("halfway")
+
+    with pytest.raises(RuntimeError, match="halfway"):
+        _write_lines(path, lines())
+    assert path.read_bytes() == b"old\tfile\n"
+    assert os.listdir(tmp_path) == ["t.tsv"]
+    _write_lines(path, iter(["a\tb\n"]))
+    assert path.read_bytes() == b"a\tb\n"
+    assert os.listdir(tmp_path) == ["t.tsv"]
+
+
+def test_write_lines_open_error_names_path(tmp_path):
+    path = tmp_path / "missing" / "t.tsv"
+    with pytest.raises(FileNotFoundError) as info:
+        _write_lines(path, ["a\n"])
+    assert str(info.value) == f"[Errno 2] No such file or directory: '{path}'"
+
+
+def test_write_lines_fifo_in_place(tmp_path):
+    # A path that is not a regular file is written, not replaced.
+    path = tmp_path / "out"
+    os.mkfifo(path)
+    reader = os.open(path, os.O_RDONLY | os.O_NONBLOCK)  # so opening to write does not block
+    try:
+        _write_lines(path, ["a\tb\n"])
+        assert os.read(reader, 64) == b"a\tb\n"
+    finally:
+        os.close(reader)
+    assert stat.S_ISFIFO(os.stat(path).st_mode)
+    assert os.listdir(tmp_path) == ["out"]

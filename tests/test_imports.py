@@ -1,14 +1,20 @@
 """Every library module and test file uses every name it imports, every
 private module-level name of the library is read somewhere, and the
 package exports every name the benchmark and `worldgen` read from it.
+The package resolves its exports on first use, so a fresh interpreter
+imports only the modules whose names it reads.
 
 No lint tool is a dependency, so these stdlib `ast` checks stand in for
-one. `__init__.py` is skipped by the first: its imports are the package's
-exports. The benchmark's own tests do not run here, so the second keeps a
+one. `__init__.py` imports no export, so the first covers it too. The
+benchmark's own tests do not run here, so the export check keeps a
 trimmed export from breaking it unseen.
 """
 
 import ast
+import importlib
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -18,7 +24,6 @@ import taxonet
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "taxonet"
 SOURCES = sorted(SRC.glob("*.py"))
-MODULES = [p for p in SOURCES if p.name != "__init__.py"]
 TEST_FILES = sorted((ROOT / "tests").glob("*.py"))
 PACKAGE_READERS = [ROOT / "bench" / "replay.py", ROOT / "bench" / "run.py",
                    ROOT / "tests" / "worldgen.py"]
@@ -47,7 +52,7 @@ def test_checker_finds_unused_names():
     assert unused_imports(source) == ["os", "rep"]
 
 
-@pytest.mark.parametrize("path", MODULES + TEST_FILES,
+@pytest.mark.parametrize("path", SOURCES + TEST_FILES,
                          ids=lambda p: p.name if p.parent == SRC else f"tests/{p.name}")
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
@@ -128,3 +133,40 @@ def test_package_exports_every_name_read_from_it(path):
     names = package_names(path.read_text(encoding="utf-8"))
     assert names, "no name read from taxonet: the checker no longer sees this file's imports"
     assert sorted(name for name in names if not hasattr(taxonet, name)) == []
+
+
+# What a fresh interpreter runs, and the taxonet modules it must then hold.
+# Each command of the CLI and the benchmark's set-up probe start this way;
+# `project`, `train` and `induce` do not load `metrics`.
+CLI_MODULES = ["cli", "classifier", "errors", "features", "graph", "induction", "labeling",
+               "projection", "rng"]
+
+
+@pytest.mark.parametrize("script, loaded", [
+    pytest.param("import taxonet", [], id="import-taxonet"),
+    pytest.param("from taxonet import load_wcn", ["errors", "graph"],
+                 id="from-taxonet-import-load_wcn"),
+    pytest.param("import taxonet.cli", CLI_MODULES, id="import-taxonet-cli"),
+])
+def test_fresh_interpreter_imports_only_what_it_reads(script, loaded):
+    script += "\nimport sys; print(*sorted(m for m in sys.modules if m.startswith('taxonet.')))"
+    env = {**os.environ, "PYTHONPATH": str(SRC.parent)}
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == sorted(f"taxonet.{name}" for name in loaded)
+
+
+@pytest.mark.parametrize("name", taxonet.__all__)
+def test_export_is_its_modules_object(name):
+    module = importlib.import_module(f"taxonet.{taxonet._EXPORTS[name]}")
+    assert getattr(taxonet, name) is getattr(module, name)
+
+
+def test_dir_lists_exports_and_all():
+    assert {"__all__", "__version__", *taxonet.__all__} <= set(dir(taxonet))
+
+
+def test_unknown_name_raises_attribute_error():
+    with pytest.raises(AttributeError, match="^module 'taxonet' has no attribute 'load_wnc'$"):
+        taxonet.load_wnc
