@@ -52,8 +52,7 @@ from __future__ import annotations
 
 import json
 import math
-from collections import deque
-from dataclasses import asdict, dataclass, fields
+from collections import deque, namedtuple
 from itertools import chain
 from operator import mul
 from pathlib import Path
@@ -66,20 +65,19 @@ from .labeling import EdgeDataset, Label, LabeledEdge
 from .rng import SplitMix64
 
 
-@dataclass(frozen=True)
-class TrainConfig:
-    epochs: int = 10
-    learning_rate: float = 0.1
-    l2_lambda: float = 1e-6
-    seed: int = 0
+class TrainConfig(namedtuple("TrainConfig", "epochs learning_rate l2_lambda seed",
+                             defaults=(10, 0.1, 1e-6, 0))):
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.epochs < 1:
             raise ValueError("epochs must be >= 1")
         if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
             raise ValueError(f"learning_rate must be finite and > 0, got {self.learning_rate!r}")
         if not (math.isfinite(self.l2_lambda) and self.l2_lambda >= 0):
             raise ValueError(f"l2_lambda must be finite and >= 0, got {self.l2_lambda!r}")
+        return self
 
 
 def _sigmoid(z: float) -> float:
@@ -118,7 +116,7 @@ class LinearEdgeModel:
             "tfidf": self.tfidf.to_dict(),
             "weights": self.dense,
             "bias": self.bias,
-            "config": asdict(self.hyper),  # fields in the written key order
+            "config": self.hyper._asdict(),  # fields in the written key order
         }
 
 
@@ -276,7 +274,7 @@ def load_model(path: str | Path, kind: EdgeKind | None = None) -> LinearEdgeMode
         try:
             data = json.load(fh)
             found = EdgeKind(data["kind"])
-            defaults = {f.name: f.default for f in fields(TrainConfig)}
+            defaults = TrainConfig._field_defaults
             config = data["config"]
             if not (type(config) is dict and config.keys() == defaults.keys()):
                 raise ValueError(f"config must hold exactly the keys {', '.join(defaults)}")

@@ -24,12 +24,15 @@ Loading this module imports `classifier`, `features`, `graph`,
 `project`, `train` and `induce` run; `CONFIG_DEFAULTS` reads the config
 classes of three of them, so every command loads these. `train` also
 imports `forking` (and `pickle`), and `evaluate` and `stats` import
-`metrics`, each inside its command function.
+`metrics`, each inside its command function. No command imports
+`dataclasses`, `logging` or `inspect`, whose imports would add to every
+start: the library's records are named tuples, its warnings are plain stderr
+lines, and `_CONFIG_CLASSES` names the keys each setting is built from.
 
 A command's settings come in three layers: `CONFIG_DEFAULTS`, then the
 optional `--config` file, then the flags, each overriding the one before.
-`CONFIG_DEFAULTS` reads each default from the library: the fields of
-`ProjectionConfig`, `TrainConfig` and `InductionConfig`, and
+`CONFIG_DEFAULTS` reads each default from the library: the field defaults
+of `ProjectionConfig`, `TrainConfig` and `InductionConfig`, and
 `features.DEFAULT_NGRAM_SIZES`; only `mode`, `val_fraction` and `min_df`,
 which no library class defaults, are written here. Each flag's help shows
 its default from `CONFIG_DEFAULTS`.
@@ -47,8 +50,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import fields
-from inspect import signature
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -64,22 +65,23 @@ from .labeling import EdgeDataset, check_val_fraction, label_edges, split_by_kin
 from .projection import ProjectionConfig, project
 
 CONFIG_DEFAULTS = {
-    **{f.name: f.default for cls in (ProjectionConfig, TrainConfig, InductionConfig)
-       for f in fields(cls)},
+    **ProjectionConfig._field_defaults, **TrainConfig._field_defaults,
+    **InductionConfig._field_defaults,
     "ngram_sizes": sorted(DEFAULT_NGRAM_SIZES),
     "mode": "char", "val_fraction": 0.25, "min_df": 1,
 }
 
 
-# Each setting a command reads, by name, and what builds it: a config class
-# or a key's own check, called with the keys its parameters name.
+# Each setting a command reads, by name: what builds it, a config class or
+# a key's own check, and the keys it is called with, by name.
 _CONFIG_CLASSES = {
-    "projection": ProjectionConfig,
-    "spec": lambda mode, ngram_sizes: FeatureSpec(FeatureMode(mode), frozenset(ngram_sizes)),
-    "train": TrainConfig,
-    "induction": InductionConfig,
-    "val_fraction": check_val_fraction,
-    "min_df": check_min_df,
+    "projection": (ProjectionConfig, ProjectionConfig._fields),
+    "spec": (lambda mode, ngram_sizes: FeatureSpec(FeatureMode(mode), frozenset(ngram_sizes)),
+             ("mode", "ngram_sizes")),
+    "train": (TrainConfig, TrainConfig._fields),
+    "induction": (InductionConfig, InductionConfig._fields),
+    "val_fraction": (check_val_fraction, ("val_fraction",)),
+    "min_df": (check_min_df, ("min_df",)),
 }
 
 
@@ -113,8 +115,7 @@ def _settings(args: argparse.Namespace) -> SimpleNamespace:
     for path, layer in layers:
         values.update(layer)
         built = {}
-        for name, build in _CONFIG_CLASSES.items():
-            keys = signature(build).parameters
+        for name, (build, keys) in _CONFIG_CLASSES.items():
             try:
                 built[name] = build(**{key: values[key] for key in keys})
             except ValueError as exc:

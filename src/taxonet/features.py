@@ -36,8 +36,7 @@ from __future__ import annotations
 
 import math
 from array import array
-from collections import Counter
-from dataclasses import dataclass
+from collections import Counter, namedtuple
 from enum import Enum
 from operator import itemgetter, mul, ne
 from typing import Callable
@@ -56,15 +55,15 @@ class FeatureMode(Enum):
     CHAR_NGRAM = "char"
 
 
-@dataclass(frozen=True)
-class FeatureSpec:
-    mode: FeatureMode
-    ngram_sizes: frozenset[int] = DEFAULT_NGRAM_SIZES
+class FeatureSpec(namedtuple("FeatureSpec", "mode ngram_sizes", defaults=(DEFAULT_NGRAM_SIZES,))):
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.mode is FeatureMode.CHAR_NGRAM:
             if not self.ngram_sizes or any(n < 1 for n in self.ngram_sizes):
                 raise ValueError("ngram_sizes must be nonempty with sizes >= 1")
+        return self
 
 
 def _tokens(title: str) -> list[str]:

@@ -19,20 +19,21 @@ A loader hands its rows to the class that checks their rules (`WcnGraph`,
 `InterlangMap`) with a `_Cursor` at the current row, so a broken rule is
 reported as `file:line` too. `check_projected` is the one check that a
 projected taxonomy's edges are all network edges.
+
+A repeated edge row and a repeated taxonomy row are dropped with a warning,
+one plain line on stderr; `logging` is not used.
 """
 
 from __future__ import annotations
 
-import logging
 import os
-from dataclasses import dataclass
+import sys
+from collections import namedtuple
 from enum import Enum
 from pathlib import Path
 from typing import Iterable, Iterator
 
 from .errors import MalformedRow, TaxonetError
-
-logger = logging.getLogger(__name__)
 
 
 class NodeKind(Enum):
@@ -55,25 +56,20 @@ _NODE_KINDS = {kind.value: kind for kind in NodeKind}
 _PROVENANCES = {provenance.value: provenance for provenance in Provenance}
 
 
-@dataclass(frozen=True)
-class Node:
-    id: str
-    kind: NodeKind
-    title: str
+Node = namedtuple("Node", "id kind title")
 
 
-@dataclass(frozen=True)
-class TaxoEdge:
+class TaxoEdge(namedtuple("TaxoEdge", "child parent score provenance",
+                          defaults=(1.0, Provenance.PROJECTED))):
     """An accepted is-a edge. Projected edges carry score 1.0."""
 
-    child: str
-    parent: str
-    score: float = 1.0
-    provenance: Provenance = Provenance.PROJECTED
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if not 0.0 <= self.score <= 1.0:
             raise ValueError(f"edge score out of [0,1]: {self.score}")
+        return self
 
 
 class WcnGraph:
@@ -105,7 +101,7 @@ class WcnGraph:
             edge_kind(self, child, parent)
             parents = self._parents.setdefault(child, [])
             if parent in parents:
-                logger.warning("duplicate edge dropped: %s -> %s", child, parent)
+                print(f"duplicate edge dropped: {child} -> {parent}", file=sys.stderr)
                 continue
             parents.append(parent)
         self._n_edges = sum(map(len, self._parents.values()))
@@ -382,7 +378,7 @@ def load_taxonomy(path: str | Path) -> Taxonomy:
             raise MalformedRow(path, line_no, str(exc)) from None
         pair = (child, parent)
         if pair in best:
-            logger.warning("duplicate taxonomy edge %s, keeping max score", pair)
+            print(f"duplicate taxonomy edge {pair}, keeping max score", file=sys.stderr)
             if edge.score <= best[pair].score:
                 continue
         best[pair] = edge

@@ -51,7 +51,7 @@ baseline nothing is scored and nothing forks.
 from __future__ import annotations
 
 import heapq
-from dataclasses import asdict, dataclass
+from collections import namedtuple
 
 from .classifier import LinearEdgeModel, predict_proba
 from .errors import TaxonetError
@@ -61,25 +61,25 @@ from .graph import (
 )
 
 
-@dataclass(frozen=True)
-class InductionConfig:
-    k: int = 1               # paths per uncovered node
-    epsilon: float = 1e-6    # probabilities are clamped to [epsilon, 1 - epsilon]
-    uniform: bool = False    # baseline: every edge weight 1
+class InductionConfig(namedtuple("InductionConfig", "k epsilon uniform",
+                                 defaults=(1, 1e-6, False))):
+    """k: paths per uncovered node; probabilities are clamped to
+    [epsilon, 1 - epsilon]; uniform: the baseline, every edge weight 1."""
 
-    def __post_init__(self):
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.k < 1:
             raise ValueError("k must be >= 1")
         # From 0.5 on, the clamp's floor is not below its ceiling.
         if not 0.0 < self.epsilon < 0.5:
             raise ValueError(f"epsilon must be in (0, 0.5), got {self.epsilon!r}")
+        return self
 
 
-@dataclass(frozen=True)
-class ScoredPath:
-    nodes: tuple[str, ...]
-    probability: float
-    hops: int
+class ScoredPath(namedtuple("ScoredPath", "nodes probability hops")):
+    __slots__ = ()
 
     def edges(self) -> list[tuple[str, str]]:
         return list(zip(self.nodes, self.nodes[1:]))
@@ -223,17 +223,12 @@ class _PathFinder:
         return [ScoredPath(nodes, -float(neg), hops) for neg, hops, nodes in accepted]
 
 
-@dataclass(frozen=True)
-class InductionReport:
-    entity_coverage: float
-    category_coverage: float
-    uncovered: list[str]
-    edges_added: int
-    k: int
-    uniform: bool
+class InductionReport(namedtuple("InductionReport", "entity_coverage category_coverage "
+                                 "uncovered edges_added k uniform")):
+    __slots__ = ()
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        return self._asdict()
 
 
 def induce(

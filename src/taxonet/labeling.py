@@ -8,14 +8,12 @@ is known about them yet.
 
 from __future__ import annotations
 
-import logging
-from dataclasses import dataclass
+import sys
+from collections import namedtuple
 from enum import Enum
 
 from .graph import EdgeKind, Taxonomy, WcnGraph, check_projected, edge_kind
 from .rng import SplitMix64
-
-logger = logging.getLogger(__name__)
 
 
 class Label(Enum):
@@ -23,18 +21,8 @@ class Label(Enum):
     NOT_ISA = "notisa"
 
 
-@dataclass(frozen=True)
-class LabeledEdge:
-    child: str
-    parent: str
-    label: Label
-
-
-@dataclass(frozen=True)
-class EdgeDataset:
-    kind: EdgeKind
-    train: list[LabeledEdge]
-    validation: list[LabeledEdge]
+LabeledEdge = namedtuple("LabeledEdge", "child parent label")
+EdgeDataset = namedtuple("EdgeDataset", "kind train validation")  # lists of LabeledEdge
 
 
 def label_edges(graph: WcnGraph, projected: Taxonomy) -> list[LabeledEdge]:
@@ -91,7 +79,8 @@ def train_val_split(
             (e for e in edges if e.label is label), key=lambda e: (e.child, e.parent)
         )
         if not group:
-            logger.warning("no %s edges to split; validation may miss the class", label.value)
+            print(f"no {label.value} edges to split; validation may miss the class",
+                  file=sys.stderr)
             continue
         rng = SplitMix64.keyed(seed, "split", label.value)
         rng.shuffle(group)

@@ -11,7 +11,7 @@ counted in nodes.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from collections import namedtuple
 from pathlib import Path
 
 from .errors import MalformedRow, TaxonetError
@@ -20,48 +20,39 @@ from .labeling import Label
 from .rng import SplitMix64
 
 
-@dataclass(frozen=True)
-class GoldEdgeSet:
-    sampled_nodes: frozenset[str]
-    judgments: dict[tuple[str, str], Label]
+class GoldEdgeSet(namedtuple("GoldEdgeSet", "sampled_nodes judgments")):
+    """A frozenset of sampled node ids, and a dict of (child, parent) -> Label."""
 
-    def __post_init__(self):
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         for child, _ in self.judgments:
             if child not in self.sampled_nodes:
                 raise ValueError(f"judged edge child {child!r} not in sampled nodes")
+        return self
 
 
-@dataclass(frozen=True)
-class AnnotatedPath:
+class AnnotatedPath(namedtuple("AnnotatedPath", "nodes first_wrong_index", defaults=(None,))):
     """A generalization chain; first_wrong_index marks the first node
     reached via a not-is-a hop (0-based), absent when fully correct."""
 
-    nodes: tuple[str, ...]
-    first_wrong_index: int | None = None
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if not self.nodes:
             raise ValueError("empty path")
         if self.first_wrong_index is not None and not (
             1 <= self.first_wrong_index < len(self.nodes)
         ):
             raise ValueError(f"first_wrong_index out of range: {self.first_wrong_index}")
+        return self
 
 
-@dataclass(frozen=True)
-class EdgeMetrics:
-    macro_precision: float
-    recall: float
-    coverage: float
-    precision_defined: bool = True
-    unjudged_returned: int = 0
-
-
-@dataclass(frozen=True)
-class PathMetrics:
-    avg_length: float
-    avg_cpp: float
-    avg_ratio_cpp: float
+EdgeMetrics = namedtuple("EdgeMetrics", "macro_precision recall coverage precision_defined "
+                         "unjudged_returned", defaults=(True, 0))
+PathMetrics = namedtuple("PathMetrics", "avg_length avg_cpp avg_ratio_cpp")
 
 
 def edge_metrics(taxonomy: Taxonomy, gold: GoldEdgeSet) -> EdgeMetrics:

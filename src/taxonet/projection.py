@@ -10,7 +10,7 @@ induction phase fills in the rest.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from collections import namedtuple
 from typing import Callable, Iterator
 
 from .graph import (
@@ -18,26 +18,25 @@ from .graph import (
 )
 
 
-@dataclass(frozen=True)
-class ProjectionConfig:
-    k1: int = 14  # max ancestor height in the source taxonomy
-    k2: int = 3   # max path length (hops) in the target network
+class ProjectionConfig(namedtuple("ProjectionConfig", "k1 k2", defaults=(14, 3))):
+    """k1: max ancestor height in the source taxonomy; k2: max path length
+    (hops) in the target network."""
 
-    def __post_init__(self):
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.k1 < 1 or self.k2 < 1:
             raise ValueError("k1 and k2 must be >= 1")
+        return self
 
 
-@dataclass(frozen=True)
-class ProjectionReport:
-    entity_coverage: float
-    category_coverage: float
-    skipped_no_equivalent: int
-    skipped_no_path: int
-    edges_added: int
+class ProjectionReport(namedtuple("ProjectionReport", "entity_coverage category_coverage "
+                                  "skipped_no_equivalent skipped_no_path edges_added")):
+    __slots__ = ()
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        return self._asdict()
 
 
 def _reach(parents: Callable, start: str, max_hops: int, prev: dict) -> Iterator[str]:

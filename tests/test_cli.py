@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import taxonet
 from taxonet import cli
 from taxonet.cli import main
 from taxonet.features import FeatureMode, FeatureSpec
@@ -779,3 +784,31 @@ class TestStats:
         (tmp_path / "t.tsv").write_text("", encoding="utf-8")
         code, _ = run(capsys, "stats", "--taxonomy", str(tmp_path / "t.tsv"))
         assert code == 2
+
+
+def run_process(*argv):
+    """`python -m taxonet` in a fresh interpreter: (exit code, standard error).
+    No test harness handler stands between a warning and the stream."""
+    env = {**os.environ, "PYTHONPATH": str(Path(taxonet.__file__).parent.parent)}
+    done = subprocess.run([sys.executable, "-m", "taxonet", *argv], env=env,
+                          capture_output=True, text=True, timeout=60)
+    return done.returncode, done.stderr
+
+
+class TestWarnings:
+    # A repeated row is dropped with a warning, one plain line on stderr,
+    # and the command goes on.
+    def test_repeated_edge_row(self, tmp_path):
+        (tmp_path / "nodes.tsv").write_text("a\tentity\tA\nb\tcategory\tB\n", encoding="utf-8")
+        (tmp_path / "edges.tsv").write_text("a\tb\na\tb\n", encoding="utf-8")
+        (tmp_path / "links.tsv").write_text("a\tsa\nb\tsb\n", encoding="utf-8")
+        (tmp_path / "source.tsv").write_text("sa\tsb\n", encoding="utf-8")
+        paths = {"nodes": tmp_path / "nodes.tsv", "edges": tmp_path / "edges.tsv",
+                 "langlinks": tmp_path / "links.tsv", "source_taxonomy": tmp_path / "source.tsv"}
+        code, err = run_process(*project_args(paths, tmp_path / "o.tsv"))
+        assert (code, err) == (0, "duplicate edge dropped: a -> b\n")
+
+    def test_repeated_taxonomy_row(self, tmp_path):
+        (tmp_path / "t.tsv").write_text("a\tb\t0.5\na\tb\t0.75\n", encoding="utf-8")
+        code, err = run_process("stats", "--taxonomy", str(tmp_path / "t.tsv"))
+        assert (code, err) == (0, "duplicate taxonomy edge ('a', 'b'), keeping max score\n")

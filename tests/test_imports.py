@@ -2,7 +2,8 @@
 private module-level name of the library is read somewhere, and the
 package exports every name the benchmark and `worldgen` read from it.
 The package resolves its exports on first use, so a fresh interpreter
-imports only the modules whose names it reads.
+imports only the modules whose names it reads, and none of them imports
+`dataclasses`, `logging` or `inspect`.
 
 No lint tool is a dependency, so these stdlib `ast` checks stand in for
 one. `__init__.py` imports no export, so the first covers it too. The
@@ -150,11 +151,28 @@ CLI_MODULES = ["cli", "classifier", "errors", "features", "graph", "induction", 
 ])
 def test_fresh_interpreter_imports_only_what_it_reads(script, loaded):
     script += "\nimport sys; print(*sorted(m for m in sys.modules if m.startswith('taxonet.')))"
+    assert fresh_interpreter(script) == sorted(f"taxonet.{name}" for name in loaded)
+
+
+def fresh_interpreter(script: str) -> list[str]:
+    """The words `script` prints when run by a new interpreter that imports `taxonet` from `SRC`."""
     env = {**os.environ, "PYTHONPATH": str(SRC.parent)}
     done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
                           text=True, timeout=60)
     assert done.returncode == 0, done.stderr
-    assert done.stdout.split() == sorted(f"taxonet.{name}" for name in loaded)
+    return done.stdout.split()
+
+
+# Each costs milliseconds to import, and every command would pay for it.
+# `site` may load modules of its own first, so what an import adds is
+# taken as a difference of `sys.modules`.
+@pytest.mark.parametrize("statement", ["import taxonet.cli", "from taxonet import load_wcn"])
+def test_fresh_interpreter_skips_dataclasses_logging_inspect(statement):
+    script = (f"import sys\nbefore = set(sys.modules)\n{statement}\n"
+              "print(*sorted(set(sys.modules) - before))")
+    added = fresh_interpreter(script)
+    assert "taxonet.graph" in added
+    assert sorted({"dataclasses", "inspect", "logging"}.intersection(added)) == []
 
 
 @pytest.mark.parametrize("name", taxonet.__all__)

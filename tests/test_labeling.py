@@ -118,9 +118,12 @@ class TestTrainValSplit:
             edges, key=lambda e: (e.child, e.parent)
         )
 
-    def test_single_class_warns_but_works(self, caplog):
+    def test_single_class_warns_but_works(self, capsys):
         train, val = train_val_split(synthetic_edges(8, 0), 0.25, seed=0)
         assert len(val) == 2 and len(train) == 6
+        assert capsys.readouterr().err == (
+            "no notisa edges to split; validation may miss the class\n"
+        )
 
     def test_bad_fraction(self):
         with pytest.raises(ValueError):
