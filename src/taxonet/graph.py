@@ -12,13 +12,17 @@ All structures are immutable after construction, so a child forked by
 long as both run. Titles are stored verbatim; normalization is the
 feature layer's job.
 
-Every line-based file is read by `_lines`, which reports invalid UTF-8 as
-`file:line`; every output file, a model too, is written whole or not at
-all by `_write_lines`.
-A loader hands its rows to the class that checks their rules (`WcnGraph`,
-`InterlangMap`) with a `_Cursor` at the current row, so a broken rule is
-reported as `file:line` too. `check_projected` is the one check that a
-projected taxonomy's edges are all network edges.
+A loader reads each file whole (`_text` names the line of invalid UTF-8),
+and `_rows` splits it on LF, then each line on tabs, in one comprehension.
+Each rule, of format or of content, is checked over all rows at once; only
+when that check fails are the rows walked one by one, by the rule's one
+per-row check (`_rows` itself, or one that `_first_fault` calls), to name
+the first row that breaks it. Row i of a file is line i + 1, so every fault
+is reported as `file:line`. A file's format faults come before its rule
+faults, even on a later line; `load_wcn` checks the node kinds before it
+reads edges.tsv, and the other node rules after. Every output file, a model
+too, is written whole or not at all by `_write_lines`. `check_projected` is
+the one check that a projected taxonomy's edges are all network edges.
 
 A repeated edge row and a repeated taxonomy row are dropped with a warning,
 one plain line on stderr; `logging` is not used.
@@ -26,10 +30,14 @@ one plain line on stderr; `logging` is not used.
 
 from __future__ import annotations
 
+import gc
 import os
 import sys
 from collections import namedtuple
 from enum import Enum
+from functools import wraps
+from itertools import repeat
+from operator import attrgetter, contains, eq
 from pathlib import Path
 from typing import Iterable, Iterator
 
@@ -82,29 +90,45 @@ class WcnGraph:
     """
 
     def __init__(self, nodes: Iterable[Node], edges: Iterable[tuple[str, str]]):
-        self.nodes: dict[str, Node] = {}
-        for node in nodes:
-            if node.id in self.nodes:
-                raise TaxonetError(f"duplicate node id: {node.id!r}")
-            if not node.id:
-                raise ValueError("empty node id")
-            if not node.title.strip():
-                raise ValueError(f"empty title for node {node.id!r}")
-            self.nodes[node.id] = node
+        nodes = nodes if isinstance(nodes, list) else list(nodes)
+        self.nodes: dict[str, Node] = {node.id: node for node in nodes}
+        if (len(self.nodes) < len(nodes) or "" in self.nodes
+                or not all(map(str.strip, map(attrgetter("title"), nodes)))):
+            self.nodes = {}
+            _first_fault(nodes, self._add_node)
 
+        edges = edges if isinstance(edges, list) else list(edges)
+        children, parents = _columns(edges, 2)
+        if (any(map(eq, children, parents)) or not self.nodes.keys() >= {*children, *parents}
+                or NodeKind.ENTITY in {self.nodes[parent].kind for parent in set(parents)}):
+            _first_fault(edges, self._check_edge)
         self._parents: dict[str, list[str]] = {}
         for child, parent in edges:
-            if child == parent:
-                raise TaxonetError(f"self-loop on node: {child!r}")
-            if child not in self.nodes or parent not in self.nodes:
-                raise TaxonetError(f"edge references unknown node: {child!r} -> {parent!r}")
-            edge_kind(self, child, parent)
-            parents = self._parents.setdefault(child, [])
-            if parent in parents:
+            stored = self._parents.setdefault(child, [])
+            if parent in stored:
                 print(f"duplicate edge dropped: {child} -> {parent}", file=sys.stderr)
                 continue
-            parents.append(parent)
+            stored.append(parent)
         self._n_edges = sum(map(len, self._parents.values()))
+
+    # The rules, one row at a time. The constructor checks them over all
+    # rows at once, and calls these only to name the first row that breaks one.
+    def _add_node(self, node: Node) -> None:
+        if node.id in self.nodes:
+            raise TaxonetError(f"duplicate node id: {node.id!r}")
+        if not node.id:
+            raise ValueError("empty node id")
+        if not node.title.strip():
+            raise ValueError(f"empty title for node {node.id!r}")
+        self.nodes[node.id] = node
+
+    def _check_edge(self, edge: tuple[str, str]) -> None:
+        child, parent = edge
+        if child == parent:
+            raise TaxonetError(f"self-loop on node: {child!r}")
+        if child not in self.nodes or parent not in self.nodes:
+            raise TaxonetError(f"edge references unknown node: {child!r} -> {parent!r}")
+        edge_kind(self, child, parent)
 
     def parents(self, child: str) -> list[str]:
         return self._parents.get(child, [])
@@ -213,14 +237,22 @@ class InterlangMap:
     """1:1 partial mapping between target-language and source-language ids."""
 
     def __init__(self, pairs: Iterable[tuple[str, str]]):
-        self._to_source: dict[str, str] = {}
-        self._to_target: dict[str, str] = {}
-        for target, source in pairs:
-            if target in self._to_source or source in self._to_target:
-                dup = target if target in self._to_source else source
-                raise TaxonetError(f"node appears in more than one interlanguage link: {dup!r}")
-            self._to_source[target] = source
-            self._to_target[source] = target
+        pairs = pairs if isinstance(pairs, list) else list(pairs)
+        targets, sources = _columns(pairs, 2)
+        self._to_source: dict[str, str] = dict(zip(targets, sources))
+        self._to_target: dict[str, str] = dict(zip(sources, targets))
+        if len(self._to_source) < len(pairs) or len(self._to_target) < len(pairs):
+            self._to_source, self._to_target = {}, {}
+            _first_fault(pairs, self._link)
+
+    def _link(self, pair: tuple[str, str]) -> None:
+        """The rule, one link at a time, to name the first that breaks it."""
+        target, source = pair
+        if target in self._to_source or source in self._to_target:
+            dup = target if target in self._to_source else source
+            raise TaxonetError(f"node appears in more than one interlanguage link: {dup!r}")
+        self._to_source[target] = source
+        self._to_target[source] = target
 
     def __len__(self) -> int:
         return len(self._to_source)
@@ -233,22 +265,6 @@ class InterlangMap:
 
     def pairs(self) -> list[tuple[str, str]]:
         return sorted(self._to_source.items())
-
-
-def _lines(path: Path) -> Iterator[tuple[int, str]]:
-    """Each line of a UTF-8 file, split on LF only, numbered from 1. Only a
-    file that fails to decode is read again, in binary, for its bad line."""
-    try:
-        with open(path, encoding="utf-8", newline="\n") as fh:
-            yield from enumerate(fh, start=1)
-    except UnicodeDecodeError:
-        with open(path, "rb") as fh:
-            for line_no, raw in enumerate(fh, start=1):
-                try:
-                    raw.decode("utf-8")
-                except UnicodeDecodeError:
-                    raise MalformedRow(path, line_no, "invalid UTF-8") from None
-        raise
 
 
 def _write_lines(path: str | Path, lines: Iterable[str]) -> None:
@@ -278,60 +294,103 @@ def _write_lines(path: str | Path, lines: Iterable[str]) -> None:
         raise
 
 
-def _rows(
-    path: Path, *n_cols: int, cursor: _Cursor | None = None
-) -> Iterator[tuple[int, list[str]]]:
-    """Split each line on tabs; every row needs one of `n_cols` nonempty
-    columns. A `cursor` is kept at the row handed out last."""
-    expected = " or ".join(map(str, n_cols))
-    for line_no, line in _lines(path):
-        line = line.rstrip("\n")
-        if line.endswith("\r"):
-            raise MalformedRow(path, line_no, "line ends in CR; files must use LF line ends")
-        if line_no == 1 and line.startswith("\ufeff"):
-            raise MalformedRow(path, line_no, "file starts with a UTF-8 byte order mark")
-        cols = line.split("\t")
-        if len(cols) not in n_cols or "" in cols:
-            raise MalformedRow(path, line_no, f"expected {expected} nonempty columns, got {line!r}")
-        if cursor is not None:
-            cursor.at = (path, line_no)
-        yield line_no, cols
-    if cursor is not None:
-        cursor.at = None
+def _text(path: Path) -> str:
+    """The whole of a UTF-8 file; invalid UTF-8 is a `MalformedRow` naming its line."""
+    data = path.read_bytes()
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line_no = data.count(b"\n", 0, exc.start) + 1
+        raise MalformedRow(path, line_no, "invalid UTF-8") from None
 
 
-class _Cursor:
-    """The file and line of the row that `_rows` handed out last, so that a
-    rule a class checks as it consumes the rows is blamed on that row."""
+class _Rows(list):
+    """The rows of the file at `path`: row i is line i + 1."""
 
-    def __init__(self):
-        self.at: tuple[Path, int] | None = None
+    def __init__(self, path: Path, rows: Iterable):
+        super().__init__(rows)
+        self.path = path
 
-    def build(self, cls, *args):
-        """`cls(*args)`, with a rule it breaks raised as a `MalformedRow`."""
+
+def _rows(path: Path, *n_cols: int) -> _Rows:
+    """Each line split on LF only, then on tabs; every row needs one of
+    `n_cols` nonempty columns. The rules are checked over the whole text at
+    once; only a file that breaks one is scanned line by line, for the first
+    line at fault, which reports a CR line end, then a BOM, then its columns."""
+    text = _text(path)
+    rows = _Rows(path, [line.split("\t") for line in text.split("\n")])
+    if rows[-1] == [""]:  # the final LF ends the last line
+        rows.pop()
+    if ("\r" in text and ("\r\n" in text or text.endswith("\r")) or text.startswith("\ufeff")
+            or not set(map(len, rows)) <= set(n_cols) or any(map(contains, rows, repeat("")))):
+        expected = " or ".join(map(str, n_cols))
+        for line_no, cols in enumerate(rows, start=1):
+            line = "\t".join(cols)
+            if line.endswith("\r"):
+                raise MalformedRow(path, line_no, "line ends in CR; files must use LF line ends")
+            if line_no == 1 and line.startswith("\ufeff"):
+                raise MalformedRow(path, line_no, "file starts with a UTF-8 byte order mark")
+            if len(cols) not in n_cols or "" in cols:
+                raise MalformedRow(path, line_no, f"expected {expected} nonempty columns, got {line!r}")
+    return rows
+
+
+def _columns(rows: list, n: int) -> list[tuple]:
+    """The `n` columns of rows that all have `n`."""
+    return list(zip(*rows)) or [()] * n
+
+
+def _records(cls, rows) -> list:
+    """A `cls` named tuple of each row, built in C: checked rows skip a `__new__` per row."""
+    return list(map(tuple.__new__, repeat(cls), rows))
+
+
+def _first_fault(items: list, check) -> None:
+    """Call `check` on each item in order until one breaks a rule, and raise
+    that error: as a `MalformedRow` naming its line when the items are `_Rows`."""
+    for line_no, item in enumerate(items, start=1):
         try:
-            return cls(*args)
+            check(item)
         except (TaxonetError, ValueError) as exc:
-            if isinstance(exc, MalformedRow) or self.at is None:
+            if not isinstance(items, _Rows):
                 raise
-            raise MalformedRow(*self.at, str(exc)) from None
+            raise MalformedRow(items.path, line_no, str(exc)) from None
 
 
+def _gc_paused(load):
+    """`load` run with the cyclic garbage collector paused. A loader makes a
+    container for each row, and all of them live on, none in a cycle, so each
+    collection that their count sets off walks them for nothing."""
+    @wraps(load)
+    def paused(*args):
+        if not gc.isenabled():
+            return load(*args)
+        gc.disable()
+        try:
+            return load(*args)
+        finally:
+            gc.enable()
+    return paused
+
+
+def _check_kind(row: list[str]) -> None:
+    if row[1] not in _NODE_KINDS:
+        raise ValueError(f"unknown node kind {row[1]!r}")
+
+
+def _nodes(path: Path) -> _Rows:
+    """The rows of a nodes.tsv as `Node`s; the rows themselves are freed on return."""
+    rows = _rows(path, 3)
+    ids, kinds, titles = _columns(rows, 3)
+    if not _NODE_KINDS.keys() >= set(kinds):
+        _first_fault(rows, _check_kind)
+    return _Rows(path, _records(Node, zip(ids, map(_NODE_KINDS.get, kinds), titles)))
+
+
+@_gc_paused
 def load_wcn(nodes_file: str | Path, edges_file: str | Path) -> WcnGraph:
     """Load and validate a category network from nodes.tsv + edges.tsv."""
-    nodes_file = Path(nodes_file)
-    edges_file = Path(edges_file)
-    cursor = _Cursor()
-
-    def nodes() -> Iterator[Node]:
-        for line_no, (node_id, kind_str, title) in _rows(nodes_file, 3, cursor=cursor):
-            kind = _NODE_KINDS.get(kind_str)
-            if kind is None:
-                raise MalformedRow(nodes_file, line_no, f"unknown node kind {kind_str!r}")
-            yield Node(node_id, kind, title)
-
-    edges = ((c, p) for _, (c, p) in _rows(edges_file, 2, cursor=cursor))
-    return cursor.build(WcnGraph, nodes(), edges)
+    return WcnGraph(_nodes(Path(nodes_file)), _rows(Path(edges_file), 2))
 
 
 def save_wcn(graph: WcnGraph, nodes_file: str | Path, edges_file: str | Path) -> None:
@@ -341,42 +400,60 @@ def save_wcn(graph: WcnGraph, nodes_file: str | Path, edges_file: str | Path) ->
     _write_lines(edges_file, (f"{child}\t{parent}\n" for child, parent in graph.edges()))
 
 
+@_gc_paused
 def load_interlang(path: str | Path) -> InterlangMap:
     """Load langlinks.tsv; an id on either side may appear at most once."""
-    cursor = _Cursor()
-    pairs = ((t, s) for _, (t, s) in _rows(Path(path), 2, cursor=cursor))
-    return cursor.build(InterlangMap, pairs)
+    return InterlangMap(_rows(Path(path), 2))
 
 
 def save_interlang(links: InterlangMap, path: str | Path) -> None:
     _write_lines(path, (f"{target}\t{source}\n" for target, source in links.pairs()))
 
 
+# What a taxonomy row of 2 or 3 columns leaves out: its score and provenance.
+_TAXO_DEFAULTS = ["1.0", "projected"]
+
+
+def _check_taxo_row(row: list[str]) -> None:
+    """The rules of one taxonomy row, to name the first row that breaks one."""
+    child, parent, score, provenance = row
+    try:
+        if "_" in score or score != score.strip():  # `float` accepts both
+            raise ValueError
+        value = float(score)
+    except ValueError:
+        raise ValueError(f"bad score {score!r}") from None
+    if provenance not in _PROVENANCES:
+        raise ValueError(f"bad provenance {provenance!r}")
+    TaxoEdge(child, parent, value, _PROVENANCES[provenance])
+
+
+def _taxo_columns(path: Path) -> tuple:
+    """A taxonomy file's children, parents, scores and provenances, checked;
+    the rows themselves are freed on return."""
+    rows = _Rows(path, [row + _TAXO_DEFAULTS[len(row) - 2:] for row in _rows(path, 2, 3, 4)])
+    children, parents, scores, provenances = _columns(rows, 4)
+    try:  # `_check_taxo_row` over all rows at once
+        if "_" in "".join(scores) or tuple(map(str.strip, scores)) != scores:
+            raise ValueError
+        values = list(map(float, scores))
+        kinds = list(map(_PROVENANCES.get, provenances))
+        if None in kinds or not all(map((0.0).__le__, values)) or not all(map((1.0).__ge__, values)):
+            raise ValueError
+    except ValueError:
+        _first_fault(rows, _check_taxo_row)
+    return children, parents, values, kinds
+
+
+@_gc_paused
 def load_taxonomy(path: str | Path) -> Taxonomy:
     """Load taxonomy.tsv; score/provenance columns default to 1.0/projected.
 
     Repeated (child, parent) rows collapse to the maximum score.
     """
-    path = Path(path)
     best: dict[tuple[str, str], TaxoEdge] = {}
-    for line_no, cols in _rows(path, 2, 3, 4):
-        child, parent = cols[0], cols[1]
-        score = 1.0
-        provenance = Provenance.PROJECTED
-        if len(cols) >= 3:
-            try:
-                score = float(cols[2])
-            except ValueError:
-                raise MalformedRow(path, line_no, f"bad score {cols[2]!r}") from None
-        if len(cols) == 4:
-            provenance = _PROVENANCES.get(cols[3])
-            if provenance is None:
-                raise MalformedRow(path, line_no, f"bad provenance {cols[3]!r}")
-        try:
-            edge = TaxoEdge(child, parent, score, provenance)
-        except ValueError as exc:
-            raise MalformedRow(path, line_no, str(exc)) from None
-        pair = (child, parent)
+    for edge in _records(TaxoEdge, zip(*_taxo_columns(Path(path)))):
+        pair = (edge.child, edge.parent)
         if pair in best:
             print(f"duplicate taxonomy edge {pair}, keeping max score", file=sys.stderr)
             if edge.score <= best[pair].score:

@@ -12,10 +12,12 @@ from __future__ import annotations
 
 import json
 from collections import namedtuple
+from itertools import chain
 from pathlib import Path
 
-from .errors import MalformedRow, TaxonetError
-from .graph import NodeKind, Taxonomy, WcnGraph, _Cursor, _lines, _rows, _write_lines
+from .errors import MalformedFile, MalformedRow, TaxonetError
+from .graph import (NodeKind, Taxonomy, WcnGraph, _first_fault, _gc_paused, _rows, _text,
+                    _write_lines)
 from .labeling import Label
 from .rng import SplitMix64
 
@@ -159,25 +161,29 @@ def sample_eval_nodes(
     return sample
 
 
+@_gc_paused
 def load_gold(edges_path: str | Path, nodes_path: str | Path) -> GoldEdgeSet:
     """Read gold_edges.tsv (child, parent, isa|notisa) + sampled node list."""
-    sampled = frozenset(node for _, (node,) in _rows(Path(nodes_path), 1))
-    edges_path = Path(edges_path)
+    sampled = frozenset(chain.from_iterable(_rows(Path(nodes_path), 1)))
+    rows = _rows(Path(edges_path), 3)
     judgments: dict[tuple[str, str], Label] = {}
-    for line_no, (child, parent, label) in _rows(edges_path, 3):
+
+    def judge(row: list[str]) -> None:
+        child, parent, label = row
         try:
             judged = judgments.setdefault((child, parent), Label(label))
         except ValueError:
-            raise MalformedRow(edges_path, line_no, f"bad label {label!r}") from None
+            raise ValueError(f"bad label {label!r}") from None
         if judged.value != label:
-            message = f"{child!r} -> {parent!r} judged {label!r} here, {judged.value!r} earlier"
-            raise MalformedRow(edges_path, line_no, message)
+            raise ValueError(f"{child!r} -> {parent!r} judged {label!r} here, {judged.value!r} earlier")
+
+    _first_fault(rows, judge)
+    if not judgments:
+        raise MalformedFile(rows.path, "no judged edges")
     try:
         return GoldEdgeSet(sampled, judgments)
-    except ValueError:
-        cursor = _Cursor()  # blame the first row whose judgment alone breaks a rule
-        for _, (child, parent, label) in _rows(edges_path, 3, cursor=cursor):
-            cursor.build(GoldEdgeSet, sampled, {(child, parent): Label(label)})
+    except ValueError:  # blame the first row whose judgment alone breaks a rule
+        _first_fault(rows, lambda row: GoldEdgeSet(sampled, {(row[0], row[1]): None}))
         raise
 
 
@@ -191,11 +197,13 @@ def load_paths(path: str | Path) -> list[AnnotatedPath]:
     """Read paths.jsonl: {"nodes": [nonempty ids], "first_wrong_index": int|null}."""
     path = Path(path)
     paths = []
-    for line_no, line in _lines(path):
+    for line_no, line in enumerate(_text(path).split("\n"), start=1):
         if not line.strip():
             continue
         try:
             data = json.loads(line)
+            if type(data) is not dict:
+                raise TypeError(f"expected a JSON object, got {data!r}")
             nodes, index = data["nodes"], data.get("first_wrong_index")
             if not (type(nodes) is list and all(type(n) is str and n for n in nodes)):
                 raise TypeError(f"nodes must be a list of nonempty strings, got {nodes!r}")

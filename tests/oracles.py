@@ -1,7 +1,7 @@
 """Independent brute-force oracles for the path-search tests, the two
-projection walks that `projection._reach` replaced, and the reference
+projection walks that `projection._reach` replaced, the reference
 featurization, scoring, SGD loops and model file text for the feature and
-classifier tests.
+classifier tests, and the line-at-a-time readers for the loader tests.
 
 The path oracles deliberately avoid the library's search machinery: paths
 are found by exhaustive DFS enumeration, probabilities are exact Fractions
@@ -272,3 +272,121 @@ def reference_model_text(model):
     the way `classifier.save_model` wrote it before it wrote the long lists
     in slices. `save_model` must write these bytes."""
     return json.dumps(model.to_dict(), ensure_ascii=False) + "\n"
+
+
+# The loaders as they read before they took a file whole: one line at a
+# time, each line's format checked as it is reached and each row's rules as
+# the row is used, so the first faulty line of a file is the one named,
+# whether its fault is of format or of rule. Each returns plain values: the
+# network as (id -> (kind, title), child -> parents), the links as a sorted
+# pair list, the taxonomy as (child, parent) -> (score, provenance), the gold
+# as (sampled ids, (child, parent) -> label); and the warnings it printed.
+
+
+def reference_rows(path, *n_cols):
+    """(line number, columns) for each LF-ended line of a UTF-8 file."""
+    from taxonet.errors import MalformedRow
+
+    expected = " or ".join(map(str, n_cols))
+    with open(path, "rb") as fh:
+        for line_no, raw in enumerate(fh, start=1):
+            try:
+                line = raw.decode("utf-8").rstrip("\n")
+            except UnicodeDecodeError:
+                raise MalformedRow(path, line_no, "invalid UTF-8") from None
+            if line.endswith("\r"):
+                raise MalformedRow(path, line_no, "line ends in CR; files must use LF line ends")
+            if line_no == 1 and line.startswith("\ufeff"):
+                raise MalformedRow(path, line_no, "file starts with a UTF-8 byte order mark")
+            cols = line.split("\t")
+            if len(cols) not in n_cols or "" in cols:
+                raise MalformedRow(path, line_no, f"expected {expected} nonempty columns, got {line!r}")
+            yield line_no, cols
+
+
+def _row_fault(path, line_no, reason):
+    from taxonet.errors import MalformedRow
+
+    raise MalformedRow(path, line_no, reason)
+
+
+def reference_load_wcn(nodes_path, edges_path):
+    nodes = {}
+    for line_no, (node_id, kind, title) in reference_rows(nodes_path, 3):
+        if kind not in ("entity", "category"):
+            _row_fault(nodes_path, line_no, f"unknown node kind {kind!r}")
+        if node_id in nodes:
+            _row_fault(nodes_path, line_no, f"duplicate node id: {node_id!r}")
+        if not title.strip():
+            _row_fault(nodes_path, line_no, f"empty title for node {node_id!r}")
+        nodes[node_id] = (kind, title)
+    parents, warnings = {}, []
+    for line_no, (child, parent) in reference_rows(edges_path, 2):
+        if child == parent:
+            _row_fault(edges_path, line_no, f"self-loop on node: {child!r}")
+        if child not in nodes or parent not in nodes:
+            _row_fault(edges_path, line_no,
+                       f"edge references unknown node: {child!r} -> {parent!r}")
+        if nodes[parent][0] == "entity":
+            detail = f"{nodes[child][0]}->entity"
+            _row_fault(edges_path, line_no,
+                       f"forbidden edge kind ({detail}): {child!r} -> {parent!r}")
+        stored = parents.setdefault(child, [])
+        if parent in stored:
+            warnings.append(f"duplicate edge dropped: {child} -> {parent}")
+        else:
+            stored.append(parent)
+    return (nodes, parents), warnings
+
+
+def reference_load_interlang(path):
+    to_source, to_target = {}, {}
+    for line_no, (target, source) in reference_rows(path, 2):
+        for node, seen in ((target, to_source), (source, to_target)):
+            if node in seen:
+                _row_fault(path, line_no,
+                           f"node appears in more than one interlanguage link: {node!r}")
+        to_source[target], to_target[source] = source, target
+    return sorted(to_source.items()), []
+
+
+def reference_load_taxonomy(path):
+    best, warnings = {}, []
+    for line_no, cols in reference_rows(path, 2, 3, 4):
+        child, parent, score, provenance = cols + ["1.0", "projected"][len(cols) - 2:]
+        try:
+            if "_" in score or score.strip() != score:  # what `float` would forgive
+                raise ValueError
+            value = float(score)
+        except ValueError:
+            _row_fault(path, line_no, f"bad score {score!r}")
+        if provenance not in ("projected", "induced"):
+            _row_fault(path, line_no, f"bad provenance {provenance!r}")
+        if not 0.0 <= value <= 1.0:
+            _row_fault(path, line_no, f"edge score out of [0,1]: {value}")
+        if (child, parent) in best:
+            warnings.append(f"duplicate taxonomy edge {(child, parent)}, keeping max score")
+            if value <= best[child, parent][0]:
+                continue
+        best[child, parent] = (value, provenance)
+    return best, warnings
+
+
+def reference_load_gold(edges_path, nodes_path):
+    from taxonet.errors import MalformedFile
+
+    sampled = frozenset(node for _, (node,) in reference_rows(nodes_path, 1))
+    judgments = {}
+    for line_no, (child, parent, label) in reference_rows(edges_path, 3):
+        if label not in ("isa", "notisa"):
+            _row_fault(edges_path, line_no, f"bad label {label!r}")
+        judged = judgments.setdefault((child, parent), label)
+        if judged != label:
+            _row_fault(edges_path, line_no,
+                       f"{child!r} -> {parent!r} judged {label!r} here, {judged!r} earlier")
+    if not judgments:
+        raise MalformedFile(edges_path, "no judged edges")
+    for line_no, (child, _, _) in reference_rows(edges_path, 3):
+        if child not in sampled:
+            _row_fault(edges_path, line_no, f"judged edge child {child!r} not in sampled nodes")
+    return (sampled, judgments), []

@@ -201,8 +201,11 @@ def test_taxonomy_load_defaults_and_errors(tmp_path):
     assert taxo.edge("a", "b").provenance is Provenance.PROJECTED
     assert taxo.edge("b", "c").score == 0.25
     assert taxo.edge("c", "d").provenance is Provenance.INDUCED
-    with pytest.raises(MalformedRow):
-        load_taxonomy(write_lines(tmp_path / "bad1.tsv", ["a\tb\tnot-a-number"]))
+    # `float` reads "0.0_1" as 0.01 and forgives surrounding whitespace.
+    for name, score in [("bad1.tsv", "not-a-number"), ("bad4.tsv", "0.0_1"), ("bad5.tsv", " 0.5"),
+                        ("bad6.tsv", "0.5\u2003")]:
+        with raises_error(f"{tmp_path / name}:1: bad score {score!r}"):
+            load_taxonomy(write_lines(tmp_path / name, [f"a\tb\t{score}"]))
     with raises_error(f"{tmp_path / 'bad2.tsv'}:1: bad provenance 'guessed'"):
         load_taxonomy(write_lines(tmp_path / "bad2.tsv", ["a\tb\t0.5\tguessed"]))
     with pytest.raises(MalformedRow):
@@ -212,6 +215,24 @@ def test_taxonomy_load_defaults_and_errors(tmp_path):
 def test_taxonomy_duplicate_rows_keep_max(tmp_path):
     path = write_lines(tmp_path / "t.tsv", ["a\tb\t0.3\tinduced", "a\tb\t0.8\tinduced"])
     assert load_taxonomy(path).edge("a", "b").score == 0.8
+    # Of equal scores, the first row stays.
+    path = write_lines(tmp_path / "t2.tsv", ["a\tb\t0.5\tinduced", "a\tb\t0.5\tprojected"])
+    assert load_taxonomy(path).edge("a", "b").provenance is Provenance.INDUCED
+
+
+@pytest.mark.parametrize("lines, line_no, reason", [
+    # Within a line: a CR line end, then a BOM, then the columns.
+    (["a\tb", "a\r"], 2, "line ends in CR; files must use LF line ends"),
+    (["\ufeffa\tb\tc\r"], 1, "line ends in CR; files must use LF line ends"),
+    (["\ufeffa"], 1, "file starts with a UTF-8 byte order mark"),
+    # A format fault comes before a rule fault on an earlier line.
+    (["a\ta", "a\tb", "a\tb\t"], 3, "expected 2 nonempty columns, got 'a\\tb\\t'"),
+])
+def test_format_fault_order(tmp_path, lines, line_no, reason):
+    nodes = write_lines(tmp_path / "n.tsv", ["a\tcategory\tA", "b\tcategory\tB"])
+    edges = write_lines(tmp_path / "e.tsv", lines)
+    with raises_error(f"{edges}:{line_no}: {reason}"):
+        load_wcn(nodes, edges)
 
 
 def test_write_lines_error_keeps_old_file(tmp_path):

@@ -249,6 +249,9 @@ class TestFileFormats:
         (tmp_path / "bad2.jsonl").write_text("not json\n", encoding="utf-8")
         with pytest.raises(MalformedRow):
             load_paths(tmp_path / "bad2.jsonl")
+        (tmp_path / "bad3.jsonl").write_text("[]\n", encoding="utf-8")
+        with raises_error(f"{tmp_path / 'bad3.jsonl'}:1: expected a JSON object, got []"):
+            load_paths(tmp_path / "bad3.jsonl")
 
     @pytest.mark.parametrize("nodes, line_no", [
         (b"x\r\ny\r\n", 1),
@@ -266,4 +269,11 @@ class TestFileFormats:
         (tmp_path / "n.txt").write_text("x\n", encoding="utf-8")
         (tmp_path / "g.tsv").write_text("x\ta\tmaybe\n", encoding="utf-8")
         with pytest.raises(MalformedRow):
+            load_gold(tmp_path / "g.tsv", tmp_path / "n.txt")
+
+    def test_gold_without_judgments(self, tmp_path):
+        # An empty gold file scored P = R = 0 and exited 0.
+        (tmp_path / "n.txt").write_text("x\n", encoding="utf-8")
+        (tmp_path / "g.tsv").write_text("", encoding="utf-8")
+        with raises_error(f"{tmp_path / 'g.tsv'}: no judged edges"):
             load_gold(tmp_path / "g.tsv", tmp_path / "n.txt")
