@@ -8,17 +8,18 @@ its own TFIDF vocabulary.
 
 Training, validation and edge weighing read each title's vector from its
 TFIDF model's cache (`TfidfModel.half`), so a title is vectorized once per
-model, not once per edge. Weights live in two dense lists of V floats,
+model, not once per edge. Weights live in two dense vectors of V floats,
 one for the child's columns [0, V) and one for the parent's [V, 2V), both
-indexed from 0: the SGD state during training, and the model's only
-weight layout for scoring and saving: at the end of training the final L2
-scale is applied to the two lists in place, so the model keeps the lists
-SGD wrote, never a second pair. A title's cached `gather` reads its
-weights from either list in one C call, so one getter per title serves
-both sides of an edge; the gathers feed every dot product, in SGD and in
-scoring. SGD writes each step back with a plain store loop over the
-entries: CPython specialises a list store by int index, where a `map`
-over `list.__setitem__` calls a method-wrapper per element.
+indexed from 0. During training they are two lists, SGD's state: SGD
+writes each step back with a plain store loop over the entries, and
+CPython specialises a list store by int index, where a `map` over
+`list.__setitem__` calls a method-wrapper per element. A model keeps them
+as two `array('d')`, 8 bytes a weight and no float object each: at the
+end of training the final L2 scale is applied as each list is copied into
+its array, and `load_model` builds the arrays straight from the parsed
+file. A title's cached `gather` reads its weights from either vector, list
+or array, in one C call, so one getter per title serves both sides of an
+edge; the gathers feed every dot product, in SGD and in scoring.
 
 A logit is one `sum` of weight * value over the child's entries, then
 the parent's entries, each in column order, with `0.0` for every column
@@ -41,20 +42,22 @@ memory:
      "config": {"epochs", "learning_rate", "l2_lambda", "seed"}}
 
 idf is not stored: `TfidfModel` computes it from `n_docs` and `df`.
-The file is the bytes of `json.dumps(model.to_dict(), ensure_ascii=False)`
-and a newline, but `save_model` writes the four long lists (`features`,
-`df` and both weight lists) `_SLICE` entries at a time, so the whole
-file's text is never held in memory. `save_model(load_model(p))` rewrites
-`p` byte for byte.
+The file is the bytes of `json.dumps(model.to_dict(), ensure_ascii=False,
+default=list)`, each weight array written as a list, and a newline, but
+`save_model` writes the four long lists (`features`, `df` and both weight
+vectors) `_SLICE` entries at a time, so neither the whole file's text nor
+a whole list of weights is ever held in memory. `save_model(load_model(p))`
+rewrites `p` byte for byte.
 """
 
 from __future__ import annotations
 
 import json
 import math
+from array import array
 from collections import deque, namedtuple
-from itertools import chain
-from operator import mul
+from itertools import chain, repeat
+from operator import add, mul
 from pathlib import Path
 from typing import Iterator
 
@@ -91,15 +94,15 @@ class LinearEdgeModel:
     """Linear model over concatenated child/parent TFIDF vectors, trained
     for one edge kind.
 
-    `dense` is (child, parent): two lists of V weights, one per half of the
-    [child | parent] vector, that `predict_proba` reads and `to_dict`
-    writes as they are.
+    `dense` is (child, parent): two `array('d')` of V weights, one per half
+    of the [child | parent] vector, that `predict_proba` reads and `to_dict`
+    returns as they are. Lists of floats score and save the same.
     """
 
     def __init__(
         self,
         tfidf: TfidfModel,
-        dense: tuple[list[float], list[float]],
+        dense: tuple[array, array],
         bias: float,
         hyper: TrainConfig,
         kind: EdgeKind,
@@ -173,13 +176,13 @@ def train_linear(
             bias -= g
             step += 1
 
-    # In place, so no second pair of lists is built. `or 0.0` stores every
-    # zero, -0.0 included, as the one shared 0.0 that an untouched column
-    # holds in a loaded model.
-    for values in (child_values, parent_values):
-        for c, w in enumerate(values):
-            values[c] = scale * w or 0.0
-    return LinearEdgeModel(tfidf, (child_values, parent_values), bias, cfg, dataset.kind)
+    # Each weight is w * scale, then + 0.0, which turns -0.0 into 0.0 and
+    # leaves every other float as it is, so a zero saves as `0.0`.
+    dense = tuple(
+        array("d", map(add, map(mul, values, repeat(scale)), repeat(0.0)))
+        for values in (child_values, parent_values)
+    )
+    return LinearEdgeModel(tfidf, dense, bias, cfg, dataset.kind)
 
 
 def predict_proba(model: LinearEdgeModel, child_title: str, parent_title: str) -> float:
@@ -240,7 +243,8 @@ def _filled(head: str, holes: Iterator[tuple[list, str]]) -> Iterator[str]:
         for start in range(0, len(values), _SLICE):
             if start:
                 yield ", "
-            yield json.dumps(values[start : start + _SLICE], ensure_ascii=False)[1:-1]
+            # `list`, since `json` cannot encode an array: a slice, never a whole vector
+            yield json.dumps(list(values[start : start + _SLICE]), ensure_ascii=False)[1:-1]
         yield "]" + tail
     yield "\n"
 
@@ -267,8 +271,9 @@ def load_model(path: str | Path, kind: EdgeKind | None = None) -> LinearEdgeMode
     two lists of V finite JSON numbers, V being the vocabulary size, and the
     bias a finite JSON number; weights are checked in bulk, not one call per
     value. `config` holds exactly `TrainConfig`'s keys, each with the JSON
-    type of its default, since `save_model` writes them back. Every
-    zero weight is one shared `0.0`, as in a model `train_linear` returns.
+    type of its default, since `save_model` writes them back. The weights
+    go from each parsed list straight into an `array('d')`, and a zero,
+    `-0.0` included, loads as `0.0`, as in a model `train_linear` returns.
     """
     with open(path, encoding="utf-8") as fh:
         try:
@@ -282,9 +287,10 @@ def load_model(path: str | Path, kind: EdgeKind | None = None) -> LinearEdgeMode
             cfg = TrainConfig(**config)
             tfidf = TfidfModel.from_dict(data.pop("tfidf"))
             # Each parsed list leaves the queue, and memory, as it is converted.
+            # `w + 0.0` is float(w) for an int, and 0.0 for -0.0.
             parsed = deque(data.pop("weights"))
             dense = tuple(
-                [w or 0.0 for w in map(float, _numbers(parsed.popleft(), "weight"))]
+                array("d", map(add, _numbers(parsed.popleft(), "weight"), repeat(0.0)))
                 for _ in range(len(parsed))
             )
             n = tfidf.n_features

@@ -18,6 +18,14 @@ cc; a child's error re-raises here unchanged, so it exits 2 with the same
 message. The fork makes these commands POSIX-only, and `main` must be
 called from a single-threaded process.
 
+Both commands let go of what they are done with, since a command's peak
+memory is what it holds at one time. `train` keeps the projected taxonomy
+and the labeled edge list only until the edges are split by kind, so
+neither is held through training nor inherited by the forked child.
+`induce` keeps the two models, with their cached title vectors, only
+until the search edges are weighed, so the path search reuses their
+memory.
+
 Each command runs in a fresh process and pays for what it imports.
 Loading this module imports `classifier`, `features`, `graph`,
 `induction`, `labeling`, `projection`, `rng` and `errors`, which
@@ -145,9 +153,8 @@ def _cmd_project(args: argparse.Namespace) -> int:
 def _cmd_train(args: argparse.Namespace) -> int:
     settings = _settings(args)
     graph = load_wcn(args.nodes, args.edges)
-    projected = load_taxonomy(args.projected)
-    labeled = label_edges(graph, projected)
-    ec_edges, cc_edges = split_by_kind(labeled, graph)
+    # The projected taxonomy and the labeled list are freed here, before the fork.
+    ec_edges, cc_edges = split_by_kind(label_edges(graph, load_taxonomy(args.projected)), graph)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
@@ -194,9 +201,9 @@ def _cmd_induce(args: argparse.Namespace) -> int:
         ec_kind = cc_kind = None
     else:
         ec_kind, cc_kind = EdgeKind.ENTITY_TO_CATEGORY, EdgeKind.CATEGORY_TO_CATEGORY
-    model_ec = load_model(args.model_ec, ec_kind)
-    model_cc = load_model(args.model_cc, cc_kind)
-    weighted = weigh_edges(graph, model_ec, model_cc, cfg, search_edges(graph, projected))
+    # The models are freed once the search edges are weighed, before the search.
+    weighted = weigh_edges(graph, load_model(args.model_ec, ec_kind),
+                           load_model(args.model_cc, cc_kind), cfg, search_edges(graph, projected))
     taxonomy, report = induce(projected, weighted, cfg)
     save_taxonomy(taxonomy, args.out)
     report_path = args.report or args.out + ".report.json"

@@ -19,10 +19,11 @@ holds; the values are an `array('d')`, 8 bytes per entry instead of a
 boxed float each, and iterating it yields the same floats in the same
 order. `gather(w)` is
 `tuple(w[c] for c in columns)` in one C call (an `operator.itemgetter`),
-so a linear model keeps its weights in two dense lists of V floats, one
+so a linear model keeps its weights in two dense vectors of V floats, one
 for the child's columns and one for the parent's, and reads a title's
-weights on either side without a Python-level lookup per entry. A column
-the model never touched holds `0.0`.
+weights on either side without a Python-level lookup per entry. SGD's
+vectors are lists; a model's are `array('d')`, 8 bytes a weight (see
+`classifier`). A column the model never touched holds `0.0`.
 `char_ngrams` counts in one `Counter` call, sizes ascending, then by position.
 
 `TfidfModel.to_dict` is the `tfidf` object of a model file (see
@@ -39,7 +40,7 @@ from array import array
 from collections import Counter, namedtuple
 from enum import Enum
 from operator import itemgetter, mul, ne
-from typing import Callable
+from typing import Callable, Sequence
 
 from .errors import TaxonetError
 
@@ -47,7 +48,7 @@ DEFAULT_NGRAM_SIZES = frozenset({2, 3, 4, 5, 6})
 
 # A title's vector as (columns, values, gather), the values an `array('d')`;
 # see `TfidfModel.half`.
-Half = tuple[tuple[int, ...], array, Callable[[list], tuple]]
+Half = tuple[tuple[int, ...], array, Callable[[Sequence[float]], tuple]]
 
 
 class FeatureMode(Enum):
@@ -184,7 +185,7 @@ class TfidfModel:
         return cls(spec, vocabulary, df, data["n_docs"])
 
 
-def _gatherer(cols: tuple[int, ...]) -> Callable[[list], tuple]:
+def _gatherer(cols: tuple[int, ...]) -> Callable[[Sequence[float]], tuple]:
     """`w -> tuple(w[c] for c in cols)`, one C call for two or more columns.
 
     `itemgetter` returns a bare item for one index and needs at least one,

@@ -37,7 +37,7 @@ from collections import namedtuple
 from enum import Enum
 from functools import wraps
 from itertools import repeat
-from operator import attrgetter, contains, eq
+from operator import attrgetter, contains, is_
 from pathlib import Path
 from typing import Iterable, Iterator
 
@@ -87,6 +87,11 @@ class WcnGraph:
     one store of its edges. Only Phase 1's BFS relies on that order (for
     ties); Phase 3 orders paths by key. Entity->Entity and Category->Entity
     edges are rejected; cycles among categories are allowed.
+
+    One string per node id: every parent in the store, and every child key,
+    is the node's own id object, the key of `nodes`, never the copy an edge
+    row carried, so the edge rows' strings are freed once the graph is
+    built, and a node's id is held once however many edges it has.
     """
 
     def __init__(self, nodes: Iterable[Node], edges: Iterable[tuple[str, str]]):
@@ -98,18 +103,25 @@ class WcnGraph:
             _first_fault(nodes, self._add_node)
 
         edges = edges if isinstance(edges, list) else list(edges)
-        children, parents = _columns(edges, 2)
-        if (any(map(eq, children, parents)) or not self.nodes.keys() >= {*children, *parents}
+        # Each end as the node's own id object, or None for an unknown id. The
+        # id-to-id dict is freed before the store is built, which lowers the load's peak.
+        own = dict(zip(self.nodes, self.nodes)).get
+        children, parents = (list(map(own, ends)) for ends in _columns(edges, 2))
+        del own
+        if (not (all(children) and all(parents)) or any(map(is_, children, parents))
                 or NodeKind.ENTITY in {self.nodes[parent].kind for parent in set(parents)}):
             _first_fault(edges, self._check_edge)
-        self._parents: dict[str, list[str]] = {}
-        for child, parent in edges:
-            stored = self._parents.setdefault(child, [])
-            if parent in stored:
+        grouped: dict[str, list[str]] = {}
+        for child, parent in zip(children, parents):
+            stored = grouped.get(child)
+            if stored is None:
+                grouped[child] = [parent]
+            elif parent in stored:
                 print(f"duplicate edge dropped: {child} -> {parent}", file=sys.stderr)
-                continue
-            stored.append(parent)
-        self._n_edges = sum(map(len, self._parents.values()))
+            else:
+                stored.append(parent)
+        self._parents = grouped
+        self._n_edges = sum(map(len, grouped.values()))
 
     # The rules, one row at a time. The constructor checks them over all
     # rows at once, and calls these only to name the first row that breaks one.
@@ -418,7 +430,9 @@ def _check_taxo_row(row: list[str]) -> None:
     """The rules of one taxonomy row, to name the first row that breaks one."""
     child, parent, score, provenance = row
     try:
-        if "_" in score or score != score.strip():  # `float` accepts both
+        # `float` accepts all three: "_" between digits, surrounding
+        # whitespace, and non-ASCII digits such as "０.５".
+        if "_" in score or score != score.strip() or not score.isascii():
             raise ValueError
         value = float(score)
     except ValueError:
@@ -434,7 +448,8 @@ def _taxo_columns(path: Path) -> tuple:
     rows = _Rows(path, [row + _TAXO_DEFAULTS[len(row) - 2:] for row in _rows(path, 2, 3, 4)])
     children, parents, scores, provenances = _columns(rows, 4)
     try:  # `_check_taxo_row` over all rows at once
-        if "_" in "".join(scores) or tuple(map(str.strip, scores)) != scores:
+        joined = "".join(scores)
+        if "_" in joined or not joined.isascii() or tuple(map(str.strip, scores)) != scores:
             raise ValueError
         values = list(map(float, scores))
         kinds = list(map(_PROVENANCES.get, provenances))

@@ -204,13 +204,15 @@ def load_paths(path: str | Path) -> list[AnnotatedPath]:
             data = json.loads(line)
             if type(data) is not dict:
                 raise TypeError(f"expected a JSON object, got {data!r}")
+            if "nodes" not in data:
+                raise ValueError("missing key 'nodes'")
             nodes, index = data["nodes"], data.get("first_wrong_index")
             if not (type(nodes) is list and all(type(n) is str and n for n in nodes)):
                 raise TypeError(f"nodes must be a list of nonempty strings, got {nodes!r}")
             if index is not None and type(index) is not int:  # JSON types are exact
                 raise TypeError(f"first_wrong_index must be an integer or null, got {index!r}")
             paths.append(AnnotatedPath(tuple(nodes), index))
-        except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
+        except (TypeError, ValueError) as exc:  # a JSONDecodeError is a ValueError
             raise MalformedRow(path, line_no, str(exc)) from None
     return paths
 

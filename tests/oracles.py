@@ -270,8 +270,9 @@ def reference_train_linear(dataset, tfidf, cfg, graph):
 def reference_model_text(model):
     """A model file's text as one `json.dumps` call over the whole model,
     the way `classifier.save_model` wrote it before it wrote the long lists
-    in slices. `save_model` must write these bytes."""
-    return json.dumps(model.to_dict(), ensure_ascii=False) + "\n"
+    in slices; a weight array is written as a list. `save_model` must write
+    these bytes."""
+    return json.dumps(model.to_dict(), ensure_ascii=False, default=list) + "\n"
 
 
 # The loaders as they read before they took a file whole: one line at a
@@ -355,7 +356,8 @@ def reference_load_taxonomy(path):
     for line_no, cols in reference_rows(path, 2, 3, 4):
         child, parent, score, provenance = cols + ["1.0", "projected"][len(cols) - 2:]
         try:
-            if "_" in score or score.strip() != score:  # what `float` would forgive
+            # what `float` would forgive
+            if "_" in score or score.strip() != score or not score.isascii():
                 raise ValueError
             value = float(score)
         except ValueError:

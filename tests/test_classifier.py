@@ -329,17 +329,47 @@ def test_model_file_roundtrip(tmp_path):
     assert [p.name for p in tmp_path.iterdir()] == ["model.ec.json"]
     data = json.loads((tmp_path / "model.ec.json").read_text(encoding="utf-8"))
     assert set(data) == {"kind", "tfidf", "weights", "bias", "config"}
-    assert data["weights"] == list(model.dense)
+    assert data["weights"] == [ws.tolist() for ws in model.dense]
     again = load_model(tmp_path / "model.ec.json")
     assert again.dense == model.dense
-    # Every zero weight is one shared float, as in a trained model.
-    assert len({id(w) for w in chain(*again.dense) if w == 0.0}) == 1
+    # Trained and loaded weights alike are two `array('d')`.
+    assert [(type(ws), ws.typecode) for ws in model.dense + again.dense] == [(array, "d")] * 4
     assert again.bias == model.bias
     assert again.tfidf.vocabulary == model.tfidf.vocabulary
     for e in dataset.train:
         assert predict_proba(again, graph.title(e.child), graph.title(e.parent)) == predict_proba(
             model, graph.title(e.child), graph.title(e.parent)
         )
+
+
+def test_weights_are_arrays_of_sgds_values(world_datasets, tmp_path):
+    """The weights a model keeps, trained or loaded, are two `array('d')`
+    holding the reference SGD's values to the last bit."""
+    graph, datasets = world_datasets
+    dataset = datasets[EdgeKind.ENTITY_TO_CATEGORY]
+    model = train_as_reference(graph, dataset, CHAR, TrainConfig(seed=5))
+    save_model(model, tmp_path / "model.ec.json")
+    again = load_model(tmp_path / "model.ec.json")
+    for loaded in (model, again):
+        assert [(type(ws), ws.typecode, len(ws)) for ws in loaded.dense] == [
+            (array, "d", model.tfidf.n_features)
+        ] * 2
+    assert [w.hex() for w in chain(*again.dense)] == [w.hex() for w in chain(*model.dense)]
+
+
+def test_negative_and_integer_zero_weights_load_as_zero(tmp_path):
+    """`-0.0` and `0` in a model file load as `0.0`, and save as `0.0`; an
+    integer weight loads as its float."""
+    _, model, _ = trained()
+    save_model(model, tmp_path / "model.ec.json")
+    data = json.loads((tmp_path / "model.ec.json").read_text(encoding="utf-8"))
+    data["weights"][0][:3] = [-0.0, 0, 2]
+    (tmp_path / "edited.json").write_text(json.dumps(data), encoding="utf-8")
+    again = load_model(tmp_path / "edited.json")
+    assert [w.hex() for w in again.dense[0][:3]] == ["0x0.0p+0", "0x0.0p+0", "0x1.0000000000000p+1"]
+    save_model(again, tmp_path / "saved.json")
+    saved = json.loads((tmp_path / "saved.json").read_text(encoding="utf-8"))
+    assert json.dumps(saved["weights"][0][:3]) == "[0.0, 0.0, 2.0]"
 
 
 # Feature strings rich in what JSON escapes ('"', '\\', control characters)

@@ -590,6 +590,12 @@ class TestBadInput:
         assert (code, err) == (2, f"error: epsilon must be in (0, 0.5), got {epsilon}\n")
         assert not out.exists()
 
+    def test_non_ascii_score_rejected(self, tmp_path, capsys):
+        # `float` reads fullwidth digits; saving would write `0.500000`.
+        (tmp_path / "t.tsv").write_text("a\tb\t\uff10.\uff15\n", encoding="utf-8")
+        code, err = run_err(capsys, "stats", "--taxonomy", str(tmp_path / "t.tsv"))
+        assert (code, err) == (2, f"error: {tmp_path / 't.tsv'}:1: bad score '\uff10.\uff15'\n")
+
     @pytest.mark.parametrize("sample", ["0", "-1"])
     def test_stats_sample_below_one(self, tmp_path, capsys, sample):
         # -1 sampled every covered node but the last, 0 reported depth 0.
@@ -680,6 +686,12 @@ class TestEvaluate:
         paths_file.write_text('{"nodes": ["a", "b"]}\n' + row + "\n", encoding="utf-8")
         code, err = run_err(capsys, "evaluate", "paths", "--paths", str(paths_file))
         assert (code, err) == (2, f"error: {paths_file}:2: {message}\n")
+
+    def test_paths_row_without_nodes_names_the_key(self, tmp_path, capsys):
+        paths_file = tmp_path / "p2.jsonl"
+        paths_file.write_text("{}\n", encoding="utf-8")
+        code, err = run_err(capsys, "evaluate", "paths", "--paths", str(paths_file))
+        assert (code, err) == (2, f"error: {paths_file}:1: missing key 'nodes'\n")
 
     def test_edges_worked_example(self, tmp_path, capsys):
         (tmp_path / "taxo.tsv").write_text("x\ta\nx\tb\ny\tc\n", encoding="utf-8")

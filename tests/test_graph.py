@@ -52,6 +52,30 @@ def test_duplicate_edges_collapse(tmp_path):
     assert graph.parents("e1") == ["c1"]
 
 
+def test_repeated_edge_row_dropped_with_one_warning(tmp_path, capsys):
+    nodes = write_lines(tmp_path / "n.tsv", ["e1\tentity\ta", "c1\tcategory\tb", "c2\tcategory\tc"])
+    edges = write_lines(tmp_path / "e.tsv", ["e1\tc1", "e1\tc2", "e1\tc1", "c1\tc2"])
+    graph = load_wcn(nodes, edges)
+    assert graph.parents("e1") == ["c1", "c2"]
+    assert graph.n_edges == 3
+    assert capsys.readouterr().err == "duplicate edge dropped: e1 -> c1\n"
+
+
+def test_one_string_per_node_id(tmp_path):
+    """Every stored child and parent is the node's own id object, the key of
+    `nodes`, not the string its edges.tsv row carried."""
+    nodes = write_lines(
+        tmp_path / "n.tsv", ["e1\tentity\ta", "c1\tcategory\tb", "c2\tcategory\tc"]
+    )
+    edges = write_lines(tmp_path / "e.tsv", ["e1\tc1", "e1\tc2", "c1\tc2", "c2\tc1"])
+    graph = load_wcn(nodes, edges)
+    keys = {node_id: node_id for node_id in graph.nodes}
+    assert len(list(graph.edges())) == 4
+    for child, parent in graph.edges():
+        assert child is keys[child] is graph.nodes[child].id
+        assert parent is keys[parent] is graph.nodes[parent].id
+
+
 def test_random_edge_lists_with_repeated_rows():
     """Against a set-based reference: each child's parents in the order of
     their first row, repeated rows dropped and not counted."""
