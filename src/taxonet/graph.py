@@ -24,8 +24,8 @@ reads edges.tsv, and the other node rules after. Every output file, a model
 too, is written whole or not at all by `_write_lines`. `check_projected` is
 the one check that a projected taxonomy's edges are all network edges.
 
-A repeated edge row and a repeated taxonomy row are dropped with a warning,
-one plain line on stderr; `logging` is not used.
+A repeated edge row is dropped, and repeated taxonomy rows are merged by
+`Taxonomy`'s rule, each with a one-line warning on stderr (no `logging`).
 """
 
 from __future__ import annotations
@@ -36,8 +36,8 @@ import sys
 from collections import namedtuple
 from enum import Enum
 from functools import wraps
-from itertools import repeat
-from operator import attrgetter, contains, is_
+from itertools import chain, repeat
+from operator import attrgetter, contains, is_, itemgetter
 from pathlib import Path
 from typing import Iterable, Iterator
 
@@ -181,51 +181,52 @@ def edge_kind(graph: WcnGraph, child: str, parent: str) -> EdgeKind:
 
 
 class Taxonomy:
-    """A set of is-a edges with an index for O(1) hypernym lookup."""
+    """Is-a edges, each kept once in a dict from child to its `TaxoEdge`s,
+    children and parents ascending by one stable sort. The one rule for a
+    repeated (child, parent): the first of its edges with the highest score
+    is kept, so builders pass their edges straight in."""
 
     def __init__(self, edges: Iterable[TaxoEdge]):
-        self._by_pair: dict[tuple[str, str], TaxoEdge] = {}
-        for edge in edges:
-            pair = (edge.child, edge.parent)
-            if pair in self._by_pair:
-                raise ValueError(f"duplicate taxonomy edge: {pair}")
-            self._by_pair[pair] = edge
-        self._index: dict[str, list[str]] = {}
-        for child, parent in sorted(self._by_pair):
-            self._index.setdefault(child, []).append(parent)
+        grouped: dict[str, list[TaxoEdge]] = {}
+        for edge in sorted(edges, key=itemgetter(0, 1)):
+            stored = grouped.get(edge.child)
+            if stored is None:
+                grouped[edge.child] = [edge]
+            elif stored[-1].parent != edge.parent:
+                stored.append(edge)
+            elif edge.score > stored[-1].score:
+                stored[-1] = edge
+        self._edges = grouped
 
     def __len__(self) -> int:
-        return len(self._by_pair)
+        return sum(map(len, self._edges.values()))
 
     def __contains__(self, pair: tuple[str, str]) -> bool:
-        return pair in self._by_pair
+        return self.edge(*pair) is not None
 
     def edges(self) -> list[TaxoEdge]:
         """Edges sorted by (child, parent)."""
-        return [self._by_pair[p] for p in sorted(self._by_pair)]
+        return list(chain.from_iterable(self._edges.values()))
 
     def edge_pairs(self) -> set[tuple[str, str]]:
-        return set(self._by_pair)
+        return set(map(itemgetter(0, 1), self.edges()))
 
     def edge(self, child: str, parent: str) -> TaxoEdge | None:
-        return self._by_pair.get((child, parent))
+        return next((edge for edge in self._edges.get(child, ()) if edge.parent == parent), None)
 
     def hypernyms(self, node_id: str) -> list[str]:
-        return self._index.get(node_id, [])
+        return [edge.parent for edge in self._edges.get(node_id, ())]
 
     def covered(self, node_id: str) -> bool:
         """True when the node has at least one hypernym."""
-        return node_id in self._index
+        return node_id in self._edges
 
     def covered_nodes(self) -> set[str]:
-        return set(self._index)
+        return set(self._edges)
 
     def node_ids(self) -> set[str]:
         """All ids appearing as child or parent of some edge."""
-        ids = set(self._index)
-        for _, parent in self._by_pair:
-            ids.add(parent)
-        return ids
+        return set(self._edges).union(edge.parent for edge in self.edges())
 
 
 def coverage(graph: WcnGraph, taxonomy: Taxonomy, kind: NodeKind) -> float:
@@ -464,17 +465,17 @@ def _taxo_columns(path: Path) -> tuple:
 def load_taxonomy(path: str | Path) -> Taxonomy:
     """Load taxonomy.tsv; score/provenance columns default to 1.0/projected.
 
-    Repeated (child, parent) rows collapse to the maximum score.
+    Repeated (child, parent) rows follow `Taxonomy`'s rule, each with a warning.
     """
-    best: dict[tuple[str, str], TaxoEdge] = {}
-    for edge in _records(TaxoEdge, zip(*_taxo_columns(Path(path)))):
-        pair = (edge.child, edge.parent)
-        if pair in best:
-            print(f"duplicate taxonomy edge {pair}, keeping max score", file=sys.stderr)
-            if edge.score <= best[pair].score:
-                continue
-        best[pair] = edge
-    return Taxonomy(best.values())
+    edges = _records(TaxoEdge, zip(*_taxo_columns(Path(path))))
+    taxonomy = Taxonomy(edges)
+    if len(taxonomy) < len(edges):
+        seen: set[tuple[str, str]] = set()
+        for pair in map(itemgetter(0, 1), edges):
+            if pair in seen:
+                print(f"duplicate taxonomy edge {pair}, keeping max score", file=sys.stderr)
+            seen.add(pair)
+    return taxonomy
 
 
 def save_taxonomy(taxonomy: Taxonomy, path: str | Path) -> None:

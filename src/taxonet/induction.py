@@ -241,7 +241,7 @@ def induce(
     The target set (all nodes touched by the projected taxonomy) is frozen
     before iteration, and one path finder serves every start, so per-node
     searches are independent and the result does not depend on node order.
-    An edge found by several paths keeps its maximum score. Every edge of
+    A repeated edge keeps its maximum score by `Taxonomy`'s rule. Every edge of
     `search_edges(graph, projected)` must have a probability in `weighted`.
     """
     if len(projected) == 0:
@@ -253,20 +253,15 @@ def induce(
             raise ValueError(f"edge without probability: {child!r} -> {parent!r}")
 
     finder = _PathFinder(weighted, frozenset(projected.node_ids()))
-    edges: dict[tuple[str, str], TaxoEdge] = {
-        (e.child, e.parent): e for e in projected.edges()
-    }
+    edges = projected.edges()
     for start in graph.node_ids():
         if projected.covered(start):
             continue
         for path in finder.top_k(start, cfg.k):
-            for child, parent in path.edges():
-                pair = (child, parent)
-                existing = edges.get(pair)
-                if existing is None or path.probability > existing.score:
-                    edges[pair] = TaxoEdge(child, parent, path.probability, Provenance.INDUCED)
+            edges.extend(TaxoEdge(child, parent, path.probability, Provenance.INDUCED)
+                         for child, parent in path.edges())
 
-    final = Taxonomy(edges.values())
+    final = Taxonomy(edges)
     report = InductionReport(
         entity_coverage=coverage(graph, final, NodeKind.ENTITY),
         category_coverage=coverage(graph, final, NodeKind.CATEGORY),

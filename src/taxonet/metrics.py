@@ -116,8 +116,7 @@ def branching_factor(taxonomy: Taxonomy) -> float:
     """Mean hypernym count over nodes that have at least one."""
     if len(taxonomy) == 0:
         raise TaxonetError("no edges")
-    covered = taxonomy.covered_nodes()
-    return sum(len(taxonomy.hypernyms(n)) for n in covered) / len(covered)
+    return len(taxonomy) / len(taxonomy.covered_nodes())
 
 
 def max_depth_sampled(taxonomy: Taxonomy, sample: int, seed: int) -> int:

@@ -14,7 +14,7 @@ from collections import namedtuple
 from typing import Callable, Iterator
 
 from .graph import (
-    InterlangMap, NodeKind, Provenance, TaxoEdge, Taxonomy, WcnGraph, coverage,
+    InterlangMap, NodeKind, TaxoEdge, Taxonomy, WcnGraph, coverage,
 )
 
 
@@ -101,7 +101,7 @@ def project(
     earlier node's path is skipped, which makes the output deterministic.
     Path edges always come from the target graph, never invented.
     """
-    edges: dict[tuple[str, str], TaxoEdge] = {}
+    edges: list[TaxoEdge] = []
     covered: set[str] = set()
     skipped_no_equivalent = 0
     skipped_no_path = 0
@@ -121,13 +121,10 @@ def project(
             continue
         # A length-0 path (node already equivalent to an ancestor) adds no
         # edges and leaves the node uncovered.
-        for child, parent in zip(path, path[1:]):
-            pair = (child, parent)
-            if pair not in edges:
-                edges[pair] = TaxoEdge(child, parent, 1.0, Provenance.PROJECTED)
-            covered.add(child)
+        edges.extend(TaxoEdge(child, parent) for child, parent in zip(path, path[1:]))
+        covered.update(path[:-1])
 
-    taxonomy = Taxonomy(edges.values())
+    taxonomy = Taxonomy(edges)
     report = ProjectionReport(
         entity_coverage=coverage(target_graph, taxonomy, NodeKind.ENTITY),
         category_coverage=coverage(target_graph, taxonomy, NodeKind.CATEGORY),

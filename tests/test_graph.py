@@ -197,10 +197,22 @@ def test_taxonomy_basics():
     assert taxo.covered("a") and taxo.covered("b") and not taxo.covered("c")
     assert taxo.node_ids() == {"a", "b", "c"}
     assert ("a", "b") in taxo
-    with pytest.raises(ValueError):
-        Taxonomy([TaxoEdge("a", "b"), TaxoEdge("a", "b")])
+    assert len(Taxonomy([TaxoEdge("a", "b"), TaxoEdge("a", "b")])) == 1
     with pytest.raises(ValueError):
         TaxoEdge("a", "b", score=1.5)
+
+
+def test_taxonomy_repeated_pair_keeps_first_highest_score():
+    first = TaxoEdge("a", "b", 0.5, Provenance.PROJECTED)
+    lower = TaxoEdge("a", "b", 0.3, Provenance.INDUCED)
+    higher = TaxoEdge("a", "b", 0.8, Provenance.PROJECTED)
+    equal = TaxoEdge("a", "b", 0.8, Provenance.INDUCED)
+    edges = [TaxoEdge("b", "c"), first, TaxoEdge("a", "c"), lower, higher, TaxoEdge("0", "a"), equal]
+    taxo = Taxonomy(edge for edge in edges)
+    assert taxo.edge("a", "b") is higher
+    assert len(taxo) == 4
+    assert taxo.edges() == [TaxoEdge("0", "a"), higher, TaxoEdge("a", "c"), TaxoEdge("b", "c")]
+    assert taxo.hypernyms("a") == ["b", "c"]
 
 
 def test_taxonomy_file_roundtrip(tmp_path):
@@ -242,6 +254,20 @@ def test_taxonomy_duplicate_rows_keep_max(tmp_path):
     # Of equal scores, the first row stays.
     path = write_lines(tmp_path / "t2.tsv", ["a\tb\t0.5\tinduced", "a\tb\t0.5\tprojected"])
     assert load_taxonomy(path).edge("a", "b").provenance is Provenance.INDUCED
+
+
+def test_taxonomy_rows_repeated_warn_in_row_order(tmp_path, capsys):
+    rows = ["z\ty\t0.2\tinduced", "a\tb\t0.3\tinduced", "z\ty\t0.1\tinduced",
+            "a\tb\t0.8\tinduced", "a\tb\t0.5\tprojected"]
+    taxo = load_taxonomy(write_lines(tmp_path / "t.tsv", rows))
+    assert capsys.readouterr().err.splitlines() == [
+        f"duplicate taxonomy edge {pair}, keeping max score"
+        for pair in [("z", "y"), ("a", "b"), ("a", "b")]
+    ]
+    assert taxo.edges() == [TaxoEdge("a", "b", 0.8, Provenance.INDUCED),
+                            TaxoEdge("z", "y", 0.2, Provenance.INDUCED)]
+    load_taxonomy(write_lines(tmp_path / "t2.tsv", rows[:2]))
+    assert capsys.readouterr().err == ""
 
 
 @pytest.mark.parametrize("lines, line_no, reason", [

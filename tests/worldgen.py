@@ -120,9 +120,16 @@ def build_world(
                     add_true(ent, leaf)
                     entity_ids.append(ent)
 
+    # Nodes arrive family by family, so only the current family's candidates
+    # are kept. `startswith` also drops f100-f109 for f10 when F > 100.
+    cached_fam, candidates = None, []
+
     def cross_family(node_id: str) -> str:
+        nonlocal cached_fam, candidates
         fam = node_id.split(".", 1)[0]
-        candidates = [t for t in thematic_pool if not t.startswith(fam)]
+        if fam != cached_fam:
+            cached_fam = fam
+            candidates = [t for t in thematic_pool if not t.startswith(fam)]
         return rng.choice(candidates)
 
     # Distractor (not-is-a) edges: entities get 1-2, some categories get 1.
