@@ -17,9 +17,11 @@ CPython specialises a list store by int index, where a `map` over
 as two `array('d')`, 8 bytes a weight and no float object each: at the
 end of training the final L2 scale is applied as each list is copied into
 its array, and `load_model` builds the arrays straight from the parsed
-file. A title's cached `gather` reads its weights from either vector, list
-or array, in one C call, so one getter per title serves both sides of an
-edge; the gathers feed every dot product, in SGD and in scoring.
+file, before it builds the vocabulary, so the parsed weights and the
+vocabulary are never in memory together. A title's cached `gather` reads
+its weights from either vector, list or array, in one C call, so one
+getter per title serves both sides of an edge; the gathers feed every dot
+product, in SGD and in scoring.
 
 A logit is one `sum` of weight * value over the child's entries, then
 the parent's entries, each in column order, with `0.0` for every column
@@ -130,7 +132,7 @@ def train_linear(
 
     Learning rate decays as lr0 / (1 + l2 * lr0 * t) over global steps.
     L2 decay is applied through a scale factor so each step stays O(nnz);
-    the bias is unregularized.
+    the bias is unregularized. `graph` is read only through `title`.
     """
     labels = {e.label for e in dataset.train}
     if len(labels) < 2:
@@ -203,7 +205,8 @@ def validation_accuracy(
 ) -> float:
     """Fraction of edges where the 0.5-thresholded prediction matches.
 
-    Probability exactly 0.5 counts as a positive prediction.
+    Probability exactly 0.5 counts as a positive prediction. `graph` is
+    read only through `title`.
     """
     if not validation:
         raise TaxonetError("no validation edges")
@@ -274,6 +277,9 @@ def load_model(path: str | Path, kind: EdgeKind | None = None) -> LinearEdgeMode
     type of its default, since `save_model` writes them back. The weights
     go from each parsed list straight into an `array('d')`, and a zero,
     `-0.0` included, loads as `0.0`, as in a model `train_linear` returns.
+    They are converted before `TfidfModel.from_dict` builds the vocabulary,
+    so a file with faults in both its weights and its `tfidf` reports the
+    weights' fault; their count is checked against V once V is known.
     """
     with open(path, encoding="utf-8") as fh:
         try:
@@ -285,14 +291,15 @@ def load_model(path: str | Path, kind: EdgeKind | None = None) -> LinearEdgeMode
                 raise ValueError(f"config must hold exactly the keys {', '.join(defaults)}")
             check_json_types(defaults, config)
             cfg = TrainConfig(**config)
-            tfidf = TfidfModel.from_dict(data.pop("tfidf"))
-            # Each parsed list leaves the queue, and memory, as it is converted.
-            # `w + 0.0` is float(w) for an int, and 0.0 for -0.0.
+            # Each parsed list leaves the queue, and memory, as it is converted,
+            # before the vocabulary is built. `w + 0.0` is float(w) for an
+            # int, and 0.0 for -0.0.
             parsed = deque(data.pop("weights"))
             dense = tuple(
                 array("d", map(add, _numbers(parsed.popleft(), "weight"), repeat(0.0)))
                 for _ in range(len(parsed))
             )
+            tfidf = TfidfModel.from_dict(data.pop("tfidf"))
             n = tfidf.n_features
             if len(dense) != 2 or any(len(ws) != n for ws in dense):
                 lengths = [len(ws) for ws in dense]

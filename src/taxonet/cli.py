@@ -21,10 +21,12 @@ called from a single-threaded process.
 Both commands let go of what they are done with, since a command's peak
 memory is what it holds at one time. `train` keeps the projected taxonomy
 and the labeled edge list only until the edges are split by kind, so
-neither is held through training nor inherited by the forked child.
-`induce` keeps the two models, with their cached title vectors, only
-until the search edges are weighed, so the path search reuses their
-memory.
+neither is held through training nor inherited by the forked child. It
+frees the category network too, before the fork: each job keeps only the
+titles of its own train and validation edges' nodes (`_Titles`), the one
+thing training and validation read of a graph. `induce` keeps the two
+models, with their cached title vectors, only until the search edges are
+weighed, so the path search reuses their memory.
 
 Each command runs in a fresh process and pays for what it imports.
 Loading this module imports `classifier`, `features`, `graph`,
@@ -150,6 +152,14 @@ def _cmd_project(args: argparse.Namespace) -> int:
     return 0
 
 
+class _Titles(dict):
+    """Node titles by id. `title` is all that training and validation read
+    of a graph, so a job holds its own edges' titles instead of the network."""
+
+    __slots__ = ()
+    title = dict.__getitem__
+
+
 def _cmd_train(args: argparse.Namespace) -> int:
     settings = _settings(args)
     graph = load_wcn(args.nodes, args.edges)
@@ -166,19 +176,21 @@ def _cmd_train(args: argparse.Namespace) -> int:
         train_edges, val_edges = train_val_split(edges, settings.val_fraction, settings.seed)
         if len({e.label for e in train_edges}) < 2:
             raise TaxonetError(f"{name}: need both labels to train; check the projected taxonomy")
-        jobs.append((kind, name, train_edges, val_edges))
+        titles = _Titles({n: graph.title(n) for e in edges for n in (e.child, e.parent)})
+        jobs.append((kind, name, train_edges, val_edges, titles))
+    del graph  # each job reads only its own titles, so the network is freed before the fork
 
-    def fit(kind: EdgeKind, name: str, train_edges, val_edges) -> None:
+    def fit(kind: EdgeKind, name: str, train_edges, val_edges, titles: _Titles) -> None:
         dataset = EdgeDataset(kind, train_edges, val_edges)
         node_ids = sorted({n for e in train_edges for n in (e.child, e.parent)})
-        tfidf = fit_tfidf([graph.title(n) for n in node_ids], settings.spec, settings.min_df)
-        model = train_linear(dataset, tfidf, settings.train, graph)
+        tfidf = fit_tfidf([titles[n] for n in node_ids], settings.spec, settings.min_df)
+        model = train_linear(dataset, tfidf, settings.train, titles)
         save_model(model, out_dir / f"model.{name}.json")
         _write_json(
             out_dir / f"metrics.{name}.json",
             {
-                "train_acc": validation_accuracy(model, train_edges, graph),
-                "val_acc": validation_accuracy(model, val_edges, graph) if val_edges else None,
+                "train_acc": validation_accuracy(model, train_edges, titles),
+                "val_acc": validation_accuracy(model, val_edges, titles) if val_edges else None,
                 "n_train": len(train_edges),
                 "n_val": len(val_edges),
                 "mode": settings.spec.mode.value,

@@ -29,8 +29,9 @@ vectors are lists; a model's are `array('d')`, 8 bytes a weight (see
 `TfidfModel.to_dict` is the `tfidf` object of a model file (see
 `classifier`): the spec, `n_docs`, the features in column order and their
 document frequencies. idf is not stored; `TfidfModel` computes it from
-`n_docs` and `df`, once per distinct df value, and features with equal df
-share one float.
+`n_docs` and `df`, once per distinct df value, into `idf_of`, a table
+indexed by df value, and keeps no idf per column: `_vectorize` reads a
+column's idf as `idf_of[df[c]]`, so features with equal df share one float.
 """
 
 from __future__ import annotations
@@ -39,7 +40,8 @@ import math
 from array import array
 from collections import Counter, namedtuple
 from enum import Enum
-from operator import itemgetter, mul, ne
+from itertools import islice
+from operator import ge, itemgetter, mul, ne
 from typing import Callable, Sequence
 
 from .errors import TaxonetError
@@ -101,8 +103,9 @@ class TfidfModel:
     Columns are assigned in lexicographic feature order, which makes the
     model independent of corpus order. The vocabulary maps each feature to
     its column, 0 to V-1 in insertion order, so it lists the features in
-    column order as it is. Vocabulary and idf are fixed once the model is
-    built, which is what lets `half` cache title vectors.
+    column order as it is. `df` holds each column's document frequency and
+    `idf_of` the idf of each df value. Vocabulary and idf are fixed once the
+    model is built, which is what lets `half` cache title vectors.
     """
 
     def __init__(self, spec: FeatureSpec, vocabulary: dict[str, int], df: list[int], n_docs: int):
@@ -112,8 +115,11 @@ class TfidfModel:
         self.vocabulary = vocabulary
         self.df = df
         self.n_docs = n_docs
-        idf_of = {d: math.log((1 + n_docs) / (1 + d)) + 1.0 for d in set(df)}
-        self.idf = list(map(idf_of.__getitem__, df))
+        # Indexed by df value, a list: it is read per vector entry, and a list
+        # index is cheaper than a dict lookup. Values no feature has stay None.
+        self.idf_of: list[float | None] = [None] * (max(df, default=0) + 1)
+        for d in set(df):
+            self.idf_of[d] = math.log((1 + n_docs) / (1 + d)) + 1.0
         self._halves: dict[str, Half] = {}
 
     @property
@@ -150,8 +156,9 @@ class TfidfModel:
 
         It accepts what `to_dict` writes and nothing else: a char-mode spec
         holds a nonempty list of integers >= 1 and a word-mode spec `null`,
-        `lowercase` is `true`, `features` is a list of unique strings and
-        `df` a list of as many integers >= 1, and no df exceeds `n_docs`.
+        `lowercase` is `true`, `features` is a list of unique strings in
+        ascending order, the column order `fit_tfidf` assigns, and `df` a
+        list of as many integers >= 1, and no df exceeds `n_docs`.
         """
         raw_spec = data["spec"]
         mode = FeatureMode(raw_spec["mode"])
@@ -179,10 +186,11 @@ class TfidfModel:
             raise ValueError(f"df must be >= 1, got {min(df)}")
         if max(df, default=0) > data["n_docs"]:
             raise ValueError(f"n_docs {data['n_docs']} is below the largest df, {max(df)}")
-        vocabulary = dict(zip(features, range(len(features))))
-        if len(vocabulary) < len(features):
-            raise ValueError(f"features holds {len(features) - len(vocabulary)} repeated entries")
-        return cls(spec, vocabulary, df, data["n_docs"])
+        if any(map(ge, features, islice(features, 1, None))):  # so each is there once
+            i = next(i for i in range(1, len(features)) if features[i - 1] >= features[i])
+            raise ValueError(f"features must be unique and ascending: {features[i]!r} "
+                             f"follows {features[i - 1]!r} at column {i}")
+        return cls(spec, dict(zip(features, range(len(features)))), df, data["n_docs"])
 
 
 def _gatherer(cols: tuple[int, ...]) -> Callable[[Sequence[float]], tuple]:
@@ -235,9 +243,9 @@ def fit_tfidf(titles: list[str], spec: FeatureSpec, min_df: int = 1) -> TfidfMod
 def _vectorize(model: TfidfModel, title: str) -> tuple[tuple[int, ...], array]:
     """The title's vector as (columns, values): TF x idf over its in-vocabulary
     features, columns ascending, L2-normalized; both empty if all are OOV."""
-    get, idf = model.vocabulary.get, model.idf
+    get, df, idf_of = model.vocabulary.get, model.df, model.idf_of
     tf = {c: n for f, n in extract_features(title, model.spec).items() if (c := get(f)) is not None}
     cols = tuple(sorted(tf))
-    raw = [tf[c] * idf[c] for c in cols]
+    raw = [tf[c] * idf_of[df[c]] for c in cols]
     norm = math.sqrt(sum(map(mul, raw, raw)))
     return cols, array("d", [v / norm for v in raw])

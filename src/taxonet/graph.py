@@ -39,7 +39,7 @@ from functools import wraps
 from itertools import chain, repeat
 from operator import attrgetter, contains, is_, itemgetter
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 from .errors import MalformedRow, TaxonetError
 
@@ -215,7 +215,11 @@ class Taxonomy:
         return next((edge for edge in self._edges.get(child, ()) if edge.parent == parent), None)
 
     def hypernyms(self, node_id: str) -> list[str]:
-        return [edge.parent for edge in self._edges.get(node_id, ())]
+        return [edge.parent for edge in self.parent_edges(node_id)]
+
+    def parent_edges(self, node_id: str) -> Sequence[TaxoEdge]:
+        """The node's stored edges, parents ascending; not to be modified."""
+        return self._edges.get(node_id, ())
 
     def covered(self, node_id: str) -> bool:
         """True when the node has at least one hypernym."""

@@ -18,6 +18,9 @@ from .graph import (
 )
 
 
+_PARENT = TaxoEdge._fields.index("parent")
+
+
 class ProjectionConfig(namedtuple("ProjectionConfig", "k1 k2", defaults=(14, 3))):
     """k1: max ancestor height in the source taxonomy; k2: max path length
     (hops) in the target network."""
@@ -39,9 +42,15 @@ class ProjectionReport(namedtuple("ProjectionReport", "entity_coverage category_
         return self._asdict()
 
 
-def _reach(parents: Callable, start: str, max_hops: int, prev: dict) -> Iterator[str]:
+def _reach(parents: Callable, start: str, max_hops: int, prev: dict,
+           parent_at: int | None = None) -> Iterator[str]:
     """Yield each node but `start` within `max_hops` child->parent hops, breadth
-    first in `parents` order, once `prev` maps it to its source (`start`: None)."""
+    first in `parents` order, once `prev` maps it to its source (`start`: None).
+
+    `parents(child)` gives the child's parents, or with `parent_at` its
+    stored edges, each holding its parent at that index, so no list of
+    parents is built per child.
+    """
     prev[start] = None
     level = [start]
     while level and max_hops:
@@ -49,6 +58,8 @@ def _reach(parents: Callable, start: str, max_hops: int, prev: dict) -> Iterator
         reached = []
         for child in level:
             for parent in parents(child):
+                if parent_at is not None:
+                    parent = parent[parent_at]
                 if parent not in prev:
                     prev[parent] = child
                     yield parent
@@ -59,7 +70,7 @@ def _reach(parents: Callable, start: str, max_hops: int, prev: dict) -> Iterator
 def collect_ancestors(taxonomy: Taxonomy, node: str, k1: int) -> set[str]:
     """All nodes reachable from `node` by 1..k1 child->parent hops, `node`
     itself excluded; cycles are fine."""
-    return set(_reach(taxonomy.hypernyms, node, k1, {}))
+    return set(_reach(taxonomy.parent_edges, node, k1, {}, _PARENT))
 
 
 def map_equivalents(ancestors: set[str], links: InterlangMap) -> set[str]:

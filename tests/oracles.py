@@ -168,7 +168,8 @@ def reference_char_ngrams(title, spec):
 def reference_vectorize_title(model, title):
     """A title's TFIDF vector as sorted (column, value) entries, by the loop
     `TfidfModel.half` replaced: TF x idf over the in-vocabulary features,
-    each divided by the L2 norm."""
+    each divided by the L2 norm. idf is ln((1 + N) / (1 + df)) + 1, computed
+    here from the model's `n_docs` and `df`."""
     from taxonet.features import FeatureMode, word_tokens
 
     if model.spec.mode is FeatureMode.WORD:
@@ -179,7 +180,8 @@ def reference_vectorize_title(model, title):
     for feature, count in counts.items():
         col = model.vocabulary.get(feature)
         if col is not None:
-            entries.append((col, count * model.idf[col]))
+            idf = math.log((1 + model.n_docs) / (1 + model.df[col])) + 1.0
+            entries.append((col, count * idf))
     if not entries:
         return ()
     entries.sort()

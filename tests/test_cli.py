@@ -2,12 +2,13 @@ import json
 import os
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import pytest
 
 import taxonet
-from taxonet import cli
+from taxonet import cli, forking
 from taxonet.cli import main
 from taxonet.features import FeatureMode, FeatureSpec
 from taxonet.graph import NodeKind
@@ -214,6 +215,29 @@ class TestTrain:
         assert data["config"]["epochs"] == 2
         assert repr(data["config"]["l2_lambda"]) == "0"  # passed through, not made 0.0
 
+    def test_network_freed_before_fork(self, trained_world, tmp_path, capsys, monkeypatch):
+        # Each job reads its own edges' titles, so neither process of the
+        # pair holds the category network.
+        _, paths, projected, out_dir = trained_world
+        refs = []
+
+        def load_wcn(*args):
+            graph = real_load_wcn(*args)
+            refs.append(weakref.ref(graph))
+            return graph
+
+        def run_pair(first, second):
+            assert [ref() for ref in refs] == [None]
+            return first(), second()
+
+        real_load_wcn = cli.load_wcn
+        monkeypatch.setattr(cli, "load_wcn", load_wcn)
+        monkeypatch.setattr(forking, "run_pair", run_pair)
+        code, _ = run(capsys, *train_args(paths, projected, tmp_path / "m", seed=5))
+        assert code == 0
+        for name in ("model.ec.json", "model.cc.json", "metrics.ec.json", "metrics.cc.json"):
+            assert (tmp_path / "m" / name).read_bytes() == (out_dir / name).read_bytes()
+
     def test_ec_error_wins_over_cc_error(self, trained_world, tmp_path, capsys):
         _, paths, projected, _ = trained_world
         code, err = run_err(capsys, *train_args(paths, projected, tmp_path / "m", seed=5,
@@ -355,7 +379,7 @@ class TestBadInput:
     @staticmethod
     def induce_with_edited_model(trained_world, tmp_path, capsys, edit):
         """Run `induce` with `edit` applied to the ec model file's JSON;
-        it must exit 2 naming that file."""
+        it must exit 2 naming that file. Returns standard error."""
         _, paths, projected, models = trained_world
         data = json.loads((models / "model.ec.json").read_text(encoding="utf-8"))
         edit(data)
@@ -364,6 +388,7 @@ class TestBadInput:
         code, err = run_err(capsys, *induce_args(paths, projected, tmp_path, tmp_path / "o.tsv"))
         assert code == 2
         assert err.startswith(f"error: {tmp_path / 'model.ec.json'}: bad model file")
+        return err
 
     # Explicit ids, so a case keeps its name when another is added or removed.
     # They are the positional ids these cases had before; a new case takes a
@@ -400,9 +425,20 @@ class TestBadInput:
         # Missing keys loaded as TrainConfig's defaults, and were written back.
         pytest.param(lambda d: [d["config"].pop(k) for k in ("epochs", "seed")],
                      id="config-missing-keys"),
+        # Features out of ascending order loaded, each with another column.
+        pytest.param(lambda d: d["tfidf"]["features"].insert(1, d["tfidf"]["features"].pop(0)),
+                     id="features-out-of-order"),
     ])
     def test_broken_model_file(self, trained_world, tmp_path, capsys, edit):
         self.induce_with_edited_model(trained_world, tmp_path, capsys, edit)
+
+    def test_weights_fault_reported_before_tfidf_fault(self, trained_world, tmp_path, capsys):
+        # The weights are converted before the vocabulary is built.
+        def edit(data):
+            data["weights"][0][0] = "1.5"
+            data["tfidf"]["features"].append("zz")
+        err = self.induce_with_edited_model(trained_world, tmp_path, capsys, edit)
+        assert err.endswith(": bad model file: TypeError: weight must be a number, got '1.5'\n")
 
     # Explicit ids, as in `test_broken_model_file`.
     @pytest.mark.parametrize("edit", [

@@ -81,12 +81,12 @@ class TestFitTfidf:
         assert model.n_docs == 3
         assert model.df[model.vocabulary["ab"]] == 2
         assert model.df[model.vocabulary["cd"]] == 1
-        assert abs(model.idf[model.vocabulary["ab"]] - (math.log(4 / 3) + 1)) < 1e-12
-        assert abs(model.idf[model.vocabulary["cd"]] - (math.log(4 / 2) + 1)) < 1e-12
+        assert abs(model.idf_of[model.df[model.vocabulary["ab"]]] - (math.log(4 / 3) + 1)) < 1e-12
+        assert abs(model.idf_of[model.df[model.vocabulary["cd"]]] - (math.log(4 / 2) + 1)) < 1e-12
 
     def test_single_title_idf_is_one(self):
         model = fit_tfidf(["un seul titre"], WORD)
-        assert all(abs(v - 1.0) < 1e-12 for v in model.idf)
+        assert all(abs(model.idf_of[d] - 1.0) < 1e-12 for d in model.df)
 
     def test_min_df_filters(self):
         with raises_error("no feature reached min_df=3 over 3 titles"):
@@ -116,7 +116,8 @@ class TestFitTfidf:
         a = fit_tfidf(titles, WORD)
         b = fit_tfidf(shuffled, WORD)
         assert a.vocabulary == b.vocabulary
-        assert a.idf == b.idf
+        assert a.df == b.df
+        assert a.idf_of == b.idf_of
 
 
 def entries(model, title):
@@ -141,8 +142,8 @@ class TestVectorize:
     def test_proportional_and_normalized(self):
         model = fit_tfidf(["ab", "ab", "cd"], WORD)
         vec = entries(model, "ab ab cd")
-        idf_ab = model.idf[model.vocabulary["ab"]]
-        idf_cd = model.idf[model.vocabulary["cd"]]
+        idf_ab = model.idf_of[model.df[model.vocabulary["ab"]]]
+        idf_cd = model.idf_of[model.df[model.vocabulary["cd"]]]
         raw = {model.vocabulary["ab"]: 2 * idf_ab, model.vocabulary["cd"]: 1 * idf_cd}
         norm = math.sqrt(sum(v * v for v in raw.values()))
         for col, value in vec:
@@ -276,10 +277,23 @@ def test_model_json_roundtrip():
     again = TfidfModel.from_dict(data)
     assert again.vocabulary == model.vocabulary
     assert again.df == model.df
-    assert again.idf == model.idf
+    assert again.idf_of == model.idf_of
     assert again.n_docs == model.n_docs
     assert again.spec == model.spec
     assert again.to_dict() == model.to_dict()
+
+
+@pytest.mark.parametrize("features, message", [
+    (["ab", "ef", "cd"], "'cd' follows 'ef' at column 2"),
+    (["ab", "ab", "cd"], "'ab' follows 'ab' at column 1"),
+])
+def test_features_not_unique_and_ascending_rejected(features, message):
+    # `fit_tfidf` assigns columns in ascending feature order, so a model
+    # file whose features are in another order is damaged.
+    data = json_round_trip(fit_tfidf(["ab cd ef"], WORD))
+    data["features"] = features
+    with pytest.raises(ValueError, match=f"^features must be unique and ascending: {message}$"):
+        TfidfModel.from_dict(data)
 
 
 @pytest.mark.parametrize("vocabulary", [{"b": 1, "a": 0}, {"a": 1}, {"a": 0, "b": 2}])
@@ -302,8 +316,9 @@ def test_idf_per_feature(corpus, spec):
         assume(False)
     for model in (fitted, TfidfModel.from_dict(json_round_trip(fitted))):
         expected = [(math.log((1 + model.n_docs) / (1 + d)) + 1.0).hex() for d in model.df]
-        assert [v.hex() for v in model.idf] == expected
-        assert len(set(map(id, model.idf))) == len(set(model.df))
+        assert [model.idf_of[d].hex() for d in model.df] == expected
+        assert len(set(id(model.idf_of[d]) for d in model.df)) == len(set(model.df))
+        assert {d for d, idf in enumerate(model.idf_of) if idf is not None} == set(model.df)
 
 
 # Explicit ids, so a case keeps its name when another is added or removed.

@@ -194,6 +194,8 @@ def test_taxonomy_basics():
     taxo = Taxonomy([TaxoEdge("a", "b"), TaxoEdge("a", "c"), TaxoEdge("b", "c")])
     assert len(taxo) == 3
     assert taxo.hypernyms("a") == ["b", "c"]
+    assert list(taxo.parent_edges("a")) == [TaxoEdge("a", "b"), TaxoEdge("a", "c")]
+    assert list(taxo.parent_edges("c")) == []
     assert taxo.covered("a") and taxo.covered("b") and not taxo.covered("c")
     assert taxo.node_ids() == {"a", "b", "c"}
     assert ("a", "b") in taxo
