@@ -4,7 +4,8 @@ The model is logistic-loss linear, trained by seeded SGD, so it emits
 calibrated probabilities directly - the induction phase multiplies them
 along paths. Two independent models are trained per run, one for
 entity->category edges and one for category->category edges, each with
-its own TFIDF vocabulary.
+its own TFIDF vocabulary. A model is a named tuple, like the library's
+other records.
 
 Training, validation and edge weighing read each title's vector from its
 TFIDF model's cache (`TfidfModel.half`), so a title is vectorized once per
@@ -92,7 +93,7 @@ def _sigmoid(z: float) -> float:
     return e / (1.0 + e)
 
 
-class LinearEdgeModel:
+class LinearEdgeModel(namedtuple("LinearEdgeModel", "tfidf dense bias hyper kind")):
     """Linear model over concatenated child/parent TFIDF vectors, trained
     for one edge kind.
 
@@ -101,19 +102,7 @@ class LinearEdgeModel:
     returns as they are. Lists of floats score and save the same.
     """
 
-    def __init__(
-        self,
-        tfidf: TfidfModel,
-        dense: tuple[array, array],
-        bias: float,
-        hyper: TrainConfig,
-        kind: EdgeKind,
-    ):
-        self.tfidf = tfidf
-        self.dense = dense
-        self.bias = bias
-        self.hyper = hyper
-        self.kind = kind
+    __slots__ = ()
 
     def to_dict(self) -> dict:
         return {

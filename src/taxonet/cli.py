@@ -4,6 +4,8 @@ Subcommands: project, train, induce, evaluate (edges|paths), stats.
 Exit codes: 0 success, 2 bad input or usage, 1 internal error. Given the
 same flags, seed, and input files, every command writes byte-identical
 outputs; all randomness flows from --seed and is echoed in the reports.
+The `project` and `induce` reports are the library's records as they are,
+which carry their settings (k1, k2; k, uniform).
 
 `train` and `induce` use two processes. `train` checks both edge kinds for
 two label classes (ec, then cc), then trains, saves and scores the cc
@@ -140,16 +142,19 @@ def _write_json(path: str | Path, obj: dict) -> None:
     _write_lines(path, [json.dumps(obj, sort_keys=True, ensure_ascii=False, indent=2) + "\n"])
 
 
+def _save_result(args: argparse.Namespace, taxonomy, report) -> int:
+    """Save the taxonomy to `--out` and its report, settings included, to `--report`."""
+    save_taxonomy(taxonomy, args.out)
+    _write_json(args.report or args.out + ".report.json", report.to_dict())
+    return 0
+
+
 def _cmd_project(args: argparse.Namespace) -> int:
     cfg = _settings(args).projection
     graph = load_wcn(args.nodes, args.edges)
     links = load_interlang(args.langlinks)
     source = load_taxonomy(args.source_taxonomy)
-    taxonomy, report = project(source, graph, links, cfg)
-    save_taxonomy(taxonomy, args.out)
-    report_path = args.report or args.out + ".report.json"
-    _write_json(report_path, {**report.to_dict(), "k1": cfg.k1, "k2": cfg.k2})
-    return 0
+    return _save_result(args, *project(source, graph, links, cfg))
 
 
 class _Titles(dict):
@@ -164,30 +169,27 @@ def _cmd_train(args: argparse.Namespace) -> int:
     settings = _settings(args)
     graph = load_wcn(args.nodes, args.edges)
     # The projected taxonomy and the labeled list are freed here, before the fork.
-    ec_edges, cc_edges = split_by_kind(label_edges(graph, load_taxonomy(args.projected)), graph)
+    by_kind = split_by_kind(label_edges(graph, load_taxonomy(args.projected)), graph)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
     jobs = []
-    for kind, edges, name in (
-        (EdgeKind.ENTITY_TO_CATEGORY, ec_edges, "ec"),
-        (EdgeKind.CATEGORY_TO_CATEGORY, cc_edges, "cc"),
-    ):
+    for kind, edges in zip(EdgeKind, by_kind):
         train_edges, val_edges = train_val_split(edges, settings.val_fraction, settings.seed)
         if len({e.label for e in train_edges}) < 2:
-            raise TaxonetError(f"{name}: need both labels to train; check the projected taxonomy")
+            raise TaxonetError(f"{kind.value}: need both labels to train; check the projected taxonomy")
         titles = _Titles({n: graph.title(n) for e in edges for n in (e.child, e.parent)})
-        jobs.append((kind, name, train_edges, val_edges, titles))
+        jobs.append((kind, train_edges, val_edges, titles))
     del graph  # each job reads only its own titles, so the network is freed before the fork
 
-    def fit(kind: EdgeKind, name: str, train_edges, val_edges, titles: _Titles) -> None:
+    def fit(kind: EdgeKind, train_edges, val_edges, titles: _Titles) -> None:
         dataset = EdgeDataset(kind, train_edges, val_edges)
         node_ids = sorted({n for e in train_edges for n in (e.child, e.parent)})
         tfidf = fit_tfidf([titles[n] for n in node_ids], settings.spec, settings.min_df)
         model = train_linear(dataset, tfidf, settings.train, titles)
-        save_model(model, out_dir / f"model.{name}.json")
+        save_model(model, out_dir / f"model.{kind.value}.json")
         _write_json(
-            out_dir / f"metrics.{name}.json",
+            out_dir / f"metrics.{kind.value}.json",
             {
                 "train_acc": validation_accuracy(model, train_edges, titles),
                 "val_acc": validation_accuracy(model, val_edges, titles) if val_edges else None,
@@ -216,11 +218,7 @@ def _cmd_induce(args: argparse.Namespace) -> int:
     # The models are freed once the search edges are weighed, before the search.
     weighted = weigh_edges(graph, load_model(args.model_ec, ec_kind),
                            load_model(args.model_cc, cc_kind), cfg, search_edges(graph, projected))
-    taxonomy, report = induce(projected, weighted, cfg)
-    save_taxonomy(taxonomy, args.out)
-    report_path = args.report or args.out + ".report.json"
-    _write_json(report_path, report.to_dict())
-    return 0
+    return _save_result(args, *induce(projected, weighted, cfg))
 
 
 def _cmd_evaluate(args: argparse.Namespace) -> int:

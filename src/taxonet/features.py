@@ -28,7 +28,8 @@ vectors are lists; a model's are `array('d')`, 8 bytes a weight (see
 
 `TfidfModel.to_dict` is the `tfidf` object of a model file (see
 `classifier`): the spec, `n_docs`, the features in column order and their
-document frequencies. idf is not stored; `TfidfModel` computes it from
+document frequencies, the lists `TfidfModel` is built from; it numbers the
+columns itself. idf is not stored; `TfidfModel` computes it from
 `n_docs` and `df`, once per distinct df value, into `idf_of`, a table
 indexed by df value, and keeps no idf per column: `_vectorize` reads a
 column's idf as `idf_of[df[c]]`, so features with equal df share one float.
@@ -41,7 +42,7 @@ from array import array
 from collections import Counter, namedtuple
 from enum import Enum
 from itertools import islice
-from operator import ge, itemgetter, mul, ne
+from operator import ge, itemgetter, mul
 from typing import Callable, Sequence
 
 from .errors import TaxonetError
@@ -101,18 +102,17 @@ class TfidfModel:
     """Vocabulary + smoothed idf weights fitted on a title corpus.
 
     Columns are assigned in lexicographic feature order, which makes the
-    model independent of corpus order. The vocabulary maps each feature to
-    its column, 0 to V-1 in insertion order, so it lists the features in
+    model independent of corpus order. The constructor takes the features
+    in that order and numbers them itself: the vocabulary maps each to its
+    column, 0 to V-1 in insertion order, so it lists the features in
     column order as it is. `df` holds each column's document frequency and
     `idf_of` the idf of each df value. Vocabulary and idf are fixed once the
     model is built, which is what lets `half` cache title vectors.
     """
 
-    def __init__(self, spec: FeatureSpec, vocabulary: dict[str, int], df: list[int], n_docs: int):
-        if any(map(ne, vocabulary.values(), range(len(vocabulary)))):
-            raise ValueError("vocabulary columns must run 0 to V-1 in insertion order")
+    def __init__(self, spec: FeatureSpec, features: list[str], df: list[int], n_docs: int):
         self.spec = spec
-        self.vocabulary = vocabulary
+        self.vocabulary = dict(zip(features, range(len(features))))
         self.df = df
         self.n_docs = n_docs
         # Indexed by df value, a list: it is read per vector entry, and a list
@@ -190,7 +190,7 @@ class TfidfModel:
             i = next(i for i in range(1, len(features)) if features[i - 1] >= features[i])
             raise ValueError(f"features must be unique and ascending: {features[i]!r} "
                              f"follows {features[i - 1]!r} at column {i}")
-        return cls(spec, dict(zip(features, range(len(features)))), df, data["n_docs"])
+        return cls(spec, features, df, data["n_docs"])
 
 
 def _gatherer(cols: tuple[int, ...]) -> Callable[[Sequence[float]], tuple]:
@@ -236,8 +236,7 @@ def fit_tfidf(titles: list[str], spec: FeatureSpec, min_df: int = 1) -> TfidfMod
     kept = sorted(f for f, d in df_counts.items() if d >= min_df)
     if not kept:
         raise TaxonetError(f"no feature reached min_df={min_df} over {len(titles)} titles")
-    vocabulary = {f: i for i, f in enumerate(kept)}
-    return TfidfModel(spec, vocabulary, [df_counts[f] for f in kept], len(titles))
+    return TfidfModel(spec, kept, [df_counts[f] for f in kept], len(titles))
 
 
 def _vectorize(model: TfidfModel, title: str) -> tuple[tuple[int, ...], array]:

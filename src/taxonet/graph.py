@@ -22,7 +22,9 @@ is reported as `file:line`. A file's format faults come before its rule
 faults, even on a later line; `load_wcn` checks the node kinds before it
 reads edges.tsv, and the other node rules after. Every output file, a model
 too, is written whole or not at all by `_write_lines`. `check_projected` is
-the one check that a projected taxonomy's edges are all network edges.
+the one check that a projected taxonomy's edges are all network edges, and
+`WcnGraph._check_edge` the one rule that no edge leads into an entity, so
+`edge_kind` reads an edge's kind from its child alone.
 
 A repeated edge row is dropped, and repeated taxonomy rows are merged by
 `Taxonomy`'s rule, each with a one-line warning on stderr (no `logging`).
@@ -85,8 +87,8 @@ class WcnGraph:
 
     Each child's parent list, in input order without repeated rows, is the
     one store of its edges. Only Phase 1's BFS relies on that order (for
-    ties); Phase 3 orders paths by key. Entity->Entity and Category->Entity
-    edges are rejected; cycles among categories are allowed.
+    ties); Phase 3 orders paths by key. Edges into an entity are rejected;
+    cycles among categories are allowed.
 
     One string per node id: every parent in the store, and every child key,
     is the node's own id object, the key of `nodes`, never the copy an edge
@@ -140,7 +142,9 @@ class WcnGraph:
             raise TaxonetError(f"self-loop on node: {child!r}")
         if child not in self.nodes or parent not in self.nodes:
             raise TaxonetError(f"edge references unknown node: {child!r} -> {parent!r}")
-        edge_kind(self, child, parent)
+        if self.nodes[parent].kind is NodeKind.ENTITY:
+            detail = f"{self.nodes[child].kind.value}->entity"
+            raise TaxonetError(f"forbidden edge kind ({detail}): {child!r} -> {parent!r}")
 
     def parents(self, child: str) -> list[str]:
         return self._parents.get(child, [])
@@ -168,14 +172,9 @@ class WcnGraph:
         return self._n_edges
 
 
-def edge_kind(graph: WcnGraph, child: str, parent: str) -> EdgeKind:
-    """Classify an edge by its endpoint kinds."""
-    ck = graph.nodes[child].kind
-    pk = graph.nodes[parent].kind
-    if pk is NodeKind.ENTITY:
-        detail = "entity->entity" if ck is NodeKind.ENTITY else "category->entity"
-        raise TaxonetError(f"forbidden edge kind ({detail}): {child!r} -> {parent!r}")
-    if ck is NodeKind.ENTITY:
+def edge_kind(graph: WcnGraph, child: str) -> EdgeKind:
+    """The kind of a network edge out of `child`: every parent is a category."""
+    if graph.nodes[child].kind is NodeKind.ENTITY:
         return EdgeKind.ENTITY_TO_CATEGORY
     return EdgeKind.CATEGORY_TO_CATEGORY
 

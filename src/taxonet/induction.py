@@ -133,8 +133,7 @@ def weigh_edges(
     def score(part: list[tuple[str, str]]) -> list[float]:
         probs = []
         for child, parent in part:
-            kind = edge_kind(graph, child, parent)
-            model = model_ec if kind is EdgeKind.ENTITY_TO_CATEGORY else model_cc
+            model = model_ec if edge_kind(graph, child) is EdgeKind.ENTITY_TO_CATEGORY else model_cc
             raw = predict_proba(model, graph.title(child), graph.title(parent))
             probs.append(min(max(raw, cfg.epsilon), 1.0 - cfg.epsilon))
         return probs
@@ -248,15 +247,15 @@ def induce(
         raise TaxonetError("projected taxonomy has no edges")
     graph = weighted.graph
     check_projected(graph, projected)
-    for child, parent in search_edges(graph, projected):
+    search = search_edges(graph, projected)
+    for child, parent in search:
         if (child, parent) not in weighted.prob:
             raise ValueError(f"edge without probability: {child!r} -> {parent!r}")
 
     finder = _PathFinder(weighted, frozenset(projected.node_ids()))
     edges = projected.edges()
-    for start in graph.node_ids():
-        if projected.covered(start):
-            continue
+    # The uncovered nodes with a parent, ascending; a node without one has no path.
+    for start in dict.fromkeys(child for child, _ in search):
         for path in finder.top_k(start, cfg.k):
             edges.extend(TaxoEdge(child, parent, path.probability, Provenance.INDUCED)
                          for child, parent in path.edges())

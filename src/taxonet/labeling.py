@@ -49,7 +49,7 @@ def split_by_kind(
     entity_edges = []
     category_edges = []
     for edge in edges:
-        if edge_kind(graph, edge.child, edge.parent) is EdgeKind.ENTITY_TO_CATEGORY:
+        if edge_kind(graph, edge.child) is EdgeKind.ENTITY_TO_CATEGORY:
             entity_edges.append(edge)
         else:
             category_edges.append(edge)

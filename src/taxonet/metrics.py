@@ -13,6 +13,7 @@ from __future__ import annotations
 import json
 from collections import namedtuple
 from itertools import chain
+from operator import attrgetter
 from pathlib import Path
 
 from .errors import MalformedFile, MalformedRow, TaxonetError
@@ -135,9 +136,8 @@ def max_depth_sampled(taxonomy: Taxonomy, sample: int, seed: int) -> int:
         depth = 1
         seen = {start}
         node = start
-        while hypernyms := taxonomy.hypernyms(node):
-            scores = [taxonomy.edge(node, parent).score for parent in hypernyms]
-            node = hypernyms[scores.index(max(scores))]  # sorted, so ties take the smaller id
+        while stored := taxonomy.parent_edges(node):
+            node = max(stored, key=attrgetter("score")).parent  # first best: the smaller id
             if node in seen:
                 break
             seen.add(node)

@@ -35,7 +35,7 @@ class ProjectionConfig(namedtuple("ProjectionConfig", "k1 k2", defaults=(14, 3))
 
 
 class ProjectionReport(namedtuple("ProjectionReport", "entity_coverage category_coverage "
-                                  "skipped_no_equivalent skipped_no_path edges_added")):
+                                  "skipped_no_equivalent skipped_no_path edges_added k1 k2")):
     __slots__ = ()
 
     def to_dict(self) -> dict:
@@ -142,6 +142,8 @@ def project(
         skipped_no_equivalent=skipped_no_equivalent,
         skipped_no_path=skipped_no_path,
         edges_added=len(taxonomy),
+        k1=cfg.k1,
+        k2=cfg.k2,
     )
     return taxonomy, report
 

@@ -244,7 +244,7 @@ class TestGatherEdgeCases:
             cfg,
         )
         for child, parent in graph.edges():
-            model = models[edge_kind(graph, child, parent)]
+            model = models[edge_kind(graph, child)]
             titles = graph.title(child), graph.title(parent)
             expected = reference_proba(model, *titles)
             assert predict_proba(model, *titles).hex() == expected.hex()
@@ -405,7 +405,7 @@ class TestSavedBytes:
     def test_equals_one_dumps(self, texts, n, weights, bias, learning_rate, spec, kind):
         # A suffix of digits after "\x01" keeps the n features unique.
         features = [f"{texts[i % len(texts)]}\x01{i}" for i in range(n)]
-        tfidf = TfidfModel(spec, dict(zip(features, range(n))), [1 + i % 3 for i in range(n)], 3)
+        tfidf = TfidfModel(spec, features, [1 + i % 3 for i in range(n)], 3)
         values = list(islice(cycle(weights), 2 * n))
         hyper = TrainConfig(learning_rate=learning_rate, seed=2**64 - 1)
         model = LinearEdgeModel(tfidf, (values[:n], values[n:]), bias, hyper, kind)

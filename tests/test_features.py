@@ -296,13 +296,6 @@ def test_features_not_unique_and_ascending_rejected(features, message):
         TfidfModel.from_dict(data)
 
 
-@pytest.mark.parametrize("vocabulary", [{"b": 1, "a": 0}, {"a": 1}, {"a": 0, "b": 2}])
-def test_vocabulary_out_of_column_order_rejected(vocabulary):
-    # `to_dict` writes the vocabulary as it is, as the features in column order.
-    with pytest.raises(ValueError, match="^vocabulary columns must run 0 to V-1 in insertion order$"):
-        TfidfModel(CHAR, vocabulary, [1] * len(vocabulary), 1)
-
-
 @given(st.lists(TITLES, min_size=1, max_size=8), SPECS)
 @example(["aa bb", "aa", "cc"], WORD)
 def test_idf_per_feature(corpus, spec):

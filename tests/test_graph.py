@@ -148,7 +148,7 @@ def test_roundtrip(tmp_path):
 def test_every_edge_has_a_kind():
     graph = fig1_graph()
     for child, parent in graph.edges():
-        assert edge_kind(graph, child, parent) in (
+        assert edge_kind(graph, child) in (
             EdgeKind.ENTITY_TO_CATEGORY,
             EdgeKind.CATEGORY_TO_CATEGORY,
         )
@@ -156,11 +156,14 @@ def test_every_edge_has_a_kind():
 
 def test_edge_kind_values():
     graph = fig1_graph()
-    assert edge_kind(graph, "Auguste", "Empereur romain") is EdgeKind.ENTITY_TO_CATEGORY
-    assert edge_kind(graph, "Empereur romain", "Empereur") is EdgeKind.CATEGORY_TO_CATEGORY
-    bad = WcnGraph([Node("a", NodeKind.ENTITY, "a"), Node("b", NodeKind.ENTITY, "b")], [])
+    assert edge_kind(graph, "Auguste") is EdgeKind.ENTITY_TO_CATEGORY
+    assert edge_kind(graph, "Empereur romain") is EdgeKind.CATEGORY_TO_CATEGORY
+    # The network itself rejects every edge into an entity, so none has a kind.
+    entity, category = Node("a", NodeKind.ENTITY, "a"), Node("c", NodeKind.CATEGORY, "c")
     with raises_error("forbidden edge kind (entity->entity): 'a' -> 'b'"):
-        edge_kind(bad, "a", "b")
+        WcnGraph([entity, Node("b", NodeKind.ENTITY, "b")], [("a", "b")])
+    with raises_error("forbidden edge kind (category->entity): 'c' -> 'a'"):
+        WcnGraph([entity, category], [("c", "a")])
 
 
 def test_interlang_lookup_and_inverse(tmp_path):

@@ -119,7 +119,7 @@ class TestWeighEdges:
         edges = list(graph.edges())
         assert list(weighted.prob) == edges
         for child, parent in edges:
-            model = models[edge_kind(graph, child, parent)]
+            model = models[edge_kind(graph, child)]
             raw = reference_proba(model, graph.title(child), graph.title(parent))
             expected = min(max(raw, cfg.epsilon), 1.0 - cfg.epsilon)
             assert weighted.prob[(child, parent)] == expected, (child, parent)

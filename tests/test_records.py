@@ -33,7 +33,7 @@ RECORDS = [
     (LabeledEdge, ("a", "b", Label.ISA), {}),
     (EdgeDataset, (EdgeKind.ENTITY_TO_CATEGORY, [], []), {}),
     (ProjectionConfig, (2, 1), {"k1": 14, "k2": 3}),
-    (ProjectionReport, (0.5, 0.25, 1, 2, 3), {}),
+    (ProjectionReport, (0.5, 0.25, 1, 2, 3, 14, 3), {}),
     (InductionConfig, (2, 0.25, True), {"k": 1, "epsilon": 1e-6, "uniform": False}),
     (ScoredPath, (("a", "b"), 0.5, 1), {}),
     (InductionReport, (0.5, 0.25, ["c"], 4, 2, False), {}),
@@ -41,6 +41,8 @@ RECORDS = [
     (AnnotatedPath, (("a", "b", "c"), 2), {"first_wrong_index": None}),
     (EdgeMetrics, (0.5, 0.75, 1.0, False, 2), {"precision_defined": True, "unjudged_returned": 0}),
     (PathMetrics, (3.0, 2.0, 0.5), {}),
+    (LinearEdgeModel, (fit_tfidf(["ab"], FeatureSpec(FeatureMode.WORD)), ((0.5,), (0.25,)), 0.0,
+                       TrainConfig(), EdgeKind.CATEGORY_TO_CATEGORY), {}),
 ]
 IDS = [cls.__name__ for cls, _, _ in RECORDS]
 
@@ -125,9 +127,9 @@ def test_equal_records_hash_alike():
 
 
 def test_to_dict_key_order():
-    projection = ProjectionReport(0.5, 0.25, 1, 2, 3).to_dict()
+    projection = ProjectionReport(0.5, 0.25, 1, 2, 3, 14, 3).to_dict()
     assert list(projection) == ["entity_coverage", "category_coverage", "skipped_no_equivalent",
-                                "skipped_no_path", "edges_added"]
+                                "skipped_no_path", "edges_added", "k1", "k2"]
     induction = InductionReport(0.5, 0.25, ["c"], 4, 2, False).to_dict()
     assert list(induction) == ["entity_coverage", "category_coverage", "uncovered",
                                "edges_added", "k", "uniform"]

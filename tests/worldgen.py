@@ -120,17 +120,27 @@ def build_world(
                     add_true(ent, leaf)
                     entity_ids.append(ent)
 
-    # Nodes arrive family by family, so only the current family's candidates
-    # are kept. `startswith` also drops f100-f109 for f10 when F > 100.
-    cached_fam, candidates = None, []
-
     def cross_family(node_id: str) -> str:
-        nonlocal cached_fam, candidates
-        fam = node_id.split(".", 1)[0]
-        if fam != cached_fam:
-            cached_fam = fam
-            candidates = [t for t in thematic_pool if not t.startswith(fam)]
-        return rng.choice(candidates)
+        """A thematic whose id does not start with the node's family id, drawn
+        as `rng.choice` draws it from the list of those, with no list built.
+
+        With T = `thematics`, family g's thematics are the pool's run
+        [g*T, g*T + T). The families whose ids start with f's are f and,
+        from f10 on, f*10..f*10+9, f*100..f*100+99 and so on below
+        `families`: a few runs, ascending. `rng.randrange(n)` is the index
+        `rng.choice` draws from a list of n, here an index into the pool
+        without those runs, then stepped past each run it reaches.
+        """
+        f = int(node_id.split(".", 1)[0][1:])
+        runs, width = [], 1
+        while f * width < families and (width == 1 or f >= 10):
+            runs.append((f * width * thematics, min(width, families - f * width) * thematics))
+            width *= 10
+        i = rng.randrange(len(thematic_pool) - sum(n for _, n in runs))
+        for start, n in runs:
+            if i >= start:
+                i += n
+        return thematic_pool[i]
 
     # Distractor (not-is-a) edges: entities get 1-2, some categories get 1.
     edge_set = set(edges)
