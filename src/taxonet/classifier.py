@@ -49,7 +49,9 @@ The file is the bytes of `json.dumps(model.to_dict(), ensure_ascii=False,
 default=list)`, each weight array written as a list, and a newline, but
 `save_model` writes the four long lists (`features`, `df` and both weight
 vectors) `_SLICE` entries at a time, so neither the whole file's text nor
-a whole list of weights is ever held in memory. `save_model(load_model(p))`
+a whole list of weights is ever held in memory. The features of a model
+whose vocabulary `train` released are streamed from its one string of
+lines (see `features`), never split whole. `save_model(load_model(p))`
 rewrites `p` byte for byte.
 """
 
@@ -59,10 +61,10 @@ import json
 import math
 from array import array
 from collections import deque, namedtuple
-from itertools import chain, repeat
+from itertools import chain, islice, repeat
 from operator import add, mul
 from pathlib import Path
-from typing import Iterator
+from typing import Iterable, Iterator
 
 from .errors import MalformedFile, TaxonetError
 from .features import TfidfModel, check_json_types
@@ -227,16 +229,16 @@ def save_model(model: LinearEdgeModel, path: str | Path) -> None:
     _write_lines(path, _filled(head, zip(long_lists, tails, strict=True)))
 
 
-def _filled(head: str, holes: Iterator[tuple[list, str]]) -> Iterator[str]:
+def _filled(head: str, holes: Iterator[tuple[Iterable, str]]) -> Iterator[str]:
     """`head`; each long list, `_SLICE` entries at a time, and the text after its hole; LF."""
     yield head
     for values, tail in holes:
         yield "["
-        for start in range(0, len(values), _SLICE):
-            if start:
-                yield ", "
-            # `list`, since `json` cannot encode an array: a slice, never a whole vector
-            yield json.dumps(list(values[start : start + _SLICE]), ensure_ascii=False)[1:-1]
+        entries, sep = iter(values), ""
+        # A list, since `json` encodes no array or iterator: a slice, never a whole list
+        while part := list(islice(entries, _SLICE)):
+            yield sep + json.dumps(part, ensure_ascii=False)[1:-1]
+            sep = ", "
         yield "]" + tail
     yield "\n"
 

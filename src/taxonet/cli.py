@@ -11,8 +11,8 @@ which carry their settings (k1, k2; k, uniform).
 two label classes (ec, then cc), then trains, saves and scores the cc
 model in a forked child (`forking.run_pair`) while this process does the
 same for ec; `induce` scores the edges its path search can read, the
-parent edges of uncovered nodes, half of them in a child (see
-`induction`).
+parent edges of uncovered nodes, one edge kind at a time (ec, then cc),
+half of each kind's edges in a child (see `induction`).
 The two models share nothing but their read-only inputs, which the child
 inherits, and each seeds its own SGD, so every byte written is what one
 process running ec then cc would write. An error in ec wins over one in
@@ -26,9 +26,13 @@ and the labeled edge list only until the edges are split by kind, so
 neither is held through training nor inherited by the forked child. It
 frees the category network too, before the fork: each job keeps only the
 titles of its own train and validation edges' nodes (`_Titles`), the one
-thing training and validation read of a graph. `induce` keeps the two
-models, with their cached title vectors, only until the search edges are
-weighed, so the path search reuses their memory.
+thing training and validation read of a graph. Right after fitting its
+TFIDF model, a job caches those titles' vectors and releases the
+vocabulary (`TfidfModel.release`), which SGD never reads. `induce` holds
+one model at a time: the ec model weighs the ec search edges and is
+freed before the cc model loads, so the cc model and the path search
+reuse its memory. Under `--uniform` both files are still loaded and
+checked, one at a time.
 
 Each command runs in a fresh process and pays for what it imports.
 Loading this module imports `classifier`, `features`, `graph`,
@@ -71,8 +75,10 @@ from .errors import MalformedFile, TaxonetError
 from .features import (
     DEFAULT_NGRAM_SIZES, FeatureMode, FeatureSpec, check_json_types, check_min_df, fit_tfidf,
 )
-from .graph import EdgeKind, _write_lines, load_interlang, load_taxonomy, load_wcn, save_taxonomy
-from .induction import InductionConfig, induce, search_edges, weigh_edges
+from .graph import (
+    EdgeKind, _write_lines, edge_kind, load_interlang, load_taxonomy, load_wcn, save_taxonomy,
+)
+from .induction import InductionConfig, WeightedGraph, induce, search_edges, weigh_edges
 from .labeling import EdgeDataset, check_val_fraction, label_edges, split_by_kind, train_val_split
 from .projection import ProjectionConfig, project
 
@@ -186,6 +192,7 @@ def _cmd_train(args: argparse.Namespace) -> int:
         dataset = EdgeDataset(kind, train_edges, val_edges)
         node_ids = sorted({n for e in train_edges for n in (e.child, e.parent)})
         tfidf = fit_tfidf([titles[n] for n in node_ids], settings.spec, settings.min_df)
+        tfidf.release(titles.values())  # SGD and scoring read only these titles' vectors
         model = train_linear(dataset, tfidf, settings.train, titles)
         save_model(model, out_dir / f"model.{kind.value}.json")
         _write_json(
@@ -211,13 +218,15 @@ def _cmd_induce(args: argparse.Namespace) -> int:
     cfg = _settings(args).induction
     graph = load_wcn(args.nodes, args.edges)
     projected = load_taxonomy(args.projected)
-    if cfg.uniform:  # no edge is scored, so a swapped pair of models is harmless
-        ec_kind = cc_kind = None
-    else:
-        ec_kind, cc_kind = EdgeKind.ENTITY_TO_CATEGORY, EdgeKind.CATEGORY_TO_CATEGORY
-    # The models are freed once the search edges are weighed, before the search.
-    weighted = weigh_edges(graph, load_model(args.model_ec, ec_kind),
-                           load_model(args.model_cc, cc_kind), cfg, search_edges(graph, projected))
+    search = search_edges(graph, projected)
+    prob = {}
+    for kind, path in zip(EdgeKind, (args.model_ec, args.model_cc)):
+        # Under --uniform no edge is scored, so a swapped pair of models is harmless.
+        model = load_model(path, None if cfg.uniform else kind)
+        edges = [edge for edge in search if edge_kind(graph, edge[0]) is kind]
+        prob.update(weigh_edges(graph, model, model, cfg, edges).prob)
+        del model  # before the next model loads
+    weighted = WeightedGraph(graph, {edge: prob[edge] for edge in search})
     return _save_result(args, *induce(projected, weighted, cfg))
 
 

@@ -5,7 +5,7 @@ from itertools import chain, cycle, islice
 from pathlib import Path
 
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from taxonet import Node, NodeKind, WcnGraph
 from taxonet.classifier import (
@@ -378,6 +378,13 @@ FEATURE_TEXT = st.text(
     st.one_of(st.sampled_from('"\\\x00\x1f\x7f\n\t\u2028é日'), st.characters(codec="utf-8")),
     min_size=1, max_size=6,
 )
+# One token that is its own lowercase, for a released model's features:
+# '"', '\\', control characters that are not whitespace, and non-ASCII.
+RELEASED_TEXT = st.text(
+    st.one_of(st.sampled_from('"\\\x00\x1b\x7fé日'), st.characters(codec="utf-8"))
+    .filter(lambda c: not c.isspace() and c.lower() == c),
+    min_size=1, max_size=6,
+)
 # Any finite float, extremes and a repeating binary fraction included.
 FLOATS = st.one_of(
     st.sampled_from([5e-324, -5e-324, 1e308, -1e308, 1 / 3, 0.0, -0.0]),
@@ -413,3 +420,39 @@ class TestSavedBytes:
             path = Path(tmp) / "model.json"
             save_model(model, path)
             assert path.read_bytes() == reference_model_text(model).encode("utf-8")
+
+    @settings(max_examples=20, deadline=None)
+    @given(
+        texts=st.lists(RELEASED_TEXT, min_size=1, max_size=4),
+        n=st.sampled_from([1, _SLICE, _SLICE + 1]),
+        mode=st.sampled_from(list(FeatureMode)),
+        weights=st.lists(FLOATS, min_size=1, max_size=4),
+    )
+    @example(texts=['a"b\\c\x00é'], n=_SLICE + 1, mode=FeatureMode.CHAR_NGRAM, weights=[1 / 3])
+    def test_released_model_saves_the_same_bytes(self, texts, n, mode, weights):
+        # Every title is one feature in either mode: it holds no whitespace,
+        # it is its own lowercase, and all titles are as long as the one
+        # char n-gram size. The digits after "\x01" keep the n titles unique.
+        width = max(map(len, texts))
+        titles = [f"{texts[i % len(texts)].ljust(width, '~')}\x01{i:05d}" for i in range(n)]
+        sizes = frozenset({len(titles[0])})
+        spec = FeatureSpec(mode, sizes) if mode is FeatureMode.CHAR_NGRAM else WORD
+        kept, released = fit_tfidf(titles, spec), fit_tfidf(titles, spec)
+        released.release(titles)
+        assert released.vocabulary is None and released.n_features == n
+        values = list(islice(cycle(weights), 2 * n))
+        saved = []
+        with tempfile.TemporaryDirectory() as tmp:
+            for i, tfidf in enumerate((kept, released)):
+                model = LinearEdgeModel(tfidf, (values[:n], values[n:]), 0.5, TrainConfig(),
+                                        EdgeKind.ENTITY_TO_CATEGORY)
+                save_model(model, Path(tmp) / f"{i}.json")
+                saved.append((Path(tmp) / f"{i}.json").read_bytes())
+        assert saved[1] == saved[0] == reference_model_text(model).encode("utf-8")
+        assert json.loads(saved[1])["tfidf"]["features"] == sorted(titles)
+
+    def test_release_rejects_a_feature_with_a_newline(self):
+        tfidf = TfidfModel(WORD, ["a\nb"], [1], 1)
+        with pytest.raises(ValueError, match="a feature holds a newline"):
+            tfidf.release(["a"])
+        assert tfidf.vocabulary == {"a\nb": 0} and not tfidf._halves

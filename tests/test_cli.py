@@ -1,3 +1,4 @@
+import gc
 import json
 import os
 import subprocess
@@ -11,7 +12,7 @@ import taxonet
 from taxonet import cli, forking
 from taxonet.cli import main
 from taxonet.features import FeatureMode, FeatureSpec
-from taxonet.graph import NodeKind
+from taxonet.graph import EdgeKind, NodeKind
 from taxonet.classifier import TrainConfig, load_model, save_model
 from taxonet.induction import InductionConfig
 from taxonet.projection import ProjectionConfig
@@ -238,6 +239,29 @@ class TestTrain:
         for name in ("model.ec.json", "model.cc.json", "metrics.ec.json", "metrics.cc.json"):
             assert (tmp_path / "m" / name).read_bytes() == (out_dir / name).read_bytes()
 
+    def test_vocabulary_released_before_sgd(self, trained_world, tmp_path, capsys, monkeypatch):
+        # SGD and scoring read only cached title vectors, so each job caches
+        # every title of its train and validation edges and drops the
+        # vocabulary before it trains.
+        _, paths, projected, out_dir = trained_world
+        kinds = []
+
+        def train_linear(dataset, tfidf, cfg, titles):
+            assert tfidf.vocabulary is None
+            edges = dataset.train + dataset.validation
+            assert {titles.title(n) for e in edges for n in (e.child, e.parent)} <= tfidf._halves.keys()
+            kinds.append(dataset.kind)
+            return real_train_linear(dataset, tfidf, cfg, titles)
+
+        real_train_linear = cli.train_linear
+        monkeypatch.setattr(cli, "train_linear", train_linear)
+        monkeypatch.setattr(forking, "run_pair", lambda first, second: (first(), second()))
+        code, _ = run(capsys, *train_args(paths, projected, tmp_path / "m", seed=5))
+        assert code == 0
+        assert kinds == list(EdgeKind)
+        for name in ("model.ec.json", "model.cc.json", "metrics.ec.json", "metrics.cc.json"):
+            assert (tmp_path / "m" / name).read_bytes() == (out_dir / name).read_bytes()
+
     def test_ec_error_wins_over_cc_error(self, trained_world, tmp_path, capsys):
         _, paths, projected, _ = trained_world
         code, err = run_err(capsys, *train_args(paths, projected, tmp_path / "m", seed=5,
@@ -292,6 +316,29 @@ class TestInduce:
         ]
         assert run(capsys, *swapped)[0] == 0
         assert out_a.read_bytes() == out_b.read_bytes()
+
+    @pytest.mark.parametrize("uniform", [False, True])
+    def test_one_model_at_a_time(self, trained_world, tmp_path, capsys, monkeypatch, uniform):
+        # The ec model is freed once the ec edges are weighed, before the cc
+        # model loads. `LinearEdgeModel` is a named tuple, which takes no
+        # weak reference, so each model's TfidfModel stands in for it.
+        _, paths, projected, models = trained_world
+        refs = []
+
+        def load_model(*args):
+            if refs:
+                gc.collect()
+                assert [ref() for ref in refs] == [None]
+            model = real_load_model(*args)
+            refs.append(weakref.ref(model.tfidf))
+            return model
+
+        real_load_model = cli.load_model
+        monkeypatch.setattr(cli, "load_model", load_model)
+        flags = {"uniform": None} if uniform else {}
+        out = tmp_path / "final.tsv"
+        assert run(capsys, *induce_args(paths, projected, models, out, k=2, **flags))[0] == 0
+        assert len(refs) == 2
 
     def test_k2_output_superset_of_k1(self, trained_world, tmp_path, capsys):
         _, paths, projected, models = trained_world

@@ -109,6 +109,19 @@ class TestFitTfidf:
         assert list(model.vocabulary) == ["xx", "yy", "zz"]
         assert [model.vocabulary[f] for f in ("xx", "yy", "zz")] == [0, 1, 2]
 
+    def test_released_model_vectorizes_no_new_title(self):
+        model = fit_tfidf(["ab cd", "cd"], WORD)
+        before = model.half("ab cd")
+        model.release(["cd"])
+        assert model.vocabulary is None and model.n_features == 2
+        assert model.half("ab cd") is before and entries(model, "cd") == ((1, 1.0),)
+        assert list(model.features()) == ["ab", "cd"]
+        with pytest.raises(RuntimeError, match="^title 'ab' was not vectorized before release$"):
+            model.half("ab")
+        empty = TfidfModel(WORD, [], [], 0)
+        empty.release([])
+        assert list(empty.features()) == []
+
     def test_order_insensitive(self):
         titles = [f"mot{i} truc{i % 3}" for i in range(20)]
         shuffled = titles[:]
