@@ -18,11 +18,13 @@ CPython specialises a list store by int index, where a `map` over
 as two `array('d')`, 8 bytes a weight and no float object each: at the
 end of training the final L2 scale is applied as each list is copied into
 its array, and `load_model` builds the arrays straight from the parsed
-file, before it builds the vocabulary, so the parsed weights and the
-vocabulary are never in memory together. A title's cached `gather` reads
-its weights from either vector, list or array, in one C call, so one
-getter per title serves both sides of an edge; the gathers feed every dot
-product, in SGD and in scoring.
+file. It builds no vocabulary: the model keeps the parsed feature list,
+and the vocabulary is built from it on first use (see `features`), so
+the parsed weights and the vocabulary are never in memory together, and
+a model that is only loaded and saved never builds one. A title's cached
+`gather` reads its weights from either vector, list or array, in one C
+call, so one getter per title serves both sides of an edge; the gathers
+feed every dot product, in SGD and in scoring.
 
 A logit is one `sum` of weight * value over the child's entries, then
 the parent's entries, each in column order, with `0.0` for every column
@@ -52,7 +54,7 @@ vectors) `_SLICE` entries at a time, so neither the whole file's text nor
 a whole list of weights is ever held in memory. The features of a model
 whose vocabulary `train` released are streamed from its one string of
 lines (see `features`), never split whole. `save_model(load_model(p))`
-rewrites `p` byte for byte.
+rewrites `p` byte for byte, from the parsed feature list.
 """
 
 from __future__ import annotations
@@ -268,9 +270,11 @@ def load_model(path: str | Path, kind: EdgeKind | None = None) -> LinearEdgeMode
     type of its default, since `save_model` writes them back. The weights
     go from each parsed list straight into an `array('d')`, and a zero,
     `-0.0` included, loads as `0.0`, as in a model `train_linear` returns.
-    They are converted before `TfidfModel.from_dict` builds the vocabulary,
-    so a file with faults in both its weights and its `tfidf` reports the
-    weights' fault; their count is checked against V once V is known.
+    They are converted before `TfidfModel.from_dict` checks the `tfidf`
+    object, so a file with faults in both its weights and its `tfidf`
+    reports the weights' fault; their count is checked against V once V is
+    known. The model keeps the parsed feature list; its vocabulary is
+    built on first use, not here.
     """
     with open(path, encoding="utf-8") as fh:
         try:
@@ -282,9 +286,8 @@ def load_model(path: str | Path, kind: EdgeKind | None = None) -> LinearEdgeMode
                 raise ValueError(f"config must hold exactly the keys {', '.join(defaults)}")
             check_json_types(defaults, config)
             cfg = TrainConfig(**config)
-            # Each parsed list leaves the queue, and memory, as it is converted,
-            # before the vocabulary is built. `w + 0.0` is float(w) for an
-            # int, and 0.0 for -0.0.
+            # Each parsed list leaves the queue, and memory, as it is converted.
+            # `w + 0.0` is float(w) for an int, and 0.0 for -0.0.
             parsed = deque(data.pop("weights"))
             dense = tuple(
                 array("d", map(add, _numbers(parsed.popleft(), "weight"), repeat(0.0)))

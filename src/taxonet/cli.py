@@ -31,8 +31,14 @@ TFIDF model, a job caches those titles' vectors and releases the
 vocabulary (`TfidfModel.release`), which SGD never reads. `induce` holds
 one model at a time: the ec model weighs the ec search edges and is
 freed before the cc model loads, so the cc model and the path search
-reuse its memory. Under `--uniform` both files are still loaded and
-checked, one at a time.
+reuse its memory. It reads the ec model file first, before the network:
+parsing a model file is the command's largest transient, and taken
+first it tops an almost empty heap instead of the network and the
+projected taxonomy. So a broken ec model file is reported before a
+broken network file. A loaded model holds its feature list, not its
+vocabulary, until `weigh_edges` builds the vocabulary right before it
+forks. Under `--uniform` both files are still loaded and checked, one at
+a time, and no vocabulary is built.
 
 Each command runs in a fresh process and pays for what it imports.
 Loading this module imports `classifier`, `features`, `graph`,
@@ -216,16 +222,22 @@ def _cmd_train(args: argparse.Namespace) -> int:
 
 def _cmd_induce(args: argparse.Namespace) -> int:
     cfg = _settings(args).induction
+    paths = dict(zip(EdgeKind, (args.model_ec, args.model_cc)))
+
+    def read(kind: EdgeKind):
+        # Under --uniform no edge is scored, so a swapped pair of models is harmless.
+        return load_model(paths[kind], None if cfg.uniform else kind)
+
+    model = read(EdgeKind.ENTITY_TO_CATEGORY)  # before the network, whose memory it would top
     graph = load_wcn(args.nodes, args.edges)
     projected = load_taxonomy(args.projected)
     search = search_edges(graph, projected)
     prob = {}
-    for kind, path in zip(EdgeKind, (args.model_ec, args.model_cc)):
-        # Under --uniform no edge is scored, so a swapped pair of models is harmless.
-        model = load_model(path, None if cfg.uniform else kind)
+    for kind in EdgeKind:
+        model = model or read(kind)
         edges = [edge for edge in search if edge_kind(graph, edge[0]) is kind]
         prob.update(weigh_edges(graph, model, model, cfg, edges).prob)
-        del model  # before the next model loads
+        model = None  # freed before the next model loads
     weighted = WeightedGraph(graph, {edge: prob[edge] for edge in search})
     return _save_result(args, *induce(projected, weighted, cfg))
 

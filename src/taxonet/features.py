@@ -36,9 +36,17 @@ columns itself. idf is not stored; `TfidfModel` computes it from
 `n_docs` and `df`, once per distinct df value, into `idf_of`, a table
 indexed by df value, and keeps no idf per column: `_vectorize` reads a
 column's idf as `idf_of[df[c]]`, so features with equal df share one float.
-Training reads no vocabulary once its titles are cached, so `train`
-releases it (`TfidfModel.release`): the model keeps its features as one
-newline-joined string, and `to_dict` hands them out one at a time.
+A model holds its features in one of three forms, in this order:
+- the feature list it was built from, which `fit_tfidf` sorts and
+  `classifier.load_model` parses, and which `to_dict` writes back;
+- the vocabulary, the feature->column dict, built from the list on first
+  use (`TfidfModel.vocabulary`), which drops the list, as the dict's keys
+  hold its strings. `fit_tfidf` builds it at once, since training
+  vectorizes next. `induce` builds it right before it forks, so the child
+  inherits it instead of building its own, and under `--uniform` never;
+- released: training reads no vocabulary once its titles are cached, so
+  `train` releases it (`TfidfModel.release`). The model keeps its features
+  as one newline-joined string, and `to_dict` hands them out one at a time.
 """
 
 from __future__ import annotations
@@ -114,23 +122,28 @@ class TfidfModel:
 
     Columns are assigned in lexicographic feature order, which makes the
     model independent of corpus order. The constructor takes the features
-    in that order and numbers them itself: the vocabulary maps each to its
-    column, 0 to V-1 in insertion order, so it lists the features in
-    column order as it is. `df` holds each column's document frequency and
-    `idf_of` the idf of each df value. Vocabulary and idf are fixed once the
-    model is built, which is what lets `half` cache title vectors.
+    in that order and keeps the list; the vocabulary numbers them, 0 to V-1
+    in insertion order, so it lists the features in column order as it is.
+    `df` holds each column's document frequency and `idf_of` the idf of
+    each df value. Columns and idf are fixed once the model is built, which
+    is what lets `half` cache title vectors.
 
-    The vocabulary is only read to vectorize a title. Once every title the
-    model will score is cached, `release` drops it, and the model keeps its
-    features as one string, in column order, one a line: the feature
-    strings, their column ints and the dict take about 17 times as much
-    (8.3 against 0.5 MiB for an 82,415-feature model). A released model
-    vectorizes no new title, and `features` reads them back from the string.
+    The vocabulary is only read to vectorize a title, so it is built on
+    first use: a model that is only loaded and saved, or loaded and never
+    scores, holds the list alone (0.7 MiB, against 4.0 for the dict and its
+    column ints, for an 82,415-feature model).
+    Once every title the model will score is cached, `release` drops it,
+    and the model keeps its features as one string, in column order, one a
+    line: the feature strings, their column ints and the dict take about 17
+    times as much (8.3 against 0.5 MiB for an 82,415-feature model). A
+    released model vectorizes no new title, and `features` reads them back
+    from the string.
     """
 
     def __init__(self, spec: FeatureSpec, features: list[str], df: list[int], n_docs: int):
         self.spec = spec
-        self.vocabulary: dict[str, int] | None = dict(zip(features, range(len(features))))
+        # The feature list, then the vocabulary, then the released lines.
+        self._features: list[str] | dict[str, int] | str = features
         self.df = df
         self.n_docs = n_docs
         # Indexed by df value, a list: it is read per vector entry, and a list
@@ -139,11 +152,18 @@ class TfidfModel:
         for d in set(df):
             self.idf_of[d] = math.log((1 + n_docs) / (1 + d)) + 1.0
         self._halves: dict[str, Half] = {}
-        self._feature_lines = ""  # the features, once `release` drops the vocabulary
 
     @property
     def n_features(self) -> int:
         return len(self.df)
+
+    @property
+    def vocabulary(self) -> dict[str, int] | None:
+        """Each feature's column, built from the feature list on first read;
+        None once released."""
+        if type(self._features) is list:
+            self._features = dict(zip(self._features, range(len(self._features))))
+        return None if type(self._features) is str else self._features
 
     def half(self, title: str) -> Half:
         """The title's vector as (columns, values, gather), cached per title.
@@ -159,30 +179,38 @@ class TfidfModel:
             half = self._halves[title] = (cols, vals, _gatherer(cols))
         return half
 
+    def forget(self, title: str) -> None:
+        """Drop the title's cached vector, if any; `half` builds it again."""
+        self._halves.pop(title, None)
+
     def release(self, titles: Iterable[str]) -> None:
         """Cache the half of each of `titles`, then drop the vocabulary and
         keep the features as lines of one string. ValueError, and nothing
         changes, if a feature holds a newline; `fit_tfidf`'s never do, as
         `_tokens` splits at whitespace."""
-        lines = "\n".join(self.vocabulary)
+        lines = "\n".join(self.features())
         if lines.count("\n") > max(len(self.df) - 1, 0):
             raise ValueError("a feature holds a newline, so the features cannot be kept as lines")
         for title in titles:
             self.half(title)
-        self.vocabulary, self._feature_lines = None, lines
+        self._features = lines
 
     def features(self) -> Iterator[str]:
         """The features in column order, one at a time."""
-        if self.vocabulary is not None:
-            return iter(self.vocabulary)
+        if type(self._features) is not str:
+            return iter(self._features)  # the list, or the vocabulary's keys
         if not self.df:  # the lines of "" are [""]
             return iter(())
-        return chain.from_iterable(_line_blocks(self._feature_lines))
+        return chain.from_iterable(_line_blocks(self._features))
 
     def to_dict(self) -> dict:
-        """The `tfidf` object of a model file; once released, `features` is
-        an iterator, which `json.dumps(..., default=list)` writes as a list."""
+        """The `tfidf` object of a model file. `features` is the feature
+        list itself, with no vocabulary built; once released, it is an
+        iterator, which `json.dumps(..., default=list)` writes as a list."""
         sizes = sorted(self.spec.ngram_sizes) if self.spec.mode is FeatureMode.CHAR_NGRAM else None
+        features = self._features
+        if type(features) is not list:
+            features = list(features) if type(features) is dict else self.features()
         return {
             "spec": {
                 "mode": self.spec.mode.value,
@@ -190,7 +218,7 @@ class TfidfModel:
                 "lowercase": True,
             },
             "n_docs": self.n_docs,
-            "features": self.features() if self.vocabulary is None else list(self.vocabulary),
+            "features": features,
             "df": self.df,
         }
 
@@ -278,7 +306,11 @@ def fit_tfidf(titles: list[str], spec: FeatureSpec, min_df: int = 1) -> TfidfMod
     kept = sorted(f for f, d in df_counts.items() if d >= min_df)
     if not kept:
         raise TaxonetError(f"no feature reached min_df={min_df} over {len(titles)} titles")
-    return TfidfModel(spec, kept, [df_counts[f] for f in kept], len(titles))
+    model = TfidfModel(spec, kept, [df_counts[f] for f in kept], len(titles))
+    # Built now, as its caller vectorizes next: built after the counts are
+    # freed, the dict raised `train`'s peak on medium-link90 by 0.5 MiB.
+    model.vocabulary
+    return model
 
 
 def _vectorize(model: TfidfModel, title: str) -> tuple[tuple[int, ...], array]:

@@ -43,9 +43,18 @@ edge's probability depends only on its model and its two titles, and the
 child runs the same `predict_proba` and clamp on an inherited copy of the
 same graph and models, so every weight is bit-for-bit what a single
 process computes, and the weights are assembled in the list's order.
-Each process vectorizes only the titles of its own half. The fork makes
-this POSIX-only and assumes a single-threaded caller; under the uniform
-baseline nothing is scored and nothing forks.
+Each model's vocabulary is built before the fork (see `features`), so
+the child inherits it rather than building its own. The fork makes this
+POSIX-only and assumes a single-threaded caller; under the uniform
+baseline nothing is scored, no vocabulary is built and nothing forks.
+
+Each process vectorizes the titles of its own half, each once, and keeps
+a title's vector only while a later edge of that half reads it. Parent
+vectors stay cached, since many children share a parent. A child's vector
+is dropped after the child's last edge, unless its title is also a parent
+in that half: `search_edges` lists a child's edges together, so one vector
+serves its run of edges, and an entity, which is never a parent, keeps
+none.
 """
 
 from __future__ import annotations
@@ -131,13 +140,20 @@ def weigh_edges(
         return WeightedGraph(graph, dict.fromkeys(edges, 1.0))
 
     def score(part: list[tuple[str, str]]) -> list[float]:
+        parents = {graph.title(parent) for _, parent in part}
+        last = {graph.title(child): i for i, (child, _) in enumerate(part)}
         probs = []
-        for child, parent in part:
+        for i, (child, parent) in enumerate(part):
             model = model_ec if edge_kind(graph, child) is EdgeKind.ENTITY_TO_CATEGORY else model_cc
-            raw = predict_proba(model, graph.title(child), graph.title(parent))
+            title = graph.title(child)
+            raw = predict_proba(model, title, graph.title(parent))
             probs.append(min(max(raw, cfg.epsilon), 1.0 - cfg.epsilon))
+            if last[title] == i and title not in parents:  # no later edge reads it
+                model.tfidf.forget(title)
         return probs
 
+    for model in (model_ec, model_cc):
+        model.tfidf.vocabulary  # built here, so the child inherits it
     from .forking import run_pair  # here, so `import taxonet` does not load pickle
 
     half = len(edges) // 2

@@ -340,6 +340,52 @@ class TestInduce:
         assert run(capsys, *induce_args(paths, projected, models, out, k=2, **flags))[0] == 0
         assert len(refs) == 2
 
+    @pytest.mark.parametrize("uniform", [False, True])
+    def test_ec_model_read_before_network(self, trained_world, tmp_path, capsys, monkeypatch,
+                                          uniform):
+        # The ec model file is parsed first, and a loaded model holds its
+        # feature list. Its vocabulary is built in this process once the
+        # network is loaded, right before the fork and only once; under
+        # --uniform never.
+        _, paths, projected, models = trained_world
+        flags = {"uniform": None} if uniform else {}
+        expected = tmp_path / "expected.tsv"
+        assert run(capsys, *induce_args(paths, projected, models, expected, **flags))[0] == 0
+        events, loaded = [], []
+
+        def load_model(path, kind):
+            model = real_load_model(path, kind)
+            events.append(Path(path).name)
+            loaded.append(model.tfidf)
+            return model
+
+        def load_wcn(*args):
+            graph = real_load_wcn(*args)
+            events.append("load_wcn")
+            assert [type(tfidf._features) for tfidf in loaded] == [list]
+            return graph
+
+        def run_pair(first, second):
+            vocabulary = loaded[-1]._features
+            assert type(vocabulary) is dict
+            events.append("fork")
+            result = first(), second()
+            assert loaded[-1]._features is vocabulary
+            return result
+
+        real_load_model, real_load_wcn = cli.load_model, cli.load_wcn
+        monkeypatch.setattr(cli, "load_model", load_model)
+        monkeypatch.setattr(cli, "load_wcn", load_wcn)
+        monkeypatch.setattr(forking, "run_pair", run_pair)
+        out = tmp_path / "final.tsv"
+        assert run(capsys, *induce_args(paths, projected, models, out, **flags))[0] == 0
+        assert out.read_bytes() == expected.read_bytes()
+        if uniform:
+            assert events == ["model.ec.json", "load_wcn", "model.cc.json"]
+            assert [type(tfidf._features) for tfidf in loaded] == [list, list]
+        else:
+            assert events == ["model.ec.json", "load_wcn", "fork", "model.cc.json", "fork"]
+
     def test_k2_output_superset_of_k1(self, trained_world, tmp_path, capsys):
         _, paths, projected, models = trained_world
         out1, out2 = tmp_path / "k1.tsv", tmp_path / "k2.tsv"
@@ -350,9 +396,12 @@ class TestInduce:
 
 @pytest.mark.parametrize("name", ["model.ec.json", "model.cc.json"])
 def test_model_file_round_trip_bytes(trained_world, tmp_path, name):
+    # Written from the parsed feature list: no vocabulary is built.
     _, _, _, out_dir = trained_world
-    save_model(load_model(out_dir / name), tmp_path / name)
+    model = load_model(out_dir / name)
+    save_model(model, tmp_path / name)
     assert (tmp_path / name).read_bytes() == (out_dir / name).read_bytes()
+    assert type(model.tfidf._features) is list
 
 
 @pytest.mark.parametrize("name", ["model.ec.json", "model.cc.json"])
@@ -480,7 +529,7 @@ class TestBadInput:
         self.induce_with_edited_model(trained_world, tmp_path, capsys, edit)
 
     def test_weights_fault_reported_before_tfidf_fault(self, trained_world, tmp_path, capsys):
-        # The weights are converted before the vocabulary is built.
+        # The weights are converted before the `tfidf` object is checked.
         def edit(data):
             data["weights"][0][0] = "1.5"
             data["tfidf"]["features"].append("zz")
@@ -525,6 +574,22 @@ class TestBadInput:
     def test_broken_tfidf_file(self, trained_world, tmp_path, capsys, edit):
         # The TFIDF model is the model file's "tfidf" object.
         self.induce_with_edited_model(trained_world, tmp_path, capsys, lambda d: edit(d["tfidf"]))
+
+    def test_model_file_reported_before_network(self, trained_world, tmp_path, capsys):
+        # `induce` reads the ec model file before the network, so with both
+        # broken, the model file is the one reported.
+        _, paths, projected, models = trained_world
+        nodes = tmp_path / "nodes.tsv"
+        nodes.write_text("Rome\tcategory\n", encoding="utf-8")
+        (tmp_path / "model.ec.json").write_text("{", encoding="utf-8")
+        (tmp_path / "model.cc.json").write_bytes((models / "model.cc.json").read_bytes())
+        argv = induce_args({**paths, "nodes": nodes}, projected, tmp_path, tmp_path / "o.tsv")
+        code, err = run_err(capsys, *argv)
+        assert code == 2
+        assert err.startswith(f"error: {tmp_path / 'model.ec.json'}: bad model file")
+        (tmp_path / "model.ec.json").write_bytes((models / "model.ec.json").read_bytes())
+        code, err = run_err(capsys, *argv)
+        assert code == 2 and err.startswith(f"error: {nodes}:1: ")
 
     def test_swapped_models_rejected(self, trained_world, tmp_path, capsys):
         _, paths, projected, models = trained_world

@@ -109,6 +109,17 @@ class TestFitTfidf:
         assert list(model.vocabulary) == ["xx", "yy", "zz"]
         assert [model.vocabulary[f] for f in ("xx", "yy", "zz")] == [0, 1, 2]
 
+    def test_vocabulary_built_on_first_use(self):
+        # A model holds its feature list until the vocabulary is first read;
+        # the dict then replaces the list, and `to_dict` writes the list itself.
+        model = TfidfModel(WORD, ["ab", "cd"], [2, 1], 2)
+        features = model._features
+        assert model.to_dict()["features"] is features and model._features is features
+        vocabulary = model.vocabulary
+        assert vocabulary == {"ab": 0, "cd": 1} and model._features is vocabulary
+        assert model.vocabulary is vocabulary and model.to_dict()["features"] == features
+        assert fit_tfidf(["ab cd"], WORD)._features == {"ab": 0, "cd": 1}  # built at once
+
     def test_released_model_vectorizes_no_new_title(self):
         model = fit_tfidf(["ab cd", "cd"], WORD)
         before = model.half("ab cd")

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from taxonet import features, forking
 from taxonet import (
     EdgeDataset,
     Node,
@@ -20,7 +21,7 @@ from taxonet import (
     train_val_split,
 )
 from taxonet.classifier import LinearEdgeModel, TrainConfig
-from taxonet.features import FeatureMode, FeatureSpec, fit_tfidf
+from taxonet.features import FeatureMode, FeatureSpec, TfidfModel, fit_tfidf
 from taxonet.graph import EdgeKind, Provenance, edge_kind
 from taxonet.induction import (
     InductionConfig,
@@ -141,6 +142,44 @@ class TestWeighEdges:
         small = WcnGraph([graph.nodes[n] for n in sorted(ids)], edges)
         assert small.n_edges == n_edges
         self.assert_equals_reference(small, models, InductionConfig())
+
+    def test_keeps_no_entity_child_vector(self, world_models, monkeypatch):
+        # Each part (one per process) vectorizes each of its titles once and
+        # drops a child's vector after the child's last edge, unless the title
+        # is also a parent there; so no entity's vector is left cached.
+        graph, trained = world_models
+        expected = weigh_edges(graph, *(trained[kind] for kind in EdgeKind)).prob
+        # Copies as `load_model` gives them: the trained models cache their training titles.
+        models = {kind: m._replace(tfidf=TfidfModel.from_dict(m.tfidf.to_dict()))
+                  for kind, m in trained.items()}
+        calls = []
+
+        def vectorize(tfidf, title):
+            calls[-1].append((tfidf, title))
+            return real_vectorize(tfidf, title)
+
+        def run_pair(first, second):
+            # In process, one part after the other, each a list of its own.
+            calls.append([])
+            here = first()
+            calls.append([])
+            return here, second()
+
+        real_vectorize = features._vectorize
+        monkeypatch.setattr(features, "_vectorize", vectorize)
+        monkeypatch.setattr(forking, "run_pair", run_pair)
+        edges = list(graph.edges())
+        assert weigh_edges(graph, *(models[kind] for kind in EdgeKind)).prob == expected
+        assert len(calls) == 2 and all(len(part) == len(set(part)) for part in calls)
+        tfidf = {edge: models[edge_kind(graph, edge[0])].tfidf for edge in edges}
+        first = edges[: len(edges) // 2]
+        assert set(calls[0]) == {(tfidf[e], graph.title(n)) for e in first for n in e}
+        # Only titles that are parents somewhere stay cached, and no entity is one.
+        parents = {graph.title(p) for _, p in edges}
+        assert all(models[kind].tfidf._halves.keys() <= parents for kind in EdgeKind)
+        assert models[EdgeKind.ENTITY_TO_CATEGORY].tfidf._halves
+        entities = {graph.title(c) for c, _ in edges if edge_kind(graph, c) is EdgeKind.ENTITY_TO_CATEGORY}
+        assert entities and not entities & parents
 
     def test_uniform_never_forks(self, monkeypatch):
         def no_fork():
