@@ -18,13 +18,9 @@ CPython specialises a list store by int index, where a `map` over
 as two `array('d')`, 8 bytes a weight and no float object each: at the
 end of training the final L2 scale is applied as each list is copied into
 its array, and `load_model` builds the arrays straight from the parsed
-file. It builds no vocabulary: the model keeps the parsed feature list,
-and the vocabulary is built from it on first use (see `features`), so
-the parsed weights and the vocabulary are never in memory together, and
-a model that is only loaded and saved never builds one. A title's cached
-`gather` reads its weights from either vector, list or array, in one C
-call, so one getter per title serves both sides of an edge; the gathers
-feed every dot product, in SGD and in scoring.
+file. A title's cached `gather` reads its weights from either vector,
+list or array, in one C call, so one getter per title serves both sides
+of an edge; the gathers feed every dot product, in SGD and in scoring.
 
 A logit is one `sum` of weight * value over the child's entries, then
 the parent's entries, each in column order, with `0.0` for every column
@@ -51,10 +47,8 @@ The file is the bytes of `json.dumps(model.to_dict(), ensure_ascii=False,
 default=list)`, each weight array written as a list, and a newline, but
 `save_model` writes the four long lists (`features`, `df` and both weight
 vectors) `_SLICE` entries at a time, so neither the whole file's text nor
-a whole list of weights is ever held in memory. The features of a model
-whose vocabulary `train` released are streamed from its one string of
-lines (see `features`), never split whole. `save_model(load_model(p))`
-rewrites `p` byte for byte, from the parsed feature list.
+a whole list of weights is ever held in memory.
+`save_model(load_model(p))` rewrites `p` byte for byte.
 """
 
 from __future__ import annotations
@@ -273,8 +267,8 @@ def load_model(path: str | Path, kind: EdgeKind | None = None) -> LinearEdgeMode
     They are converted before `TfidfModel.from_dict` checks the `tfidf`
     object, so a file with faults in both its weights and its `tfidf`
     reports the weights' fault; their count is checked against V once V is
-    known. The model keeps the parsed feature list; its vocabulary is
-    built on first use, not here.
+    known. The model holds its features as lines (see `features`), so the
+    parsed weights and a vocabulary are never in memory together.
     """
     with open(path, encoding="utf-8") as fh:
         try:

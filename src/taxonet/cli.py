@@ -35,10 +35,8 @@ reuse its memory. It reads the ec model file first, before the network:
 parsing a model file is the command's largest transient, and taken
 first it tops an almost empty heap instead of the network and the
 projected taxonomy. So a broken ec model file is reported before a
-broken network file. A loaded model holds its feature list, not its
-vocabulary, until `weigh_edges` builds the vocabulary right before it
-forks. Under `--uniform` both files are still loaded and checked, one at
-a time, and no vocabulary is built.
+broken network file. Under `--uniform` both files are still loaded and
+checked, one at a time.
 
 Each command runs in a fresh process and pays for what it imports.
 Loading this module imports `classifier`, `features`, `graph`,
@@ -82,7 +80,7 @@ from .features import (
     DEFAULT_NGRAM_SIZES, FeatureMode, FeatureSpec, check_json_types, check_min_df, fit_tfidf,
 )
 from .graph import (
-    EdgeKind, _write_lines, edge_kind, load_interlang, load_taxonomy, load_wcn, save_taxonomy,
+    EdgeKind, _write_lines, load_interlang, load_taxonomy, load_wcn, save_taxonomy,
 )
 from .induction import InductionConfig, WeightedGraph, induce, search_edges, weigh_edges
 from .labeling import EdgeDataset, check_val_fraction, label_edges, split_by_kind, train_val_split
@@ -233,9 +231,8 @@ def _cmd_induce(args: argparse.Namespace) -> int:
     projected = load_taxonomy(args.projected)
     search = search_edges(graph, projected)
     prob = {}
-    for kind in EdgeKind:
+    for kind, edges in zip(EdgeKind, split_by_kind(search, graph)):
         model = model or read(kind)
-        edges = [edge for edge in search if edge_kind(graph, edge[0]) is kind]
         prob.update(weigh_edges(graph, model, model, cfg, edges).prob)
         model = None  # freed before the next model loads
     weighted = WeightedGraph(graph, {edge: prob[edge] for edge in search})

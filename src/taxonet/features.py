@@ -31,22 +31,10 @@ after, so no count by n-gram string is built.
 
 `TfidfModel.to_dict` is the `tfidf` object of a model file (see
 `classifier`): the spec, `n_docs`, the features in column order and their
-document frequencies, the lists `TfidfModel` is built from; it numbers the
-columns itself. idf is not stored; `TfidfModel` computes it from
+document frequencies. idf is not stored; `TfidfModel` computes it from
 `n_docs` and `df`, once per distinct df value, into `idf_of`, a table
 indexed by df value, and keeps no idf per column: `_vectorize` reads a
 column's idf as `idf_of[df[c]]`, so features with equal df share one float.
-A model holds its features in one of three forms, in this order:
-- the feature list it was built from, which `fit_tfidf` sorts and
-  `classifier.load_model` parses, and which `to_dict` writes back;
-- the vocabulary, the feature->column dict, built from the list on first
-  use (`TfidfModel.vocabulary`), which drops the list, as the dict's keys
-  hold its strings. `fit_tfidf` builds it at once, since training
-  vectorizes next. `induce` builds it right before it forks, so the child
-  inherits it instead of building its own, and under `--uniform` never;
-- released: training reads no vocabulary once its titles are cached, so
-  `train` releases it (`TfidfModel.release`). The model keeps its features
-  as one newline-joined string, and `to_dict` hands them out one at a time.
 """
 
 from __future__ import annotations
@@ -121,29 +109,34 @@ class TfidfModel:
     """Vocabulary + smoothed idf weights fitted on a title corpus.
 
     Columns are assigned in lexicographic feature order, which makes the
-    model independent of corpus order. The constructor takes the features
-    in that order and keeps the list; the vocabulary numbers them, 0 to V-1
-    in insertion order, so it lists the features in column order as it is.
-    `df` holds each column's document frequency and `idf_of` the idf of
-    each df value. Columns and idf are fixed once the model is built, which
-    is what lets `half` cache title vectors.
+    model independent of corpus order. `df` holds each column's document
+    frequency and `idf_of` the idf of each df value. Columns and idf are
+    fixed once the model is built, which is what lets `half` cache title
+    vectors.
 
-    The vocabulary is only read to vectorize a title, so it is built on
-    first use: a model that is only loaded and saved, or loaded and never
-    scores, holds the list alone (0.7 MiB, against 4.0 for the dict and its
-    column ints, for an 82,415-feature model).
-    Once every title the model will score is cached, `release` drops it,
-    and the model keeps its features as one string, in column order, one a
-    line: the feature strings, their column ints and the dict take about 17
-    times as much (8.3 against 0.5 MiB for an 82,415-feature model). A
-    released model vectorizes no new title, and `features` reads them back
-    from the string.
+    A model holds its features, in column order, in one of two forms, and
+    the constructor takes either:
+    - lines: one string, a feature a line. The feature strings, their
+      column ints and the dict take about 17 times as much (8.3 against
+      0.5 MiB for an 82,415-feature model). `from_dict` gives a loaded
+      model its features this way, so a model that is only loaded and
+      saved, or loaded and checked as under `induce --uniform`, never
+      holds more. `release` keeps them this way once the titles the model
+      will score are cached, as `train` does before SGD, which reads no
+      vocabulary.
+    - the vocabulary, the feature->column dict that vectorizing reads,
+      numbered 0 to V-1 in insertion order. `fit_tfidf` builds it at once,
+      as training vectorizes next. From lines, the first read of
+      `vocabulary` builds it and drops the lines; `induce` reads it right
+      before it forks, so the child inherits it instead of building its own.
+    No feature may hold a newline, as lines could not keep it (`_lines`);
+    `fit_tfidf`'s never do, as `_tokens` splits at whitespace.
     """
 
-    def __init__(self, spec: FeatureSpec, features: list[str], df: list[int], n_docs: int):
+    def __init__(self, spec: FeatureSpec, features: str | dict[str, int], df: list[int],
+                 n_docs: int):
         self.spec = spec
-        # The feature list, then the vocabulary, then the released lines.
-        self._features: list[str] | dict[str, int] | str = features
+        self._features = features  # the lines or the vocabulary
         self.df = df
         self.n_docs = n_docs
         # Indexed by df value, a list: it is read per vector entry, and a list
@@ -158,23 +151,19 @@ class TfidfModel:
         return len(self.df)
 
     @property
-    def vocabulary(self) -> dict[str, int] | None:
-        """Each feature's column, built from the feature list on first read;
-        None once released."""
-        if type(self._features) is list:
-            self._features = dict(zip(self._features, range(len(self._features))))
-        return None if type(self._features) is str else self._features
+    def vocabulary(self) -> dict[str, int]:
+        """Each feature's column; the first read from lines builds it and drops them."""
+        if type(self._features) is str:
+            self._features = dict(zip(self.features(), range(self.n_features)))
+        return self._features
 
     def half(self, title: str) -> Half:
         """The title's vector as (columns, values, gather), cached per title.
 
         The cache lives as long as the model and keeps every title asked for.
-        After `release`, a title that is not cached raises RuntimeError.
         """
         half = self._halves.get(title)
         if half is None:
-            if self.vocabulary is None:
-                raise RuntimeError(f"title {title!r} was not vectorized before release")
             cols, vals = _vectorize(self, title)
             half = self._halves[title] = (cols, vals, _gatherer(cols))
         return half
@@ -184,33 +173,30 @@ class TfidfModel:
         self._halves.pop(title, None)
 
     def release(self, titles: Iterable[str]) -> None:
-        """Cache the half of each of `titles`, then drop the vocabulary and
-        keep the features as lines of one string. ValueError, and nothing
-        changes, if a feature holds a newline; `fit_tfidf`'s never do, as
-        `_tokens` splits at whitespace."""
-        lines = "\n".join(self.features())
-        if lines.count("\n") > max(len(self.df) - 1, 0):
-            raise ValueError("a feature holds a newline, so the features cannot be kept as lines")
+        """Cache the half of each of `titles`, then keep the features as
+        lines and drop the vocabulary. ValueError, and nothing changes, if a
+        feature holds a newline. The lines are joined before the titles are
+        cached: joined after, they raised `train`'s peak by 0.4-0.8 MiB on
+        worlds of 5K and 16K nodes."""
+        lines = _lines(self.features(), self.n_features)
         for title in titles:
             self.half(title)
         self._features = lines
 
     def features(self) -> Iterator[str]:
         """The features in column order, one at a time."""
-        if type(self._features) is not str:
-            return iter(self._features)  # the list, or the vocabulary's keys
+        if type(self._features) is dict:
+            return iter(self._features)
         if not self.df:  # the lines of "" are [""]
             return iter(())
         return chain.from_iterable(_line_blocks(self._features))
 
     def to_dict(self) -> dict:
-        """The `tfidf` object of a model file. `features` is the feature
-        list itself, with no vocabulary built; once released, it is an
-        iterator, which `json.dumps(..., default=list)` writes as a list."""
+        """The `tfidf` object of a model file. `features` is a list, or,
+        from lines, an iterator, which `json.dumps(..., default=list)`
+        writes as a list; no vocabulary is built."""
         sizes = sorted(self.spec.ngram_sizes) if self.spec.mode is FeatureMode.CHAR_NGRAM else None
-        features = self._features
-        if type(features) is not list:
-            features = list(features) if type(features) is dict else self.features()
+        features = list(self.features()) if type(self._features) is dict else self.features()
         return {
             "spec": {
                 "mode": self.spec.mode.value,
@@ -230,7 +216,8 @@ class TfidfModel:
         holds a nonempty list of integers >= 1 and a word-mode spec `null`,
         `lowercase` is `true`, `features` is a list of unique strings in
         ascending order, the column order `fit_tfidf` assigns, and `df` a
-        list of as many integers >= 1, and no df exceeds `n_docs`.
+        list of as many integers >= 1, and no df exceeds `n_docs`. No feature
+        may hold a newline, as the model keeps them as lines.
         """
         raw_spec = data["spec"]
         mode = FeatureMode(raw_spec["mode"])
@@ -262,7 +249,7 @@ class TfidfModel:
             i = next(i for i in range(1, len(features)) if features[i - 1] >= features[i])
             raise ValueError(f"features must be unique and ascending: {features[i]!r} "
                              f"follows {features[i - 1]!r} at column {i}")
-        return cls(spec, features, df, data["n_docs"])
+        return cls(spec, _lines(features, len(df)), df, data["n_docs"])
 
 
 def _gatherer(cols: tuple[int, ...]) -> Callable[[Sequence[float]], tuple]:
@@ -306,11 +293,8 @@ def fit_tfidf(titles: list[str], spec: FeatureSpec, min_df: int = 1) -> TfidfMod
     kept = sorted(f for f, d in df_counts.items() if d >= min_df)
     if not kept:
         raise TaxonetError(f"no feature reached min_df={min_df} over {len(titles)} titles")
-    model = TfidfModel(spec, kept, [df_counts[f] for f in kept], len(titles))
-    # Built now, as its caller vectorizes next: built after the counts are
-    # freed, the dict raised `train`'s peak on medium-link90 by 0.5 MiB.
-    model.vocabulary
-    return model
+    vocabulary = dict(zip(kept, range(len(kept))))
+    return TfidfModel(spec, vocabulary, [df_counts[f] for f in kept], len(titles))
 
 
 def _vectorize(model: TfidfModel, title: str) -> tuple[tuple[int, ...], array]:
@@ -325,7 +309,15 @@ def _vectorize(model: TfidfModel, title: str) -> tuple[tuple[int, ...], array]:
     return cols, array("d", [v / norm for v in raw])
 
 
-# Characters, about, per block of a released model's features that is split at once.
+def _lines(features: Iterable[str], n: int) -> str:
+    """The `n` features as lines of one string; ValueError if one holds a newline."""
+    lines = "\n".join(features)
+    if lines.count("\n") > max(n - 1, 0):
+        raise ValueError("a feature holds a newline, so the features cannot be kept as lines")
+    return lines
+
+
+# Characters, about, per block of a model's lines that is split at once.
 _BLOCK = 1 << 14
 
 

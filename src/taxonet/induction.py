@@ -43,10 +43,10 @@ edge's probability depends only on its model and its two titles, and the
 child runs the same `predict_proba` and clamp on an inherited copy of the
 same graph and models, so every weight is bit-for-bit what a single
 process computes, and the weights are assembled in the list's order.
-Each model's vocabulary is built before the fork (see `features`), so
-the child inherits it rather than building its own. The fork makes this
+Each model's vocabulary is read before the fork, so the child inherits
+it rather than building its own (see `features`). The fork makes this
 POSIX-only and assumes a single-threaded caller; under the uniform
-baseline nothing is scored, no vocabulary is built and nothing forks.
+baseline, or with no edge to score, nothing is scored and nothing forks.
 
 Each process vectorizes the titles of its own half, each once, and keeps
 a title's vector only while a later edge of that half reads it. Parent
@@ -136,7 +136,7 @@ def weigh_edges(
     """
     if edges is None:
         edges = list(graph.edges())
-    if cfg.uniform:
+    if cfg.uniform or not edges:
         return WeightedGraph(graph, dict.fromkeys(edges, 1.0))
 
     def score(part: list[tuple[str, str]]) -> list[float]:
@@ -153,7 +153,7 @@ def weigh_edges(
         return probs
 
     for model in (model_ec, model_cc):
-        model.tfidf.vocabulary  # built here, so the child inherits it
+        model.tfidf.vocabulary  # read here, so the child inherits it
     from .forking import run_pair  # here, so `import taxonet` does not load pickle
 
     half = len(edges) // 2

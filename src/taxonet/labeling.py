@@ -42,14 +42,13 @@ def label_edges(graph: WcnGraph, projected: Taxonomy) -> list[LabeledEdge]:
     return labeled
 
 
-def split_by_kind(
-    edges: list[LabeledEdge], graph: WcnGraph
-) -> tuple[list[LabeledEdge], list[LabeledEdge]]:
-    """Partition into (entity->category, category->category), order kept."""
+def split_by_kind(edges: list[tuple], graph: WcnGraph) -> tuple[list[tuple], list[tuple]]:
+    """Partition edges, each a tuple that begins (child, parent), into
+    (entity->category, category->category), order kept."""
     entity_edges = []
     category_edges = []
     for edge in edges:
-        if edge_kind(graph, edge.child) is EdgeKind.ENTITY_TO_CATEGORY:
+        if edge_kind(graph, edge[0]) is EdgeKind.ENTITY_TO_CATEGORY:
             entity_edges.append(edge)
         else:
             category_edges.append(edge)

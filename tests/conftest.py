@@ -15,11 +15,29 @@ from taxonet import (
     save_wcn,
 )
 from taxonet.errors import TaxonetError
+from taxonet.features import TfidfModel
 
 
 def raises_error(message: str):
     """`pytest.raises` for a `TaxonetError` whose message is exactly `message`."""
     return pytest.raises(TaxonetError, match=f"^{re.escape(message)}$")
+
+
+def record_vocabulary_builds(monkeypatch, events: list) -> None:
+    """Append "vocabulary" to `events` whenever a read of
+    `TfidfModel.vocabulary` returns a dict that no earlier read returned:
+    for a model that holds lines, each time its vocabulary is built."""
+    seen = []
+    real = TfidfModel.vocabulary.fget
+
+    def vocabulary(tfidf):
+        built = real(tfidf)
+        if not any(built is old for old in seen):
+            seen.append(built)
+            events.append("vocabulary")
+        return built
+
+    monkeypatch.setattr(TfidfModel, "vocabulary", property(vocabulary))
 
 
 def fig1_graph() -> WcnGraph:

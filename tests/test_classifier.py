@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from taxonet import Node, NodeKind, WcnGraph
+from taxonet import Node, NodeKind, WcnGraph, features
 from taxonet.classifier import (
     _SLICE,
     LinearEdgeModel,
@@ -410,9 +410,10 @@ class TestSavedBytes:
         learning_rate=1e308, spec=CHAR, kind=EdgeKind.ENTITY_TO_CATEGORY,
     )
     def test_equals_one_dumps(self, texts, n, weights, bias, learning_rate, spec, kind):
-        # A suffix of digits after "\x01" keeps the n features unique.
+        # A suffix of digits after "\x01" keeps the n features unique; a
+        # feature may hold a newline, so the model holds its vocabulary.
         features = [f"{texts[i % len(texts)]}\x01{i}" for i in range(n)]
-        tfidf = TfidfModel(spec, features, [1 + i % 3 for i in range(n)], 3)
+        tfidf = TfidfModel(spec, dict(zip(features, range(n))), [1 + i % 3 for i in range(n)], 3)
         values = list(islice(cycle(weights), 2 * n))
         hyper = TrainConfig(learning_rate=learning_rate, seed=2**64 - 1)
         model = LinearEdgeModel(tfidf, (values[:n], values[n:]), bias, hyper, kind)
@@ -439,7 +440,8 @@ class TestSavedBytes:
         spec = FeatureSpec(mode, sizes) if mode is FeatureMode.CHAR_NGRAM else WORD
         kept, released = fit_tfidf(titles, spec), fit_tfidf(titles, spec)
         released.release(titles)
-        assert released.vocabulary is None and released.n_features == n
+        # Released, the model holds lines, which `to_dict` hands out one at a time.
+        assert not isinstance(released.to_dict()["features"], list) and released.n_features == n
         values = list(islice(cycle(weights), 2 * n))
         saved = []
         with tempfile.TemporaryDirectory() as tmp:
@@ -451,8 +453,12 @@ class TestSavedBytes:
         assert saved[1] == saved[0] == reference_model_text(model).encode("utf-8")
         assert json.loads(saved[1])["tfidf"]["features"] == sorted(titles)
 
-    def test_release_rejects_a_feature_with_a_newline(self):
-        tfidf = TfidfModel(WORD, ["a\nb"], [1], 1)
+    def test_release_rejects_a_feature_with_a_newline(self, monkeypatch):
+        # Nothing changes: no title is cached, and the vocabulary stays.
+        tfidf = TfidfModel(WORD, {"a\nb": 0}, [1], 1)
+        calls = []
+        monkeypatch.setattr(features, "_vectorize", lambda *args: calls.append(args))
         with pytest.raises(ValueError, match="a feature holds a newline"):
             tfidf.release(["a"])
-        assert tfidf.vocabulary == {"a\nb": 0} and not tfidf._halves
+        assert calls == [] and tfidf.to_dict()["features"] == ["a\nb"]
+        assert tfidf.vocabulary == {"a\nb": 0}

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import taxonet
-from taxonet import cli, forking
+from taxonet import cli, features, forking
 from taxonet.cli import main
 from taxonet.features import FeatureMode, FeatureSpec
 from taxonet.graph import EdgeKind, NodeKind
@@ -18,6 +18,7 @@ from taxonet.induction import InductionConfig
 from taxonet.projection import ProjectionConfig
 from taxonet import load_taxonomy
 
+from conftest import record_vocabulary_builds
 from oracles import reference_model_text
 from worldgen import build_world
 
@@ -242,19 +243,36 @@ class TestTrain:
     def test_vocabulary_released_before_sgd(self, trained_world, tmp_path, capsys, monkeypatch):
         # SGD and scoring read only cached title vectors, so each job caches
         # every title of its train and validation edges and drops the
-        # vocabulary before it trains.
+        # vocabulary `fit_tfidf` built before it trains. SGD then vectorizes
+        # no title and builds no vocabulary; a read of `vocabulary` after it
+        # builds a new dict, from the lines.
         _, paths, projected, out_dir = trained_world
-        kinds = []
+        fitted, kinds, vectorized, builds = [], [], [], []
+
+        def fit_tfidf(*args):
+            tfidf = real_fit_tfidf(*args)
+            fitted.append(tfidf.vocabulary)
+            return tfidf
 
         def train_linear(dataset, tfidf, cfg, titles):
-            assert tfidf.vocabulary is None
-            edges = dataset.train + dataset.validation
-            assert {titles.title(n) for e in edges for n in (e.child, e.parent)} <= tfidf._halves.keys()
+            done, built = len(vectorized), len(builds)
+            result = real_train_linear(dataset, tfidf, cfg, titles)
+            assert (len(vectorized), len(builds)) == (done, built)
+            vocabulary = tfidf.vocabulary
+            assert vocabulary == fitted[-1] and vocabulary is not fitted[-1]
             kinds.append(dataset.kind)
-            return real_train_linear(dataset, tfidf, cfg, titles)
+            return result
 
-        real_train_linear = cli.train_linear
+        def vectorize(*args):
+            vectorized.append(args)
+            return real_vectorize(*args)
+
+        real_fit_tfidf, real_train_linear = cli.fit_tfidf, cli.train_linear
+        real_vectorize = features._vectorize
+        record_vocabulary_builds(monkeypatch, builds)
+        monkeypatch.setattr(cli, "fit_tfidf", fit_tfidf)
         monkeypatch.setattr(cli, "train_linear", train_linear)
+        monkeypatch.setattr(features, "_vectorize", vectorize)
         monkeypatch.setattr(forking, "run_pair", lambda first, second: (first(), second()))
         code, _ = run(capsys, *train_args(paths, projected, tmp_path / "m", seed=5))
         assert code == 0
@@ -343,37 +361,31 @@ class TestInduce:
     @pytest.mark.parametrize("uniform", [False, True])
     def test_ec_model_read_before_network(self, trained_world, tmp_path, capsys, monkeypatch,
                                           uniform):
-        # The ec model file is parsed first, and a loaded model holds its
-        # feature list. Its vocabulary is built in this process once the
-        # network is loaded, right before the fork and only once; under
-        # --uniform never.
+        # The ec model file is parsed first. Each model's vocabulary is built
+        # in this process once the network is loaded, right before the fork
+        # and only once; under --uniform never.
         _, paths, projected, models = trained_world
         flags = {"uniform": None} if uniform else {}
         expected = tmp_path / "expected.tsv"
         assert run(capsys, *induce_args(paths, projected, models, expected, **flags))[0] == 0
-        events, loaded = [], []
+        events = []
 
         def load_model(path, kind):
             model = real_load_model(path, kind)
             events.append(Path(path).name)
-            loaded.append(model.tfidf)
             return model
 
         def load_wcn(*args):
             graph = real_load_wcn(*args)
             events.append("load_wcn")
-            assert [type(tfidf._features) for tfidf in loaded] == [list]
             return graph
 
         def run_pair(first, second):
-            vocabulary = loaded[-1]._features
-            assert type(vocabulary) is dict
             events.append("fork")
-            result = first(), second()
-            assert loaded[-1]._features is vocabulary
-            return result
+            return first(), second()
 
         real_load_model, real_load_wcn = cli.load_model, cli.load_wcn
+        record_vocabulary_builds(monkeypatch, events)
         monkeypatch.setattr(cli, "load_model", load_model)
         monkeypatch.setattr(cli, "load_wcn", load_wcn)
         monkeypatch.setattr(forking, "run_pair", run_pair)
@@ -382,9 +394,9 @@ class TestInduce:
         assert out.read_bytes() == expected.read_bytes()
         if uniform:
             assert events == ["model.ec.json", "load_wcn", "model.cc.json"]
-            assert [type(tfidf._features) for tfidf in loaded] == [list, list]
         else:
-            assert events == ["model.ec.json", "load_wcn", "fork", "model.cc.json", "fork"]
+            assert events == ["model.ec.json", "load_wcn", "vocabulary", "fork",
+                              "model.cc.json", "vocabulary", "fork"]
 
     def test_k2_output_superset_of_k1(self, trained_world, tmp_path, capsys):
         _, paths, projected, models = trained_world
@@ -395,13 +407,15 @@ class TestInduce:
 
 
 @pytest.mark.parametrize("name", ["model.ec.json", "model.cc.json"])
-def test_model_file_round_trip_bytes(trained_world, tmp_path, name):
-    # Written from the parsed feature list: no vocabulary is built.
+def test_model_file_round_trip_bytes(trained_world, tmp_path, monkeypatch, name):
+    # Written from the lines the features were parsed into: no vocabulary is built.
     _, _, _, out_dir = trained_world
+    events = []
+    record_vocabulary_builds(monkeypatch, events)
     model = load_model(out_dir / name)
     save_model(model, tmp_path / name)
     assert (tmp_path / name).read_bytes() == (out_dir / name).read_bytes()
-    assert type(model.tfidf._features) is list
+    assert events == []
 
 
 @pytest.mark.parametrize("name", ["model.ec.json", "model.cc.json"])
@@ -524,6 +538,9 @@ class TestBadInput:
         # Features out of ascending order loaded, each with another column.
         pytest.param(lambda d: d["tfidf"]["features"].insert(1, d["tfidf"]["features"].pop(0)),
                      id="features-out-of-order"),
+        # A model keeps its features as lines, so none may hold a newline.
+        pytest.param(lambda d: d["tfidf"]["features"].append(d["tfidf"]["features"].pop() + "\n"),
+                     id="feature-holds-newline"),
     ])
     def test_broken_model_file(self, trained_world, tmp_path, capsys, edit):
         self.induce_with_edited_model(trained_world, tmp_path, capsys, edit)

@@ -6,6 +6,7 @@ from array import array
 import pytest
 from hypothesis import assume, example, given, strategies as st
 
+from taxonet import features
 from taxonet.errors import TaxonetError
 from taxonet.features import (
     FeatureMode,
@@ -110,28 +111,44 @@ class TestFitTfidf:
         assert [model.vocabulary[f] for f in ("xx", "yy", "zz")] == [0, 1, 2]
 
     def test_vocabulary_built_on_first_use(self):
-        # A model holds its feature list until the vocabulary is first read;
-        # the dict then replaces the list, and `to_dict` writes the list itself.
-        model = TfidfModel(WORD, ["ab", "cd"], [2, 1], 2)
-        features = model._features
-        assert model.to_dict()["features"] is features and model._features is features
+        # A model built from lines builds its vocabulary on the first read
+        # and keeps it; one built from a vocabulary holds that dict itself.
+        # `to_dict` writes the features from either form, building nothing.
+        model = TfidfModel(WORD, "ab\ncd", [2, 1], 2)
+        assert list(model.to_dict()["features"]) == ["ab", "cd"]
         vocabulary = model.vocabulary
-        assert vocabulary == {"ab": 0, "cd": 1} and model._features is vocabulary
-        assert model.vocabulary is vocabulary and model.to_dict()["features"] == features
-        assert fit_tfidf(["ab cd"], WORD)._features == {"ab": 0, "cd": 1}  # built at once
+        assert vocabulary == {"ab": 0, "cd": 1} and model.vocabulary is vocabulary
+        assert model.to_dict()["features"] == ["ab", "cd"]
+        vocabulary = {"ab": 0, "cd": 1}
+        assert TfidfModel(WORD, vocabulary, [2, 1], 2).vocabulary is vocabulary
 
-    def test_released_model_vectorizes_no_new_title(self):
+    def test_released_model_vectorizes_no_new_title(self, monkeypatch):
+        # `release` caches the titles it is given, so no later read of them
+        # vectorizes; the features are still listed in column order.
         model = fit_tfidf(["ab cd", "cd"], WORD)
         before = model.half("ab cd")
         model.release(["cd"])
-        assert model.vocabulary is None and model.n_features == 2
+        calls = []
+        monkeypatch.setattr(features, "_vectorize", lambda *args: calls.append(args))
         assert model.half("ab cd") is before and entries(model, "cd") == ((1, 1.0),)
+        assert calls == [] and model.n_features == 2
         assert list(model.features()) == ["ab", "cd"]
-        with pytest.raises(RuntimeError, match="^title 'ab' was not vectorized before release$"):
-            model.half("ab")
-        empty = TfidfModel(WORD, [], [], 0)
+        empty = TfidfModel(WORD, {}, [], 0)
         empty.release([])
         assert list(empty.features()) == []
+
+    @pytest.mark.parametrize("spec", [WORD, CHAR], ids=["word", "char"])
+    def test_released_model_rebuilds_its_vocabulary(self, spec):
+        # A title not cached before `release` is vectorized from a vocabulary
+        # built again from the lines, to the half it would have had before.
+        titles = ["ab cd", "cd ef", "ef gh ab"]
+        kept, released = fit_tfidf(titles, spec), fit_tfidf(titles, spec)
+        released.release(["ef gh ab"])
+        for title in ("ab cd", "gh cd zz", "zz", "ef gh ab"):
+            cols, vals, _ = released.half(title)
+            expected_cols, expected_vals, _ = kept.half(title)
+            assert (cols, vals.tobytes()) == (expected_cols, expected_vals.tobytes())
+        assert released.vocabulary == kept.vocabulary
 
     def test_order_insensitive(self):
         titles = [f"mot{i} truc{i % 3}" for i in range(20)]

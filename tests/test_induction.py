@@ -34,7 +34,7 @@ from taxonet.induction import (
 )
 from taxonet.metrics import branching_factor
 
-from conftest import raises_error
+from conftest import raises_error, record_vocabulary_builds
 from oracles import bfs_min_hops, enumerate_paths, random_instance, reference_proba
 from worldgen import build_world
 
@@ -111,6 +111,19 @@ class TestWeighEdges:
         )
         assert weighted.prob[("e", "c1")] == 1e-6
         assert weighted.prob[("c1", "c2")] == 1.0 - 1e-6
+
+    def test_no_edges_builds_nothing_and_forks_not(self, world_models, monkeypatch):
+        # A kind with no search edges: as under the uniform baseline, no
+        # vocabulary is built and nothing forks.
+        graph, trained = world_models
+        # Copies as `load_model` gives them, holding lines.
+        models = [m._replace(tfidf=TfidfModel.from_dict(m.tfidf.to_dict()))
+                  for m in trained.values()]
+        events = []
+        record_vocabulary_builds(monkeypatch, events)
+        monkeypatch.setattr(forking, "run_pair", lambda first, second: events.append("fork"))
+        assert weigh_edges(graph, *models, InductionConfig(), []).prob == {}
+        assert events == []
 
     @staticmethod
     def assert_equals_reference(graph, models, cfg):
