@@ -17,8 +17,8 @@ CPython specialises a list store by int index, where a `map` over
 `list.__setitem__` calls a method-wrapper per element. A model keeps them
 as two `array('d')`, 8 bytes a weight and no float object each: at the
 end of training the final L2 scale is applied as each list is copied into
-its array, and `load_model` builds the arrays straight from the parsed
-file. A title's cached `gather` reads its weights from either vector,
+its array, and `load_model` builds the arrays straight from the file's
+bytes. A title's cached `gather` reads its weights from either vector,
 list or array, in one C call, so one getter per title serves both sides
 of an edge; the gathers feed every dot product, in SGD and in scoring.
 
@@ -36,28 +36,36 @@ memory:
 
     {"kind": "ec" | "cc",
      "tfidf": {"spec": {"mode", "ngram_sizes", "lowercase"}, "n_docs",
-               "features": [the vocabulary in column order],
+               "features": "the vocabulary in column order, a line each",
                "df": [the document frequency of each feature]},
-     "weights": [[V child weights], [V parent weights]],
+     "weights": ["V child weights", "V parent weights"],
      "bias": float,
      "config": {"epochs", "learning_rate", "l2_lambda", "seed"}}
 
-idf is not stored: `TfidfModel` computes it from `n_docs` and `df`.
-The file is the bytes of `json.dumps(model.to_dict(), ensure_ascii=False,
-default=list)`, each weight array written as a list, and a newline, but
-`save_model` writes the four long lists (`features`, `df` and both weight
-vectors) `_SLICE` entries at a time, so neither the whole file's text nor
-a whole list of weights is ever held in memory.
+idf is not stored: `TfidfModel` computes it from `n_docs` and `df`. The
+features are one string, the lines a loaded model keeps (see `features`).
+Each weight vector is the base64 of its bytes, V little-endian IEEE-754
+binary64 values, so a weight loads with its bits, `-0.0` included, and
+with no number to parse. The file is the bytes of
+`json.dumps(model.to_dict(), ensure_ascii=False)`, each weight vector
+written as that base64 string, and a newline, but `save_model` writes
+the four long values in pieces: the features string `_PIECE` characters
+at a time, `df` `_SLICE` entries at a time and each weight vector
+`_PIECE` weights at a time, so neither the whole file's text nor a whole
+vector's base64 is ever held in memory.
 `save_model(load_model(p))` rewrites `p` byte for byte.
 """
 
 from __future__ import annotations
 
+import base64
+import binascii
 import json
 import math
+import sys
 from array import array
-from collections import deque, namedtuple
-from itertools import chain, islice, repeat
+from collections import namedtuple
+from itertools import chain, repeat
 from operator import add, mul
 from pathlib import Path
 from typing import Iterable, Iterator
@@ -205,38 +213,68 @@ def validation_accuracy(
     return correct / len(validation)
 
 
-# Entries per `json.dumps` call when `save_model` writes a long list.
+# Entries per `json.dumps` call when `save_model` writes `df`.
 _SLICE = 4096
-# Stands in for each long list in the text `save_model` writes around them;
+# Characters of the features string, or weights, per piece `save_model`
+# writes. 3 * _SLICE weights are a multiple of 3 bytes, so no piece but the
+# last is padded, and the pieces' base64 joins into the whole vector's.
+_PIECE = 3 * _SLICE
+# Stands in for each long value in the text `save_model` writes around them;
 # no key or short value of a model file is this string.
 _HOLE = "\0"
 
 
 def save_model(model: LinearEdgeModel, path: str | Path) -> None:
     """Write the model file (see the module docstring). The rest is dumped
-    once with `_HOLE` in each long list's place, and `_filled` puts each list
-    into its hole; `json.dumps`, since `json.dump` never uses the C encoder."""
+    once with `_HOLE` in each long value's place, and `_filled` puts each
+    value's pieces into its hole; `json.dumps`, since `json.dump` never uses
+    the C encoder."""
     data = model.to_dict()
     tfidf = data["tfidf"]
-    long_lists = [tfidf["features"], tfidf["df"], *data["weights"]]
+    pieces = [_string_pieces(tfidf["features"]), _list_pieces(tfidf["df"]),
+              *map(_base64_pieces, data["weights"])]
     tfidf["features"] = tfidf["df"] = _HOLE
     data["weights"] = [_HOLE, _HOLE]
     head, *tails = json.dumps(data, ensure_ascii=False).split(json.dumps(_HOLE))
-    _write_lines(path, _filled(head, zip(long_lists, tails, strict=True)))
+    _write_lines(path, _filled(head, zip(pieces, tails, strict=True)))
 
 
-def _filled(head: str, holes: Iterator[tuple[Iterable, str]]) -> Iterator[str]:
-    """`head`; each long list, `_SLICE` entries at a time, and the text after its hole; LF."""
+def _filled(head: str, holes: Iterator[tuple[Iterable[str], str]]) -> Iterator[str]:
+    """`head`; each long value's pieces and the text after its hole; LF."""
     yield head
-    for values, tail in holes:
-        yield "["
-        entries, sep = iter(values), ""
-        # A list, since `json` encodes no array or iterator: a slice, never a whole list
-        while part := list(islice(entries, _SLICE)):
-            yield sep + json.dumps(part, ensure_ascii=False)[1:-1]
-            sep = ", "
-        yield "]" + tail
+    for pieces, tail in holes:
+        yield from pieces
+        yield tail
     yield "\n"
+
+
+def _string_pieces(text: str) -> Iterator[str]:
+    """`text` as a JSON string, `_PIECE` characters escaped at a time; JSON
+    escapes each character on its own, so the pieces join to one escape."""
+    yield '"'
+    for start in range(0, len(text), _PIECE):
+        yield json.dumps(text[start : start + _PIECE], ensure_ascii=False)[1:-1]
+    yield '"'
+
+
+def _list_pieces(values: list[int]) -> Iterator[str]:
+    """`values` as a JSON list, `_SLICE` entries at a time."""
+    yield "["
+    for start in range(0, len(values), _SLICE):
+        yield ", " * (start > 0) + json.dumps(values[start : start + _SLICE])[1:-1]
+    yield "]"
+
+
+def _base64_pieces(weights) -> Iterator[str]:
+    """The weights' little-endian bytes as a base64 JSON string, `_PIECE`
+    weights at a time; a list of floats writes as its array would."""
+    yield '"'
+    for start in range(0, len(weights), _PIECE):
+        piece = array("d", weights[start : start + _PIECE])
+        if sys.byteorder == "big":
+            piece.byteswap()
+        yield base64.b64encode(piece).decode("ascii")
+    yield '"'
 
 
 def _numbers(values: list, what: str) -> list:
@@ -253,26 +291,60 @@ def _numbers(values: list, what: str) -> list:
     return values
 
 
+def _doubles(text: str) -> array:
+    """The weights a base64 string holds, 8 little-endian bytes each; every
+    one must be finite."""
+    try:
+        raw = base64.b64decode(text, validate=True)
+    except binascii.Error as exc:
+        raise ValueError(f"weights must be base64: {exc}") from None
+    if len(raw) % 8:
+        raise ValueError(f"weights must be 8 bytes each, got {len(raw)} bytes")
+    weights = array("d", raw)
+    if sys.byteorder == "big":
+        weights.byteswap()
+    # A sum is finite only if every weight is, though finite ones can overflow it.
+    if not (math.isfinite(sum(weights)) or all(map(math.isfinite, weights))):
+        bad = next(w for w in weights if not math.isfinite(w))
+        raise ValueError(f"weight must be finite, got {bad!r}")
+    return weights
+
+
+def _predates_format(data) -> bool:
+    """Whether parsed JSON is a model file written before weights were
+    base64 and features one string: weights as lists of numbers, features
+    as a list."""
+    if type(data) is not dict:
+        return False
+    weights, tfidf = data.get("weights"), data.get("tfidf")
+    return (type(weights) is list and weights != [] and all(type(w) is list for w in weights)
+            and type(tfidf) is dict and type(tfidf.get("features")) is list)
+
+
 def load_model(path: str | Path, kind: EdgeKind | None = None) -> LinearEdgeModel:
     """Read a model written by `save_model`.
 
     The file must name its edge kind, and with `kind` given it must be that
     one, so a model cannot score the other kind's edges. `weights` must be
-    two lists of V finite JSON numbers, V being the vocabulary size, and the
-    bias a finite JSON number; weights are checked in bulk, not one call per
-    value. `config` holds exactly `TrainConfig`'s keys, each with the JSON
-    type of its default, since `save_model` writes them back. The weights
-    go from each parsed list straight into an `array('d')`, and a zero,
-    `-0.0` included, loads as `0.0`, as in a model `train_linear` returns.
-    They are converted before `TfidfModel.from_dict` checks the `tfidf`
-    object, so a file with faults in both its weights and its `tfidf`
-    reports the weights' fault; their count is checked against V once V is
-    known. The model holds its features as lines (see `features`), so the
-    parsed weights and a vocabulary are never in memory together.
+    two base64 strings of 8 * V bytes each, V being the vocabulary size,
+    every weight finite, and the bias a finite JSON number. `config` holds
+    exactly `TrainConfig`'s keys, each with the JSON type of its default,
+    since `save_model` writes them back. Each weight string goes straight
+    into an `array('d')`, and a weight keeps its bits: a `-0.0`, which
+    `train_linear` never writes, scores as `0.0`, since the partial sums of
+    a logit are never `-0.0`. The weights are decoded before
+    `TfidfModel.from_dict` checks the `tfidf` object, so a file with faults
+    in both its weights and its `tfidf` reports the weights' fault; their
+    count is checked against V once V is known. A file in the layout
+    written before this one is reported as such, to be retrained.
     """
     with open(path, encoding="utf-8") as fh:
         try:
             data = json.load(fh)
+            if _predates_format(data):
+                raise MalformedFile(path, "bad model file: it predates the current format "
+                                    "(weights as lists of numbers, features as a list); "
+                                    "retrain it with `taxonet train`")
             found = EdgeKind(data["kind"])
             defaults = TrainConfig._field_defaults
             config = data["config"]
@@ -280,18 +352,17 @@ def load_model(path: str | Path, kind: EdgeKind | None = None) -> LinearEdgeMode
                 raise ValueError(f"config must hold exactly the keys {', '.join(defaults)}")
             check_json_types(defaults, config)
             cfg = TrainConfig(**config)
-            # Each parsed list leaves the queue, and memory, as it is converted.
-            # `w + 0.0` is float(w) for an int, and 0.0 for -0.0.
-            parsed = deque(data.pop("weights"))
-            dense = tuple(
-                array("d", map(add, _numbers(parsed.popleft(), "weight"), repeat(0.0)))
-                for _ in range(len(parsed))
-            )
+            # Each string leaves the list, and memory, as it is decoded.
+            encoded = data.pop("weights")
+            if not (type(encoded) is list and len(encoded) == 2
+                    and set(map(type, encoded)) == {str}):
+                raise TypeError("weights must be a list of two base64 strings")
+            dense = tuple(_doubles(encoded.pop(0)) for _ in range(2))
             tfidf = TfidfModel.from_dict(data.pop("tfidf"))
             n = tfidf.n_features
-            if len(dense) != 2 or any(len(ws) != n for ws in dense):
-                lengths = [len(ws) for ws in dense]
-                raise ValueError(f"weights must be two lists of {n} numbers, got lengths {lengths}")
+            if any(len(ws) != n for ws in dense):
+                sizes = [8 * len(ws) for ws in dense]
+                raise ValueError(f"weights must be two strings of {8 * n} bytes, got {sizes} bytes")
             (bias,) = map(float, _numbers([data["bias"]], "bias"))
         except (KeyError, TypeError, ValueError, ArithmeticError) as exc:
             raise MalformedFile(path, f"bad model file: {type(exc).__name__}: {exc}") from None

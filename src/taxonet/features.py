@@ -30,11 +30,12 @@ title's n-grams mapped to their columns, out-of-vocabulary ones dropped
 after, so no count by n-gram string is built.
 
 `TfidfModel.to_dict` is the `tfidf` object of a model file (see
-`classifier`): the spec, `n_docs`, the features in column order and their
-document frequencies. idf is not stored; `TfidfModel` computes it from
-`n_docs` and `df`, once per distinct df value, into `idf_of`, a table
-indexed by df value, and keeps no idf per column: `_vectorize` reads a
-column's idf as `idf_of[df[c]]`, so features with equal df share one float.
+`classifier`): the spec, `n_docs`, the features in column order as lines
+of one string, and their document frequencies. idf is not stored;
+`TfidfModel` computes it from `n_docs` and `df`, once per distinct df
+value, into `idf_of`, a table indexed by df value, and keeps no idf per
+column: `_vectorize` reads a column's idf as `idf_of[df[c]]`, so features
+with equal df share one float.
 """
 
 from __future__ import annotations
@@ -116,21 +117,23 @@ class TfidfModel:
 
     A model holds its features, in column order, in one of two forms, and
     the constructor takes either:
-    - lines: one string, a feature a line. The feature strings, their
-      column ints and the dict take about 17 times as much (8.3 against
-      0.5 MiB for an 82,415-feature model). `from_dict` gives a loaded
-      model its features this way, so a model that is only loaded and
-      saved, or loaded and checked as under `induce --uniform`, never
-      holds more. `release` keeps them this way once the titles the model
-      will score are cached, as `train` does before SGD, which reads no
-      vocabulary.
+    - lines: one string, a feature a line, which is also the form of a
+      model file. The feature strings, their column ints and the dict
+      take about 17 times as much (8.3 against 0.5 MiB for an
+      82,415-feature model). `from_dict` keeps the file's string as the
+      lines, so a model that is only loaded and saved, or loaded and
+      checked as under `induce --uniform`, never holds more. `release`
+      keeps them this way once the titles the model will score are
+      cached, as `train` does before SGD, which reads no vocabulary.
     - the vocabulary, the feature->column dict that vectorizing reads,
       numbered 0 to V-1 in insertion order. `fit_tfidf` builds it at once,
       as training vectorizes next. From lines, the first read of
-      `vocabulary` builds it and drops the lines; `induce` reads it right
-      before it forks, so the child inherits it instead of building its own.
+      `vocabulary` builds it and drops the lines: the first title a model
+      vectorizes, or, when `weigh_edges` forks, the read right before the
+      fork, so the child inherits it instead of building its own.
     No feature may hold a newline, as lines could not keep it (`_lines`);
-    `fit_tfidf`'s never do, as `_tokens` splits at whitespace.
+    `fit_tfidf`'s never do, as `_tokens` splits at whitespace. In a loaded
+    file a newline is the separator between two features, never a fault.
     """
 
     def __init__(self, spec: FeatureSpec, features: str | dict[str, int], df: list[int],
@@ -192,11 +195,13 @@ class TfidfModel:
         return chain.from_iterable(_line_blocks(self._features))
 
     def to_dict(self) -> dict:
-        """The `tfidf` object of a model file. `features` is a list, or,
-        from lines, an iterator, which `json.dumps(..., default=list)`
-        writes as a list; no vocabulary is built."""
+        """The `tfidf` object of a model file. `features` is the lines: the
+        model's own, or joined from the vocabulary, which must then hold no
+        feature with a newline (ValueError); no vocabulary is built."""
         sizes = sorted(self.spec.ngram_sizes) if self.spec.mode is FeatureMode.CHAR_NGRAM else None
-        features = list(self.features()) if type(self._features) is dict else self.features()
+        features = self._features
+        if type(features) is dict:
+            features = _lines(features, self.n_features)
         return {
             "spec": {
                 "mode": self.spec.mode.value,
@@ -214,10 +219,12 @@ class TfidfModel:
 
         It accepts what `to_dict` writes and nothing else: a char-mode spec
         holds a nonempty list of integers >= 1 and a word-mode spec `null`,
-        `lowercase` is `true`, `features` is a list of unique strings in
-        ascending order, the column order `fit_tfidf` assigns, and `df` a
-        list of as many integers >= 1, and no df exceeds `n_docs`. No feature
-        may hold a newline, as the model keeps them as lines.
+        `lowercase` is `true`, `df` is a list of integers >= 1, none above
+        `n_docs`, and `features` one string of as many lines, unique and
+        ascending, the column order `fit_tfidf` assigns (with no feature,
+        `""`). A newline there separates two features. The string becomes
+        the model's lines as it is; its order is checked a block of lines at
+        a time (`_line_blocks`), so it is never split whole.
         """
         raw_spec = data["spec"]
         mode = FeatureMode(raw_spec["mode"])
@@ -234,22 +241,20 @@ class TfidfModel:
             raise TypeError(f"n_docs must be an integer, got {data['n_docs']!r}")
         spec = FeatureSpec(mode=mode, ngram_sizes=frozenset(sizes))
         features, df = data["features"], data["df"]
-        # Bulk type checks: JSON decodes to exact types, and `bool` is not `int`.
-        if not (type(features) is list and set(map(type, features)) <= {str}):
-            raise TypeError("features must be a list of strings")
+        if type(features) is not str:
+            raise TypeError("features must be a string, a feature a line")
+        # A bulk type check: JSON decodes to exact types, and `bool` is not `int`.
         if not (type(df) is list and set(map(type, df)) <= {int}):
             raise TypeError("df must be a list of integers")
-        if len(df) != len(features):
-            raise ValueError(f"df has {len(df)} entries for {len(features)} features")
+        n_lines = features.count("\n") + 1
+        if n_lines != len(df) and (df or features):
+            raise ValueError(f"df has {len(df)} entries for {n_lines} features")
         if min(df, default=1) < 1:
             raise ValueError(f"df must be >= 1, got {min(df)}")
         if max(df, default=0) > data["n_docs"]:
             raise ValueError(f"n_docs {data['n_docs']} is below the largest df, {max(df)}")
-        if any(map(ge, features, islice(features, 1, None))):  # so each is there once
-            i = next(i for i in range(1, len(features)) if features[i - 1] >= features[i])
-            raise ValueError(f"features must be unique and ascending: {features[i]!r} "
-                             f"follows {features[i - 1]!r} at column {i}")
-        return cls(spec, _lines(features, len(df)), df, data["n_docs"])
+        _check_ascending(features)
+        return cls(spec, features, df, data["n_docs"])
 
 
 def _gatherer(cols: tuple[int, ...]) -> Callable[[Sequence[float]], tuple]:
@@ -315,6 +320,20 @@ def _lines(features: Iterable[str], n: int) -> str:
     if lines.count("\n") > max(n - 1, 0):
         raise ValueError("a feature holds a newline, so the features cannot be kept as lines")
     return lines
+
+
+def _check_ascending(lines: str) -> None:
+    """ValueError unless the lines are unique and ascending (so each is
+    there once), checked a block at a time, each block's first line against
+    the line before it."""
+    start, last = 0, None  # the block's first column, and the line before it
+    for block in _line_blocks(lines):
+        run, base = (block, 0) if last is None else ([last, *block], start - 1)
+        if any(map(ge, run, islice(run, 1, None))):
+            i = next(i for i in range(1, len(run)) if run[i - 1] >= run[i])
+            raise ValueError(f"features must be unique and ascending: {run[i]!r} "
+                             f"follows {run[i - 1]!r} at column {base + i}")
+        start, last = start + len(block), block[-1]
 
 
 # Characters, about, per block of a model's lines that is split at once.

@@ -5,9 +5,9 @@ Runs the `trained_world` pipeline of `tests/test_cli.py` through
 every file `train` and `induce` write with the pins in `tests/golden.py`
 for the running interpreter. It also checks each trained model file `p`
 twice: `save_model(load_model(p))` rewrites `p` byte for byte, and
-`save_model`, which writes the long lists in slices, writes the bytes of one
+`save_model`, which writes the long values in pieces, writes the bytes of one
 `json.dumps` over the whole model (`oracles.reference_model_text`). It needs
-no pytest, so any installed Python can run it, fork path included:
+no pytest, so any installed Python can run it, `train`'s fork included:
 
     python3.12 tests/check_golden.py
 

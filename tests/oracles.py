@@ -11,8 +11,10 @@ via sort. Slow but obviously correct on small graphs.
 
 from __future__ import annotations
 
+import base64
 import json
 import math
+import struct
 from collections import Counter, deque
 from fractions import Fraction
 from itertools import chain, repeat
@@ -271,10 +273,15 @@ def reference_train_linear(dataset, tfidf, cfg, graph):
 
 def reference_model_text(model):
     """A model file's text as one `json.dumps` call over the whole model,
-    the way `classifier.save_model` wrote it before it wrote the long lists
-    in slices; a weight array is written as a list. `save_model` must write
-    these bytes."""
-    return json.dumps(model.to_dict(), ensure_ascii=False, default=list) + "\n"
+    each weight vector as the base64 of its V little-endian doubles, packed
+    by `struct`, one vector at a time: not the pieces `classifier.save_model`
+    writes. `save_model` must write these bytes."""
+    data = model.to_dict()
+    data["weights"] = [
+        base64.b64encode(struct.pack("<%dd" % len(ws), *ws)).decode("ascii")
+        for ws in data["weights"]
+    ]
+    return json.dumps(data, ensure_ascii=False) + "\n"
 
 
 # The loaders as they read before they took a file whole: one line at a

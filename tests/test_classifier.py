@@ -1,4 +1,6 @@
+import base64
 import json
+import struct
 import tempfile
 from array import array
 from itertools import chain, cycle, islice
@@ -9,6 +11,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from taxonet import Node, NodeKind, WcnGraph, features
 from taxonet.classifier import (
+    _PIECE,
     _SLICE,
     LinearEdgeModel,
     TrainConfig,
@@ -329,7 +332,6 @@ def test_model_file_roundtrip(tmp_path):
     assert [p.name for p in tmp_path.iterdir()] == ["model.ec.json"]
     data = json.loads((tmp_path / "model.ec.json").read_text(encoding="utf-8"))
     assert set(data) == {"kind", "tfidf", "weights", "bias", "config"}
-    assert data["weights"] == [ws.tolist() for ws in model.dense]
     again = load_model(tmp_path / "model.ec.json")
     assert again.dense == model.dense
     # Trained and loaded weights alike are two `array('d')`.
@@ -357,25 +359,48 @@ def test_weights_are_arrays_of_sgds_values(world_datasets, tmp_path):
     assert [w.hex() for w in chain(*again.dense)] == [w.hex() for w in chain(*model.dense)]
 
 
-def test_negative_and_integer_zero_weights_load_as_zero(tmp_path):
-    """`-0.0` and `0` in a model file load as `0.0`, and save as `0.0`; an
-    integer weight loads as its float."""
+def test_weights_are_little_endian_doubles(tmp_path):
+    """Each weight string is the base64 of V little-endian binary64 values,
+    bit for bit the model's weights."""
     _, model, _ = trained()
     save_model(model, tmp_path / "model.ec.json")
     data = json.loads((tmp_path / "model.ec.json").read_text(encoding="utf-8"))
-    data["weights"][0][:3] = [-0.0, 0, 2]
-    (tmp_path / "edited.json").write_text(json.dumps(data), encoding="utf-8")
-    again = load_model(tmp_path / "edited.json")
-    assert [w.hex() for w in again.dense[0][:3]] == ["0x0.0p+0", "0x0.0p+0", "0x1.0000000000000p+1"]
-    save_model(again, tmp_path / "saved.json")
-    saved = json.loads((tmp_path / "saved.json").read_text(encoding="utf-8"))
-    assert json.dumps(saved["weights"][0][:3]) == "[0.0, 0.0, 2.0]"
+    n = model.tfidf.n_features
+    for encoded, weights in zip(data["weights"], model.dense, strict=True):
+        unpacked = struct.unpack("<%dd" % n, base64.b64decode(encoded, validate=True))
+        assert [w.hex() for w in unpacked] == [w.hex() for w in weights]
+
+
+def test_negative_zero_weight_round_trips_and_scores_as_zero(tmp_path):
+    """A `-0.0` weight loads with its bits and saves them back, and every
+    edge scores as with `0.0`: a logit's partial sums are never `-0.0`."""
+    graph, model, dataset = trained()
+    child_cols, _, _ = model.tfidf.half(graph.title(dataset.train[0].child))
+    col = child_cols[0]
+    child = array("d", model.dense[0])
+    child[col] = 0.0
+    zero = model._replace(dense=(child, model.dense[1]))
+    save_model(zero, tmp_path / "zero.json")
+    data = json.loads((tmp_path / "zero.json").read_text(encoding="utf-8"))
+    child[col] = -0.0
+    data["weights"][0] = base64.b64encode(struct.pack("<%dd" % len(child), *child)).decode()
+    edited = tmp_path / "negative.json"
+    edited.write_text(json.dumps(data, ensure_ascii=False) + "\n", encoding="utf-8")
+    negative = load_model(edited)
+    assert negative.dense[0][col].hex() == "-0x0.0p+0"
+    save_model(negative, tmp_path / "saved.json")
+    assert (tmp_path / "saved.json").read_bytes() == edited.read_bytes()
+    for e in dataset.train + dataset.validation:
+        titles = graph.title(e.child), graph.title(e.parent)
+        assert predict_proba(negative, *titles).hex() == predict_proba(zero, *titles).hex()
 
 
 # Feature strings rich in what JSON escapes ('"', '\\', control characters)
-# or, with ensure_ascii=False, writes raw (non-ASCII, U+2028).
+# or, with ensure_ascii=False, writes raw (non-ASCII, U+2028); no newline,
+# which separates the features in a model file.
 FEATURE_TEXT = st.text(
-    st.one_of(st.sampled_from('"\\\x00\x1f\x7f\n\t\u2028é日'), st.characters(codec="utf-8")),
+    st.one_of(st.sampled_from('"\\\x00\x1f\x7f\r\t\u2028é日'),
+              st.characters(codec="utf-8", exclude_characters="\n")),
     min_size=1, max_size=6,
 )
 # One token that is its own lowercase, for a released model's features:
@@ -393,12 +418,14 @@ FLOATS = st.one_of(
 
 
 class TestSavedBytes:
-    """`save_model` writes the long lists `_SLICE` entries at a time; the
-    file must hold the bytes of one `json.dumps` over the whole model."""
+    """`save_model` writes the long values in pieces; the file must hold
+    the bytes of one `json.dumps` over the whole model."""
 
+    # V around a base64 piece of `_PIECE` weights; from `_SLICE` features on,
+    # the features string is longer than one piece of `_PIECE` characters.
     @given(
         texts=st.lists(FEATURE_TEXT, min_size=1, max_size=8),
-        n=st.sampled_from([0, 1, 2, _SLICE, _SLICE + 1]),
+        n=st.sampled_from([0, 1, 2, _SLICE, _SLICE + 1, _PIECE - 1, _PIECE, _PIECE + 1]),
         weights=st.lists(FLOATS, min_size=1, max_size=8),
         bias=FLOATS,
         learning_rate=st.sampled_from([0.1, 5e-324, 1e308, 1 / 3]),
@@ -409,10 +436,14 @@ class TestSavedBytes:
         texts=['a"b\\c\x00é'], n=1, weights=[5e-324, -1e308, 1 / 3], bias=1 / 3,
         learning_rate=1e308, spec=CHAR, kind=EdgeKind.ENTITY_TO_CATEGORY,
     )
+    @example(
+        texts=['a"b\\c\x00é\u2028'], n=_PIECE + 1, weights=[-0.0, 1 / 3], bias=0.0,
+        learning_rate=0.1, spec=CHAR, kind=EdgeKind.CATEGORY_TO_CATEGORY,
+    )
     def test_equals_one_dumps(self, texts, n, weights, bias, learning_rate, spec, kind):
-        # A suffix of digits after "\x01" keeps the n features unique; a
-        # feature may hold a newline, so the model holds its vocabulary.
+        # A suffix of digits after "\x01" keeps the n features unique.
         features = [f"{texts[i % len(texts)]}\x01{i}" for i in range(n)]
+        assert n < _SLICE or len("\n".join(features)) > _PIECE
         tfidf = TfidfModel(spec, dict(zip(features, range(n))), [1 + i % 3 for i in range(n)], 3)
         values = list(islice(cycle(weights), 2 * n))
         hyper = TrainConfig(learning_rate=learning_rate, seed=2**64 - 1)
@@ -440,8 +471,9 @@ class TestSavedBytes:
         spec = FeatureSpec(mode, sizes) if mode is FeatureMode.CHAR_NGRAM else WORD
         kept, released = fit_tfidf(titles, spec), fit_tfidf(titles, spec)
         released.release(titles)
-        # Released, the model holds lines, which `to_dict` hands out one at a time.
-        assert not isinstance(released.to_dict()["features"], list) and released.n_features == n
+        # Released, the model holds lines, which `to_dict` hands out as they are.
+        assert released.to_dict()["features"] == "\n".join(sorted(titles))
+        assert released.n_features == n
         values = list(islice(cycle(weights), 2 * n))
         saved = []
         with tempfile.TemporaryDirectory() as tmp:
@@ -451,7 +483,7 @@ class TestSavedBytes:
                 save_model(model, Path(tmp) / f"{i}.json")
                 saved.append((Path(tmp) / f"{i}.json").read_bytes())
         assert saved[1] == saved[0] == reference_model_text(model).encode("utf-8")
-        assert json.loads(saved[1])["tfidf"]["features"] == sorted(titles)
+        assert json.loads(saved[1])["tfidf"]["features"].split("\n") == sorted(titles)
 
     def test_release_rejects_a_feature_with_a_newline(self, monkeypatch):
         # Nothing changes: no title is cached, and the vocabulary stays.
@@ -460,5 +492,5 @@ class TestSavedBytes:
         monkeypatch.setattr(features, "_vectorize", lambda *args: calls.append(args))
         with pytest.raises(ValueError, match="a feature holds a newline"):
             tfidf.release(["a"])
-        assert calls == [] and tfidf.to_dict()["features"] == ["a\nb"]
+        assert calls == [] and list(tfidf.features()) == ["a\nb"]
         assert tfidf.vocabulary == {"a\nb": 0}

@@ -1,6 +1,8 @@
+import base64
 import gc
 import json
 import os
+import struct
 import subprocess
 import sys
 import weakref
@@ -9,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import taxonet
-from taxonet import cli, features, forking
+from taxonet import cli, features, forking, induction
 from taxonet.cli import main
 from taxonet.features import FeatureMode, FeatureSpec
 from taxonet.graph import EdgeKind, NodeKind
@@ -358,14 +360,12 @@ class TestInduce:
         assert run(capsys, *induce_args(paths, projected, models, out, k=2, **flags))[0] == 0
         assert len(refs) == 2
 
-    @pytest.mark.parametrize("uniform", [False, True])
-    def test_ec_model_read_before_network(self, trained_world, tmp_path, capsys, monkeypatch,
-                                          uniform):
-        # The ec model file is parsed first. Each model's vocabulary is built
-        # in this process once the network is loaded, right before the fork
-        # and only once; under --uniform never.
+    @staticmethod
+    def induce_events(trained_world, tmp_path, capsys, monkeypatch, flags):
+        """Run `induce`, which must write what it writes unwatched, and
+        return what it did in order: each model file read, the network
+        loaded, each vocabulary built and each fork."""
         _, paths, projected, models = trained_world
-        flags = {"uniform": None} if uniform else {}
         expected = tmp_path / "expected.tsv"
         assert run(capsys, *induce_args(paths, projected, models, expected, **flags))[0] == 0
         events = []
@@ -392,11 +392,30 @@ class TestInduce:
         out = tmp_path / "final.tsv"
         assert run(capsys, *induce_args(paths, projected, models, out, **flags))[0] == 0
         assert out.read_bytes() == expected.read_bytes()
+        return events
+
+    @pytest.mark.parametrize("uniform", [False, True])
+    def test_ec_model_read_before_network(self, trained_world, tmp_path, capsys, monkeypatch,
+                                          uniform):
+        # The ec model file is parsed first. Each model's vocabulary is built
+        # in this process once the network is loaded, by the first title it
+        # vectorizes, and only once; under --uniform never. Each kind has
+        # fewer search edges than `_FORK_EDGES`, so nothing forks.
+        flags = {"uniform": None} if uniform else {}
+        events = self.induce_events(trained_world, tmp_path, capsys, monkeypatch, flags)
         if uniform:
             assert events == ["model.ec.json", "load_wcn", "model.cc.json"]
         else:
-            assert events == ["model.ec.json", "load_wcn", "vocabulary", "fork",
-                              "model.cc.json", "vocabulary", "fork"]
+            assert events == ["model.ec.json", "load_wcn", "vocabulary",
+                              "model.cc.json", "vocabulary"]
+
+    def test_vocabulary_built_before_the_fork(self, trained_world, tmp_path, capsys, monkeypatch):
+        # Every list forks with the constant lowered, and each model's
+        # vocabulary is built right before its fork, so the child inherits it.
+        monkeypatch.setattr(induction, "_FORK_EDGES", 1)
+        events = self.induce_events(trained_world, tmp_path, capsys, monkeypatch, {})
+        assert events == ["model.ec.json", "load_wcn", "vocabulary", "fork",
+                          "model.cc.json", "vocabulary", "fork"]
 
     def test_k2_output_superset_of_k1(self, trained_world, tmp_path, capsys):
         _, paths, projected, models = trained_world
@@ -424,6 +443,29 @@ def test_model_file_writer_equals_one_dumps(trained_world, tmp_path, name):
     model = load_model(out_dir / name)
     save_model(model, tmp_path / name)
     assert (tmp_path / name).read_bytes() == reference_model_text(model).encode("utf-8")
+
+
+def reencoded(data, i, edit):
+    """Apply `edit` to the list of weights a model's i-th weight string
+    holds, and encode it again."""
+    raw = base64.b64decode(data["weights"][i], validate=True)
+    weights = list(struct.unpack("<%dd" % (len(raw) // 8), raw))
+    edit(weights)
+    data["weights"][i] = base64.b64encode(struct.pack("<%dd" % len(weights), *weights)).decode()
+
+
+def relined(tfidf, edit):
+    """Apply `edit` to the list of a `tfidf` object's feature lines, whose
+    first `_line_blocks` block it gets as a second argument; join them again."""
+    lines = tfidf["features"].split("\n")
+    edit(lines, len(next(features._line_blocks(tfidf["features"]))))
+    tfidf["features"] = "\n".join(lines)
+
+
+def add_line(tfidf, line="\uffff"):
+    """Append a feature line to a `tfidf` object: by default one that sorts
+    after every feature `train` writes, which are lowercase n-grams."""
+    tfidf["features"] += "\n" + line
 
 
 class TestBadInput:
@@ -510,21 +552,26 @@ class TestBadInput:
         pytest.param(lambda d: d["config"].update(momentum=0.9), id="<lambda>3"),
         pytest.param(lambda d: d.pop("kind"), id="<lambda>4"),
         pytest.param(lambda d: d.update(kind="ce"), id="<lambda>5"),
-        pytest.param(lambda d: d["weights"][0].append(0.0), id="<lambda>6"),  # one entry long
-        pytest.param(lambda d: d["weights"][1].pop(), id="<lambda>7"),  # one entry short
-        pytest.param(lambda d: d["weights"].append(list(d["weights"][1])), id="<lambda>8"),  # three lists
-        pytest.param(lambda d: d["weights"][0].__setitem__(0, "1.5"), id="<lambda>9"),
-        pytest.param(lambda d: d["weights"][0].__setitem__(0, True), id="<lambda>10"),
+        # 8 bytes, one weight, more or fewer.
+        pytest.param(lambda d: reencoded(d, 0, lambda ws: ws.append(0.0)), id="<lambda>6"),
+        pytest.param(lambda d: reencoded(d, 1, list.pop), id="<lambda>7"),
+        pytest.param(lambda d: d["weights"].append(d["weights"][1]), id="<lambda>8"),  # three strings
+        # A weight's text: "." is no base64 digit.
+        pytest.param(lambda d: d["weights"].__setitem__(0, "1.5" + d["weights"][0][3:]),
+                     id="<lambda>9"),
+        pytest.param(lambda d: d["weights"].__setitem__(0, True), id="<lambda>10"),
         pytest.param(lambda d: d.update(bias="0.5"), id="<lambda>11"),
         pytest.param(lambda d: d.update(bias=float("nan")), id="<lambda>12"),
         pytest.param(lambda d: d.update(bias=10**400), id="<lambda>13"),  # overflows a float
-        pytest.param(lambda d: d["weights"][1].__setitem__(0, float("nan")), id="<lambda>14"),
-        pytest.param(lambda d: d["weights"][1].__setitem__(0, float("inf")), id="<lambda>15"),
-        pytest.param(lambda d: d["weights"][1].__setitem__(0, float("-inf")), id="<lambda>16"),
-        pytest.param(lambda d: d["weights"][1].__setitem__(0, 10**400), id="<lambda>17"),
+        pytest.param(lambda d: reencoded(d, 1, lambda ws: ws.__setitem__(0, float("nan"))),
+                     id="<lambda>14"),
+        pytest.param(lambda d: reencoded(d, 1, lambda ws: ws.__setitem__(0, float("inf"))),
+                     id="<lambda>15"),
+        pytest.param(lambda d: reencoded(d, 1, lambda ws: ws.__setitem__(-1, float("-inf"))),
+                     id="<lambda>16"),
         pytest.param(lambda d: d.update(bias=True), id="<lambda>18"),
-        pytest.param(lambda d: d["weights"].pop(), id="<lambda>19"),  # one list
-        pytest.param(lambda d: d["weights"].__setitem__(1, "ab"), id="<lambda>20"),
+        pytest.param(lambda d: d["weights"].pop(), id="<lambda>19"),  # one string
+        pytest.param(lambda d: d["weights"].__setitem__(1, "ab"), id="<lambda>20"),  # unpadded
         pytest.param(lambda d: d.update(weights={"0": 1.0}), id="<lambda>21"),
         pytest.param(lambda d: d.update(bias=float("-inf")), id="<lambda>22"),
         pytest.param(lambda d: d["weights"].__setitem__(0, {}), id="<lambda>23"),
@@ -536,22 +583,66 @@ class TestBadInput:
         pytest.param(lambda d: [d["config"].pop(k) for k in ("epochs", "seed")],
                      id="config-missing-keys"),
         # Features out of ascending order loaded, each with another column.
-        pytest.param(lambda d: d["tfidf"]["features"].insert(1, d["tfidf"]["features"].pop(0)),
+        pytest.param(lambda d: relined(d["tfidf"], lambda ls, _: ls.insert(1, ls.pop(0))),
                      id="features-out-of-order"),
-        # A model keeps its features as lines, so none may hold a newline.
-        pytest.param(lambda d: d["tfidf"]["features"].append(d["tfidf"]["features"].pop() + "\n"),
-                     id="feature-holds-newline"),
+        # A newline separates two features, so one more gives one line more than df.
+        pytest.param(lambda d: add_line(d["tfidf"], ""), id="feature-holds-newline"),
+        # A space, which a decoder that skips what is no base64 digit would drop.
+        pytest.param(lambda d: d["weights"].__setitem__(
+            0, d["weights"][0][:8] + " " + d["weights"][0][8:]), id="weights-space-in-base64"),
+        pytest.param(lambda d: d["weights"].__setitem__(1, d["weights"][1][:-1]),
+                     id="weights-bad-base64-padding"),
+        pytest.param(lambda d: d["weights"].__setitem__(0, "é" + d["weights"][0][1:]),
+                     id="weights-non-ascii"),
+        # 8 * V - 1 bytes.
+        pytest.param(lambda d: d["weights"].__setitem__(
+            0, base64.b64encode(base64.b64decode(d["weights"][0])[:-1]).decode()),
+                     id="weights-not-whole-doubles"),
     ])
     def test_broken_model_file(self, trained_world, tmp_path, capsys, edit):
         self.induce_with_edited_model(trained_world, tmp_path, capsys, edit)
 
+    # Features are checked block by block, each block's first line against
+    # the line before it; with 256-character blocks, the file's fill several.
+    # The first line after the first block becomes a proper prefix of the line
+    # before it (out of order) or that line itself (repeated).
+    @pytest.mark.parametrize("cut", [1, 0], ids=["out-of-order", "repeated"])
+    def test_features_fault_at_block_border(self, trained_world, tmp_path, capsys, monkeypatch,
+                                            cut):
+        monkeypatch.setattr(features, "_BLOCK", 256)
+        border = []
+
+        def edit(lines, k):
+            assert 1 < k < len(lines)
+            lines[k] = lines[k - 1][: len(lines[k - 1]) - cut]
+            border.append((k, lines[k - 1], lines[k]))
+
+        err = self.induce_with_edited_model(
+            trained_world, tmp_path, capsys, lambda d: relined(d["tfidf"], edit))
+        ((k, before, after),) = border
+        assert err.endswith(f": features must be unique and ascending: {after!r} "
+                            f"follows {before!r} at column {k}\n")
+
     def test_weights_fault_reported_before_tfidf_fault(self, trained_world, tmp_path, capsys):
-        # The weights are converted before the `tfidf` object is checked.
+        # The weights are decoded before the `tfidf` object is checked.
         def edit(data):
-            data["weights"][0][0] = "1.5"
-            data["tfidf"]["features"].append("zz")
+            reencoded(data, 0, lambda ws: ws.__setitem__(0, float("nan")))
+            data["tfidf"]["features"] += "\nzz"
         err = self.induce_with_edited_model(trained_world, tmp_path, capsys, edit)
-        assert err.endswith(": bad model file: TypeError: weight must be a number, got '1.5'\n")
+        assert err.endswith(": bad model file: ValueError: weight must be finite, got nan\n")
+
+    def test_model_file_in_the_earlier_layout(self, trained_world, tmp_path, capsys):
+        # Weights as lists of numbers and features as a list: the layout
+        # written before weights were base64 and features one string.
+        def edit(data):
+            for i, encoded in enumerate(data["weights"]):
+                raw = base64.b64decode(encoded)
+                data["weights"][i] = list(struct.unpack("<%dd" % (len(raw) // 8), raw))
+            data["tfidf"]["features"] = data["tfidf"]["features"].split("\n")
+        err = self.induce_with_edited_model(trained_world, tmp_path, capsys, edit)
+        assert err == (f"error: {tmp_path / 'model.ec.json'}: bad model file: it predates the "
+                       "current format (weights as lists of numbers, features as a list); "
+                       "retrain it with `taxonet train`\n")
 
     # Explicit ids, as in `test_broken_model_file`.
     @pytest.mark.parametrize("edit", [
@@ -572,14 +663,18 @@ class TestBadInput:
         pytest.param(lambda d: d["spec"].update(ngram_sizes=None), id="<lambda>13"),
         pytest.param(lambda d: d["spec"].update(ngram_sizes=[0, 2]), id="<lambda>14"),
         pytest.param(lambda d: d["spec"].update(mode="word"), id="<lambda>15"),  # word mode writes null sizes
-        pytest.param(lambda d: (d["features"].append(5), d["df"].append(1)), id="<lambda>16"),
-        pytest.param(lambda d: (d["features"].append("zz"), d["df"].append(1.5)), id="<lambda>17"),
-        pytest.param(lambda d: (d["features"].append("zz"), d["df"].append(True)), id="<lambda>18"),
-        pytest.param(lambda d: (d["features"].append("zz"), d["df"].append(0)), id="<lambda>19"),
-        pytest.param(lambda d: d["features"].append("zz"), id="<lambda>20"),  # one feature more than df entries
-        pytest.param(lambda d: d["df"].append(1), id="<lambda>21"),  # one df entry more than features
+        pytest.param(lambda d: d.update(features=5), id="<lambda>16"),
+        pytest.param(lambda d: (add_line(d), d["df"].append(1.5)), id="<lambda>17"),
+        pytest.param(lambda d: (add_line(d), d["df"].append(True)), id="<lambda>18"),
+        pytest.param(lambda d: (add_line(d), d["df"].append(0)), id="<lambda>19"),
+        # One feature line more than df entries; one fewer, by a df entry more or a line less.
+        pytest.param(add_line, id="<lambda>20"),
+        pytest.param(lambda d: d["df"].append(1), id="<lambda>21"),
+        pytest.param(lambda d: d.update(features=d["features"].rsplit("\n", 1)[0]),
+                     id="features-one-line-fewer"),
         # A repeated feature: the vocabulary still has V columns, like the weights.
-        pytest.param(lambda d: (d["features"].append(d["features"][0]), d["df"].append(1)), id="<lambda>22"),
+        pytest.param(lambda d: (add_line(d, d["features"].rsplit("\n", 1)[1]), d["df"].append(1)),
+                     id="<lambda>22"),
         # n_docs below a df turns idf negative for df >= 2 and exited 0.
         pytest.param(lambda d: d.update(n_docs=0), id="<lambda>23"),
         pytest.param(lambda d: d.update(n_docs=max(d["df"]) - 1), id="<lambda>24"),

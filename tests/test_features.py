@@ -113,12 +113,12 @@ class TestFitTfidf:
     def test_vocabulary_built_on_first_use(self):
         # A model built from lines builds its vocabulary on the first read
         # and keeps it; one built from a vocabulary holds that dict itself.
-        # `to_dict` writes the features from either form, building nothing.
+        # `to_dict` writes the features as lines from either form, building nothing.
         model = TfidfModel(WORD, "ab\ncd", [2, 1], 2)
-        assert list(model.to_dict()["features"]) == ["ab", "cd"]
+        assert model.to_dict()["features"] == "ab\ncd"
         vocabulary = model.vocabulary
         assert vocabulary == {"ab": 0, "cd": 1} and model.vocabulary is vocabulary
-        assert model.to_dict()["features"] == ["ab", "cd"]
+        assert model.to_dict()["features"] == "ab\ncd"
         vocabulary = {"ab": 0, "cd": 1}
         assert TfidfModel(WORD, vocabulary, [2, 1], 2).vocabulary is vocabulary
 
@@ -314,7 +314,7 @@ def test_model_json_roundtrip():
     data = json_round_trip(model)
     assert data["spec"] == {"mode": "char", "ngram_sizes": [2, 3, 4, 5, 6], "lowercase": True}
     assert set(data) == {"spec", "n_docs", "features", "df"}  # no idf: it is computed
-    assert data["features"] == sorted(model.vocabulary)
+    assert data["features"] == "\n".join(sorted(model.vocabulary))
     again = TfidfModel.from_dict(data)
     assert again.vocabulary == model.vocabulary
     assert again.df == model.df
@@ -332,9 +332,41 @@ def test_features_not_unique_and_ascending_rejected(features, message):
     # `fit_tfidf` assigns columns in ascending feature order, so a model
     # file whose features are in another order is damaged.
     data = json_round_trip(fit_tfidf(["ab cd ef"], WORD))
-    data["features"] = features
+    data["features"] = "\n".join(features)
     with pytest.raises(ValueError, match=f"^features must be unique and ascending: {message}$"):
         TfidfModel.from_dict(data)
+
+
+@pytest.mark.parametrize("lines, message", [
+    ("aa\nbb\nab\ndd", "'ab' follows 'bb' at column 2"),
+    ("aa\nbb\nbb\ndd", "'bb' follows 'bb' at column 2"),
+    ("aa\nbb\ncc\ndd\nee\ncc", "'cc' follows 'ee' at column 5"),
+])
+def test_features_checked_across_block_borders(monkeypatch, lines, message):
+    # With 4-character blocks, columns 0-1 and 2-3 are blocks of their own,
+    # so each fault is one block's first line against the line before it,
+    # or within a later block.
+    monkeypatch.setattr(features, "_BLOCK", 4)
+    assert list(features._line_blocks(lines))[:2] == [["aa", "bb"], lines.split("\n")[2:4]]
+    data = {"spec": {"mode": "word", "ngram_sizes": None, "lowercase": True}, "n_docs": 1,
+            "features": lines, "df": [1] * (lines.count("\n") + 1)}
+    with pytest.raises(ValueError, match=f"^features must be unique and ascending: {message}$"):
+        TfidfModel.from_dict(data)
+    data["features"] = "\n".join(sorted(set(lines.split("\n"))))
+    data["df"] = [1] * (data["features"].count("\n") + 1)
+    assert list(TfidfModel.from_dict(data).features()) == sorted(set(lines.split("\n")))
+
+
+@pytest.mark.parametrize("lines, n", [("a", 0), ("a\nb", 1), ("a", 2), ("a\nb\n", 2)])
+def test_features_hold_one_line_per_df_entry(lines, n):
+    data = {"spec": {"mode": "word", "ngram_sizes": None, "lowercase": True}, "n_docs": 1,
+            "features": lines, "df": [1] * n}
+    with pytest.raises(ValueError, match=f"^df has {n} entries for "):
+        TfidfModel.from_dict(data)
+    # `""` is no feature with no df entry, and one empty feature with one.
+    for count in (0, 1):
+        data.update(features="", df=[1] * count)
+        assert list(TfidfModel.from_dict(data).features()) == [""] * count
 
 
 @given(st.lists(TITLES, min_size=1, max_size=8), SPECS)

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from taxonet import features, forking
+from taxonet import features, forking, induction
 from taxonet import (
     EdgeDataset,
     Node,
@@ -138,17 +138,22 @@ class TestWeighEdges:
             expected = min(max(raw, cfg.epsilon), 1.0 - cfg.epsilon)
             assert weighted.prob[(child, parent)] == expected, (child, parent)
 
-    def test_equals_per_edge_reference_bit_for_bit(self, world_models):
-        # Every edge's weight must equal the one `reference_proba` computes.
+    def test_equals_per_edge_reference_bit_for_bit(self, world_models, monkeypatch):
+        # Every edge's weight must equal the one `reference_proba` computes,
+        # scored in this process, and split with a forked child.
         graph, models = world_models
-        assert graph.n_edges > 100
+        assert 100 < graph.n_edges < induction._FORK_EDGES
+        self.assert_equals_reference(graph, models, InductionConfig())
+        monkeypatch.setattr(induction, "_FORK_EDGES", 1)
         self.assert_equals_reference(graph, models, InductionConfig())
 
     @pytest.mark.parametrize("n_edges", [1, 2, 7])
-    def test_split_equals_reference_on_few_edges(self, world_models, n_edges):
+    def test_split_equals_reference_on_few_edges(self, world_models, monkeypatch, n_edges):
         # The child scores edges[n // 2:], so a single edge goes to the child
         # alone and an odd count splits unevenly; the world's last seven
         # edges hold both kinds (the whole world has an odd count too).
+        # Lists this short fork only with the constant lowered.
+        monkeypatch.setattr(induction, "_FORK_EDGES", 1)
         graph, models = world_models
         edges = list(graph.edges())[-n_edges:]
         ids = {n for e in edges for n in e}
@@ -157,15 +162,13 @@ class TestWeighEdges:
         self.assert_equals_reference(small, models, InductionConfig())
 
     def test_keeps_no_entity_child_vector(self, world_models, monkeypatch):
-        # Each part (one per process) vectorizes each of its titles once and
-        # drops a child's vector after the child's last edge, unless the title
-        # is also a parent there; so no entity's vector is left cached.
+        # Each part (the whole list in this process, or one half per process)
+        # vectorizes each of its titles once and drops a child's vector after
+        # the child's last edge, unless the title is also a parent there; so
+        # no entity's vector is left cached.
         graph, trained = world_models
         expected = weigh_edges(graph, *(trained[kind] for kind in EdgeKind)).prob
-        # Copies as `load_model` gives them: the trained models cache their training titles.
-        models = {kind: m._replace(tfidf=TfidfModel.from_dict(m.tfidf.to_dict()))
-                  for kind, m in trained.items()}
-        calls = []
+        edges = list(graph.edges())
 
         def vectorize(tfidf, title):
             calls[-1].append((tfidf, title))
@@ -173,7 +176,6 @@ class TestWeighEdges:
 
         def run_pair(first, second):
             # In process, one part after the other, each a list of its own.
-            calls.append([])
             here = first()
             calls.append([])
             return here, second()
@@ -181,18 +183,46 @@ class TestWeighEdges:
         real_vectorize = features._vectorize
         monkeypatch.setattr(features, "_vectorize", vectorize)
         monkeypatch.setattr(forking, "run_pair", run_pair)
-        edges = list(graph.edges())
-        assert weigh_edges(graph, *(models[kind] for kind in EdgeKind)).prob == expected
-        assert len(calls) == 2 and all(len(part) == len(set(part)) for part in calls)
-        tfidf = {edge: models[edge_kind(graph, edge[0])].tfidf for edge in edges}
-        first = edges[: len(edges) // 2]
-        assert set(calls[0]) == {(tfidf[e], graph.title(n)) for e in first for n in e}
-        # Only titles that are parents somewhere stay cached, and no entity is one.
-        parents = {graph.title(p) for _, p in edges}
-        assert all(models[kind].tfidf._halves.keys() <= parents for kind in EdgeKind)
-        assert models[EdgeKind.ENTITY_TO_CATEGORY].tfidf._halves
+        half = len(edges) // 2
+        for fork_edges, parts in ((len(edges) + 1, [edges]), (1, [edges[:half], edges[half:]])):
+            monkeypatch.setattr(induction, "_FORK_EDGES", fork_edges)
+            # Copies as `load_model` gives them: the trained models cache their training titles.
+            models = {kind: m._replace(tfidf=TfidfModel.from_dict(m.tfidf.to_dict()))
+                      for kind, m in trained.items()}
+            calls = [[]]
+            assert weigh_edges(graph, *(models[kind] for kind in EdgeKind)).prob == expected
+            assert len(calls) == len(parts) and all(len(part) == len(set(part)) for part in calls)
+            tfidf_of = {edge: models[edge_kind(graph, edge[0])].tfidf for edge in edges}
+            # A second part runs here after the first, so it reuses the first's parents.
+            assert set(calls[0]) == {(tfidf_of[e], graph.title(n)) for e in parts[0] for n in e}
+            # Only titles that are parents somewhere stay cached, and no entity is one.
+            parents = {graph.title(p) for _, p in edges}
+            assert all(models[kind].tfidf._halves.keys() <= parents for kind in EdgeKind)
+            assert models[EdgeKind.ENTITY_TO_CATEGORY].tfidf._halves
         entities = {graph.title(c) for c, _ in edges if edge_kind(graph, c) is EdgeKind.ENTITY_TO_CATEGORY}
         assert entities and not entities & parents
+
+    def test_forks_from_the_constant_on(self, monkeypatch):
+        # A list of `_FORK_EDGES` edges or more is split with a forked child,
+        # a shorter one is scored here, to the same weights.
+        n = induction._FORK_EDGES
+        nodes = [Node("c", NodeKind.CATEGORY, "c")]
+        nodes += [Node(f"e{i:05d}", NodeKind.ENTITY, f"e {i}") for i in range(n)]
+        graph = WcnGraph(nodes, [(f"e{i:05d}", "c") for i in range(n)])
+        edges = list(graph.edges())
+        calls = []
+
+        def run_pair(first, second):
+            calls.append(len(edges))
+            return real_run_pair(first, second)
+
+        real_run_pair = forking.run_pair
+        monkeypatch.setattr(forking, "run_pair", run_pair)
+        below = weigh_edges(graph, *constant_models(1.0, -1.0), InductionConfig(), edges[1:])
+        assert calls == []
+        at = weigh_edges(graph, *constant_models(1.0, -1.0), InductionConfig(), edges)
+        assert calls == [n]
+        assert below.prob == {e: at.prob[e] for e in edges[1:]}
 
     def test_uniform_never_forks(self, monkeypatch):
         def no_fork():
