@@ -8,19 +8,19 @@ its own TFIDF vocabulary. A model is a named tuple, like the library's
 other records.
 
 Training, validation and edge weighing read each title's vector from its
-TFIDF model's cache (`TfidfModel.half`), so a title is vectorized once per
-model, not once per edge. Weights live in two dense vectors of V floats,
-one for the child's columns [0, V) and one for the parent's [V, 2V), both
-indexed from 0. During training they are two lists, SGD's state: SGD
-writes each step back with a plain store loop over the entries, and
-CPython specialises a list store by int index, where a `map` over
-`list.__setitem__` calls a method-wrapper per element. A model keeps them
-as two `array('d')`, 8 bytes a weight and no float object each: at the
-end of training the final L2 scale is applied as each list is copied into
-its array, and `load_model` builds the arrays straight from the file's
-bytes. A title's cached `gather` reads its weights from either vector,
-list or array, in one C call, so one getter per title serves both sides
-of an edge; the gathers feed every dot product, in SGD and in scoring.
+TFIDF model's cache (see `TfidfModel`). Weights live in two dense vectors
+of V floats, one for the child's columns [0, V) and one for the parent's
+[V, 2V), both indexed from 0. During training they are two lists, SGD's
+state: SGD writes each step back with a plain store loop over the
+entries, and CPython specialises a list store by int index, where a `map`
+over `list.__setitem__` calls a method-wrapper per element. A model keeps
+them as two `array('d')`, 8 bytes a weight and no float object each: at
+the end of training the final L2 scale is applied as each list is copied
+into its array, and `load_model` builds the arrays straight from the
+file's bytes. A title's cached `gather` reads its weights from either
+vector, list or array, in one C call, so one getter per title serves both
+sides of an edge; the gathers feed every dot product, in SGD and in
+scoring.
 
 A logit is one `sum` of weight * value over the child's entries, then
 the parent's entries, each in column order, with `0.0` for every column
@@ -48,12 +48,11 @@ Each weight vector is the base64 of its bytes, V little-endian IEEE-754
 binary64 values, so a weight loads with its bits, `-0.0` included, and
 with no number to parse. The file is the bytes of
 `json.dumps(model.to_dict(), ensure_ascii=False)`, each weight vector
-written as that base64 string, and a newline, but `save_model` writes
-the four long values in pieces: the features string `_PIECE` characters
-at a time, `df` `_SLICE` entries at a time and each weight vector
-`_PIECE` weights at a time, so neither the whole file's text nor a whole
-vector's base64 is ever held in memory.
-`save_model(load_model(p))` rewrites `p` byte for byte.
+written as that base64 string, and a newline, but `save_model` writes the
+four long values in pieces of `_PIECE` characters, entries or weights, so
+neither the whole file's text nor a whole vector's base64 is ever held in
+memory, and encodes each weight piece from a view of its array, not a
+copy. `save_model(load_model(p))` rewrites `p` byte for byte.
 """
 
 from __future__ import annotations
@@ -105,7 +104,7 @@ class LinearEdgeModel(namedtuple("LinearEdgeModel", "tfidf dense bias hyper kind
 
     `dense` is (child, parent): two `array('d')` of V weights, one per half
     of the [child | parent] vector, that `predict_proba` reads and `to_dict`
-    returns as they are. Lists of floats score and save the same.
+    returns as they are.
     """
 
     __slots__ = ()
@@ -213,12 +212,11 @@ def validation_accuracy(
     return correct / len(validation)
 
 
-# Entries per `json.dumps` call when `save_model` writes `df`.
-_SLICE = 4096
-# Characters of the features string, or weights, per piece `save_model`
-# writes. 3 * _SLICE weights are a multiple of 3 bytes, so no piece but the
-# last is padded, and the pieces' base64 joins into the whole vector's.
-_PIECE = 3 * _SLICE
+# Characters of the features string, entries of `df` or weights per piece
+# `save_model` writes. A multiple of 3 weights is a multiple of 3 bytes, so
+# no piece but the last is padded, and the pieces' base64 joins into the
+# whole vector's.
+_PIECE = 12288
 # Stands in for each long value in the text `save_model` writes around them;
 # no key or short value of a model file is this string.
 _HOLE = "\0"
@@ -258,37 +256,26 @@ def _string_pieces(text: str) -> Iterator[str]:
 
 
 def _list_pieces(values: list[int]) -> Iterator[str]:
-    """`values` as a JSON list, `_SLICE` entries at a time."""
+    """`values` as a JSON list, `_PIECE` entries at a time."""
     yield "["
-    for start in range(0, len(values), _SLICE):
-        yield ", " * (start > 0) + json.dumps(values[start : start + _SLICE])[1:-1]
+    for start in range(0, len(values), _PIECE):
+        yield ", " * (start > 0) + json.dumps(values[start : start + _PIECE])[1:-1]
     yield "]"
 
 
-def _base64_pieces(weights) -> Iterator[str]:
+def _base64_pieces(weights: array) -> Iterator[str]:
     """The weights' little-endian bytes as a base64 JSON string, `_PIECE`
-    weights at a time; a list of floats writes as its array would."""
+    weights at a time, each encoded from a view of the array, or on a
+    big-endian host from a byte-swapped copy; a list raises TypeError."""
     yield '"'
-    for start in range(0, len(weights), _PIECE):
-        piece = array("d", weights[start : start + _PIECE])
-        if sys.byteorder == "big":
-            piece.byteswap()
-        yield base64.b64encode(piece).decode("ascii")
+    with memoryview(weights) as view:
+        for start in range(0, len(view), _PIECE):
+            piece = view[start : start + _PIECE]
+            if sys.byteorder == "big":
+                piece = array("d", piece)
+                piece.byteswap()
+            yield base64.b64encode(piece).decode("ascii")
     yield '"'
-
-
-def _numbers(values: list, what: str) -> list:
-    """`values` itself, once each entry is a finite JSON number, checked in
-    bulk; a bool, NaN or an infinity is not one, and an integer too large
-    for a float raises OverflowError. JSON decodes to exact types, and
-    `bool` is not `int`."""
-    if not set(map(type, values)) <= {int, float}:
-        bad = next(v for v in values if type(v) not in (int, float))
-        raise TypeError(f"{what} must be a number, got {bad!r}")
-    if not all(map(math.isfinite, values)):
-        bad = next(v for v in values if not math.isfinite(v))
-        raise ValueError(f"{what} must be finite, got {bad!r}")
-    return values
 
 
 def _doubles(text: str) -> array:
@@ -329,8 +316,7 @@ def load_model(path: str | Path, kind: EdgeKind | None = None) -> LinearEdgeMode
     two base64 strings of 8 * V bytes each, V being the vocabulary size,
     every weight finite, and the bias a finite JSON number. `config` holds
     exactly `TrainConfig`'s keys, each with the JSON type of its default,
-    since `save_model` writes them back. Each weight string goes straight
-    into an `array('d')`, and a weight keeps its bits: a `-0.0`, which
+    since `save_model` writes them back. A `-0.0` weight, which
     `train_linear` never writes, scores as `0.0`, since the partial sums of
     a logit are never `-0.0`. The weights are decoded before
     `TfidfModel.from_dict` checks the `tfidf` object, so a file with faults
@@ -363,11 +349,16 @@ def load_model(path: str | Path, kind: EdgeKind | None = None) -> LinearEdgeMode
             if any(len(ws) != n for ws in dense):
                 sizes = [8 * len(ws) for ws in dense]
                 raise ValueError(f"weights must be two strings of {8 * n} bytes, got {sizes} bytes")
-            (bias,) = map(float, _numbers([data["bias"]], "bias"))
+            bias = data["bias"]
+            # JSON decodes to exact types, and `bool` is not `int`.
+            if type(bias) not in (int, float):
+                raise TypeError(f"bias must be a number, got {bias!r}")
+            if not math.isfinite(bias):  # OverflowError for an int too large for a float
+                raise ValueError(f"bias must be finite, got {bias!r}")
         except (KeyError, TypeError, ValueError, ArithmeticError) as exc:
             raise MalformedFile(path, f"bad model file: {type(exc).__name__}: {exc}") from None
     if kind is not None and found is not kind:
         raise MalformedFile(
             path, f"bad model file: kind is {found.value!r}, expected {kind.value!r}"
         )
-    return LinearEdgeModel(tfidf, dense, bias, cfg, found)
+    return LinearEdgeModel(tfidf, dense, float(bias), cfg, found)

@@ -28,18 +28,17 @@ frees the category network too, before the fork: each job keeps only the
 titles of its own train and validation edges' nodes (`_Titles`), the one
 thing training and validation read of a graph. Right after fitting its
 TFIDF model, a job caches those titles' vectors and releases the
-vocabulary (`TfidfModel.release`), which SGD never reads. `induce` holds
-one model at a time: the ec model weighs the ec search edges and is
-freed before the cc model loads, so the cc model and the path search
-reuse its memory. It reads the ec model file first, before the network,
-so the file's parse tops an almost empty heap instead of the network and
-the projected taxonomy. That parse is no longer the command's largest
-transient: with base64 weights and one features string, loading the ec
-model peaks 0.6 MiB above what it keeps on a 4,801-node world (RSS 19.9,
-high-water 20.5 MiB) and 2.8 MiB on a 48,001-node one, where loading the
-network peaks 22 MiB above what it keeps. A broken ec model file is
-reported before a broken network file. Under `--uniform` both files are
-still loaded and checked, one at a time.
+vocabulary (see `TfidfModel`). `induce` holds one model at a time: the ec
+model weighs the ec search edges and is freed before the cc model loads,
+so the cc model and the path search reuse its memory. It reads the ec
+model file first, before the network, so the file's parse tops an almost
+empty heap instead of the network and the projected taxonomy. That parse
+is no longer the command's largest transient: with base64 weights and one
+features string, loading the ec model peaks 0.6 MiB above what it keeps
+on a 4,801-node world (RSS 19.9, high-water 20.5 MiB) and 2.8 MiB on a
+48,001-node one, where loading the network peaks 22 MiB above what it
+keeps. A broken ec model file is reported before a broken network file.
+Under `--uniform` both files are still loaded and checked, one at a time.
 
 Each command runs in a fresh process and pays for what it imports.
 Loading this module imports `classifier`, `features`, `graph`,
@@ -239,8 +238,7 @@ def _cmd_induce(args: argparse.Namespace) -> int:
         model = model or read(kind)
         prob.update(weigh_edges(graph, model, model, cfg, edges).prob)
         model = None  # freed before the next model loads
-    weighted = WeightedGraph(graph, {edge: prob[edge] for edge in search})
-    return _save_result(args, *induce(projected, weighted, cfg))
+    return _save_result(args, *induce(projected, WeightedGraph(graph, prob), cfg))
 
 
 def _cmd_evaluate(args: argparse.Namespace) -> int:

@@ -1,41 +1,35 @@
 """Title featurization: word / character n-gram TFIDF.
 
-Titles are always lowercased, in `_tokens`. Character n-grams are taken
-over the whole normalized title (whitespace runs collapsed to one space),
-so they deliberately cross word boundaries; that is where most of the
-sub-word morphological signal for hypernym detection lives. Word features
-are plain whitespace-delimited bags of tokens.
+One function, `_grams`, makes a title's features, and its docstring
+states the whole rule. Character n-grams deliberately cross word
+boundaries; that is where most of the sub-word morphological signal for
+hypernym detection lives. Word features are plain whitespace-delimited
+bags of tokens.
 
 Each title's vector depends only on the title and its TFIDF model, and an
-edge's vector is the child's vector beside the parent's: child entries
-at columns [0, V), then parent entries at [V, 2V). `TfidfModel.half`
-therefore vectorizes each title once per model and keeps the result as a
-(columns, values, gather) triple, the per-title half that training,
-validation and edge weighing read. `_vectorize` builds it in one pass
-over the title's feature counts: TF x idf per in-vocabulary feature,
-columns ascending, L2-normalized per title, so neither title's length
-dominates the pair. The columns are a tuple of ints, the one the gather
-holds; the values are an `array('d')`, 8 bytes per entry instead of a
-boxed float each, and iterating it yields the same floats in the same
-order. `gather(w)` is
-`tuple(w[c] for c in columns)` in one C call (an `operator.itemgetter`),
-so a linear model keeps its weights in two dense vectors of V floats, one
-for the child's columns and one for the parent's, and reads a title's
-weights on either side without a Python-level lookup per entry. SGD's
-vectors are lists; a model's are `array('d')`, 8 bytes a weight (see
-`classifier`). A column the model never touched holds `0.0`.
-`char_ngrams` counts in one `Counter` call, sizes ascending, then by position,
-and `_vectorize` counts columns the same way: one `Counter` over the
-title's n-grams mapped to their columns, out-of-vocabulary ones dropped
-after, so no count by n-gram string is built.
+edge's vector is the child's vector beside the parent's: child entries at
+columns [0, V), then parent entries at [V, 2V). `TfidfModel.half`
+therefore vectorizes each title once per model (how long it keeps it is
+told in `TfidfModel`) as a (columns, values, gather) triple, the
+per-title half that training, validation and edge weighing read.
+`_vectorize` builds it in one pass over the title's feature counts: TF x
+idf per in-vocabulary feature, columns ascending, L2-normalized per
+title, so neither title's length dominates the pair. The columns are a
+tuple of ints, the one the gather holds; the values are an `array('d')`,
+8 bytes per entry instead of a boxed float each, and iterating it yields
+the same floats in the same order. `gather(w)` is `tuple(w[c] for c in
+columns)` in one C call (an `operator.itemgetter`), so a title's weights
+are read from either of a linear model's two dense weight vectors (see
+`classifier`) without a Python-level lookup per entry. `_vectorize`
+counts with one `Counter` over the columns of the title's features, in
+`_grams`' order, and drops the out-of-vocabulary ones after, so no count
+by n-gram string is built.
 
 `TfidfModel.to_dict` is the `tfidf` object of a model file (see
-`classifier`): the spec, `n_docs`, the features in column order as lines
-of one string, and their document frequencies. idf is not stored;
-`TfidfModel` computes it from `n_docs` and `df`, once per distinct df
-value, into `idf_of`, a table indexed by df value, and keeps no idf per
-column: `_vectorize` reads a column's idf as `idf_of[df[c]]`, so features
-with equal df share one float.
+`classifier`). `TfidfModel` computes idf from `n_docs` and `df`, once per
+distinct df value, into `idf_of`, a table indexed by df value, and keeps
+no idf per column: `_vectorize` reads a column's idf as `idf_of[df[c]]`,
+so features with equal df share one float.
 """
 
 from __future__ import annotations
@@ -73,37 +67,20 @@ class FeatureSpec(namedtuple("FeatureSpec", "mode ngram_sizes", defaults=(DEFAUL
         return self
 
 
-def _tokens(title: str) -> list[str]:
-    """The lowercased title's whitespace-delimited tokens."""
-    return title.lower().split()
-
-
-def word_tokens(title: str) -> Counter:
-    """Bag of whitespace-delimited tokens, lowercased."""
-    return Counter(_tokens(title))
-
-
-def char_ngrams(title: str, spec: FeatureSpec) -> Counter:
-    """Bag of character n-grams over the normalized title.
-
-    Normalization lowercases, collapses internal whitespace runs to one
-    space and trims the ends, so a single space participates in n-grams
-    that span word boundaries. Counting is per Unicode code point.
-    """
-    return Counter(_char_grams(title, spec))
-
-
-def _char_grams(title: str, spec: FeatureSpec) -> list[str]:
-    text = " ".join(_tokens(title))
-    sizes = sorted(spec.ngram_sizes)
-    return [text[i : i + n] for n in sizes for i in range(len(text) - n + 1)]
-
-
 def _grams(title: str, spec: FeatureSpec) -> list[str]:
-    """The title's features, each as often as it occurs, in counting order."""
+    """The title's features, each as often as it occurs, in counting order.
+
+    The title is lowercased and split at whitespace. In word mode the
+    tokens are the features. In char mode the tokens are joined with single
+    spaces, and the features are every n-gram of that text, sizes ascending,
+    then by position, per Unicode code point; an n-gram may cross a word
+    boundary, its space included.
+    """
+    tokens = title.lower().split()
     if spec.mode is FeatureMode.WORD:
-        return _tokens(title)
-    return _char_grams(title, spec)
+        return tokens
+    text = " ".join(tokens)
+    return [text[i : i + n] for n in sorted(spec.ngram_sizes) for i in range(len(text) - n + 1)]
 
 
 class TfidfModel:
@@ -115,6 +92,12 @@ class TfidfModel:
     fixed once the model is built, which is what lets `half` cache title
     vectors.
 
+    A title's vector is built on its first `half` and cached, so a title is
+    vectorized once per model, not once per edge; it is kept as long as the
+    model, unless `forget` drops it. `train` caches the titles of a job's
+    train and validation edges, then keeps the features as lines
+    (`release`), as SGD and validation read no vocabulary.
+
     A model holds its features, in column order, in one of two forms, and
     the constructor takes either:
     - lines: one string, a feature a line, which is also the form of a
@@ -122,9 +105,7 @@ class TfidfModel:
       take about 17 times as much (8.3 against 0.5 MiB for an
       82,415-feature model). `from_dict` keeps the file's string as the
       lines, so a model that is only loaded and saved, or loaded and
-      checked as under `induce --uniform`, never holds more. `release`
-      keeps them this way once the titles the model will score are
-      cached, as `train` does before SGD, which reads no vocabulary.
+      checked as under `induce --uniform`, never holds more.
     - the vocabulary, the feature->column dict that vectorizing reads,
       numbered 0 to V-1 in insertion order. `fit_tfidf` builds it at once,
       as training vectorizes next. From lines, the first read of
@@ -132,7 +113,7 @@ class TfidfModel:
       vectorizes, or, when `weigh_edges` forks, the read right before the
       fork, so the child inherits it instead of building its own.
     No feature may hold a newline, as lines could not keep it (`_lines`);
-    `fit_tfidf`'s never do, as `_tokens` splits at whitespace. In a loaded
+    `fit_tfidf`'s never do, as `_grams` splits at whitespace. In a loaded
     file a newline is the separator between two features, never a fault.
     """
 
@@ -161,10 +142,7 @@ class TfidfModel:
         return self._features
 
     def half(self, title: str) -> Half:
-        """The title's vector as (columns, values, gather), cached per title.
-
-        The cache lives as long as the model and keeps every title asked for.
-        """
+        """The title's vector as (columns, values, gather), cached per title."""
         half = self._halves.get(title)
         if half is None:
             cols, vals = _vectorize(self, title)

@@ -229,7 +229,8 @@ class Taxonomy:
 
     def node_ids(self) -> set[str]:
         """All ids appearing as child or parent of some edge."""
-        return set(self._edges).union(edge.parent for edge in self.edges())
+        return set(self._edges).union(
+            edge.parent for edge in chain.from_iterable(self._edges.values()))
 
 
 def coverage(graph: WcnGraph, taxonomy: Taxonomy, kind: NodeKind) -> float:

@@ -44,18 +44,19 @@ model and its two titles, and the child runs the same `predict_proba` and
 clamp on an inherited copy of the same graph and models, so every weight
 is bit-for-bit what a single process computes, and the weights are
 assembled in the list's order. Each model's vocabulary is read before the
-fork, so the child inherits it rather than building its own (see
-`features`). The fork makes this POSIX-only and assumes a single-threaded
-caller. A shorter list is scored in this process, with no fork and no
-`pickle`. The break-even rests on the host. On a 2-core host whose
-second core had been idle, two processes ran at half speed each for
+fork (see `TfidfModel`). The fork makes this POSIX-only and assumes a
+single-threaded caller. A shorter list is scored in this process, with no
+fork and no `pickle`. The break-even rests on the host. On a 2-core host
+whose second core had been idle, two processes ran at half speed each for
 their first seconds, so in a fresh `induce` forking cost 9-36% more
-weighing time at every list from 765 to 8,626 edges; with both cores
-busy for seconds before, it paid from about 1,000 edges (fork/serial time
-0.87 at 1,000 and 0.74 at 4,000, a 16,001-node world's ec search edges
-in one process). At 15,198 and 46,178 ec edges (16,001 and 48,001 nodes),
-forking made `induce` 23% and 34% faster. Under the uniform baseline, or with no edge to score, nothing is
-scored and nothing forks.
+weighing time at every list from 765 to 8,626 edges; with both cores busy
+for seconds before, it paid from about 1,000 edges (fork/serial time 0.87
+at 1,000 and 0.74 at 4,000, a 16,001-node world's ec search edges in one
+process). At 15,198 and 46,178 ec edges (16,001 and 48,001 nodes),
+forking made `induce` 23% and 34% faster. `_FORK_EDGES` lies between
+these break-evens: the benchmark worlds weigh at most 1,006 edges a call,
+and the worlds of 16,001 and 48,001 nodes fork. Under the uniform
+baseline, or with no edge to score, nothing is scored and nothing forks.
 
 Each process vectorizes the titles of its part (its half, or the whole
 list), each once, and keeps a title's vector only while a later edge of
@@ -129,11 +130,8 @@ def search_edges(graph: WcnGraph, projected: Taxonomy) -> list[tuple[str, str]]:
     ]
 
 
-# The fewest edges `weigh_edges` splits between two processes; a shorter
-# list is scored in this one. Between the measured break-evens (see the
-# module docstring): the benchmark worlds weigh at most 1,006 edges a
-# call, and worlds of 16,001 and 48,001 nodes, with 15,198 and 46,178 ec
-# search edges, fork.
+# The fewest edges `weigh_edges` splits between two processes (see the
+# module docstring).
 _FORK_EDGES = 4000
 
 
@@ -148,9 +146,8 @@ def weigh_edges(
     classifier, clamped to [eps, 1-eps].
 
     With cfg.uniform the classifiers are ignored and every edge gets 1.0.
-    Otherwise a list of `_FORK_EDGES` edges or more is split in two: a
-    forked child scores its second half while this process scores the
-    first; a shorter one is scored here (see the module docstring).
+    Otherwise a list of `_FORK_EDGES` edges or more is split between two
+    processes (see the module docstring).
     """
     if edges is None:
         edges = list(graph.edges())

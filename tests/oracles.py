@@ -157,8 +157,8 @@ def reference_bounded_shortest_path(graph, start: str, targets: set[str], k2: in
 
 
 def reference_char_ngrams(title, spec):
-    """`features.char_ngrams` as the loop it replaced: one `+= 1` per n-gram,
-    sizes ascending, then by position."""
+    """A char-mode title's n-gram counts by the loop `features._grams`
+    replaced: one `+= 1` per n-gram, sizes ascending, then by position."""
     text = " ".join(title.lower().split())
     grams = Counter()
     for n in sorted(spec.ngram_sizes):
@@ -172,10 +172,10 @@ def reference_vectorize_title(model, title):
     `TfidfModel.half` replaced: TF x idf over the in-vocabulary features,
     each divided by the L2 norm. idf is ln((1 + N) / (1 + df)) + 1, computed
     here from the model's `n_docs` and `df`."""
-    from taxonet.features import FeatureMode, word_tokens
+    from taxonet.features import FeatureMode
 
     if model.spec.mode is FeatureMode.WORD:
-        counts = word_tokens(title)
+        counts = Counter(title.lower().split())
     else:
         counts = reference_char_ngrams(title, model.spec)
     entries = []

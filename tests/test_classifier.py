@@ -12,7 +12,6 @@ from hypothesis import example, given, settings, strategies as st
 from taxonet import Node, NodeKind, WcnGraph, features
 from taxonet.classifier import (
     _PIECE,
-    _SLICE,
     LinearEdgeModel,
     TrainConfig,
     load_model,
@@ -58,8 +57,8 @@ def separable_world(n=12):
 
 
 def zero_weights(tfidf):
-    """A model's (child, parent) weight lists with every weight 0."""
-    return [0.0] * tfidf.n_features, [0.0] * tfidf.n_features
+    """A model's (child, parent) weight arrays with every weight 0."""
+    return array("d", bytes(8 * tfidf.n_features)), array("d", bytes(8 * tfidf.n_features))
 
 
 def fitted(graph, train_edges, spec=WORD):
@@ -283,7 +282,7 @@ class TestPredictProba:
         graph, model, dataset = trained()
         scaled = LinearEdgeModel(
             model.tfidf,
-            tuple([3.0 * w for w in half] for half in model.dense),
+            tuple(array("d", [3.0 * w for w in half]) for half in model.dense),
             3.0 * model.bias,
             model.hyper,
             model.kind,
@@ -371,6 +370,16 @@ def test_weights_are_little_endian_doubles(tmp_path):
         assert [w.hex() for w in unpacked] == [w.hex() for w in weights]
 
 
+def test_list_weights_do_not_save(tmp_path):
+    """A model's weights are arrays: with lists, `save_model` fails and
+    writes nothing, neither the file nor its temporary."""
+    _, model, _ = trained()
+    listed = model._replace(dense=tuple(map(list, model.dense)))
+    with pytest.raises(TypeError, match="not 'list'"):
+        save_model(listed, tmp_path / "model.ec.json")
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_negative_zero_weight_round_trips_and_scores_as_zero(tmp_path):
     """A `-0.0` weight loads with its bits and saves them back, and every
     edge scores as with `0.0`: a logit's partial sums are never `-0.0`."""
@@ -421,11 +430,12 @@ class TestSavedBytes:
     """`save_model` writes the long values in pieces; the file must hold
     the bytes of one `json.dumps` over the whole model."""
 
-    # V around a base64 piece of `_PIECE` weights; from `_SLICE` features on,
-    # the features string is longer than one piece of `_PIECE` characters.
+    # V around a piece of `_PIECE` weights or `df` entries; from `_PIECE - 1`
+    # features on, the features string is longer than one piece of `_PIECE`
+    # characters.
     @given(
         texts=st.lists(FEATURE_TEXT, min_size=1, max_size=8),
-        n=st.sampled_from([0, 1, 2, _SLICE, _SLICE + 1, _PIECE - 1, _PIECE, _PIECE + 1]),
+        n=st.sampled_from([0, 1, 2, _PIECE - 1, _PIECE, _PIECE + 1]),
         weights=st.lists(FLOATS, min_size=1, max_size=8),
         bias=FLOATS,
         learning_rate=st.sampled_from([0.1, 5e-324, 1e308, 1 / 3]),
@@ -443,9 +453,9 @@ class TestSavedBytes:
     def test_equals_one_dumps(self, texts, n, weights, bias, learning_rate, spec, kind):
         # A suffix of digits after "\x01" keeps the n features unique.
         features = [f"{texts[i % len(texts)]}\x01{i}" for i in range(n)]
-        assert n < _SLICE or len("\n".join(features)) > _PIECE
+        assert n < _PIECE - 1 or len("\n".join(features)) > _PIECE
         tfidf = TfidfModel(spec, dict(zip(features, range(n))), [1 + i % 3 for i in range(n)], 3)
-        values = list(islice(cycle(weights), 2 * n))
+        values = array("d", islice(cycle(weights), 2 * n))
         hyper = TrainConfig(learning_rate=learning_rate, seed=2**64 - 1)
         model = LinearEdgeModel(tfidf, (values[:n], values[n:]), bias, hyper, kind)
         with tempfile.TemporaryDirectory() as tmp:
@@ -456,11 +466,11 @@ class TestSavedBytes:
     @settings(max_examples=20, deadline=None)
     @given(
         texts=st.lists(RELEASED_TEXT, min_size=1, max_size=4),
-        n=st.sampled_from([1, _SLICE, _SLICE + 1]),
+        n=st.sampled_from([1, _PIECE, _PIECE + 1]),
         mode=st.sampled_from(list(FeatureMode)),
         weights=st.lists(FLOATS, min_size=1, max_size=4),
     )
-    @example(texts=['a"b\\c\x00é'], n=_SLICE + 1, mode=FeatureMode.CHAR_NGRAM, weights=[1 / 3])
+    @example(texts=['a"b\\c\x00é'], n=_PIECE + 1, mode=FeatureMode.CHAR_NGRAM, weights=[1 / 3])
     def test_released_model_saves_the_same_bytes(self, texts, n, mode, weights):
         # Every title is one feature in either mode: it holds no whitespace,
         # it is its own lowercase, and all titles are as long as the one
@@ -474,7 +484,7 @@ class TestSavedBytes:
         # Released, the model holds lines, which `to_dict` hands out as they are.
         assert released.to_dict()["features"] == "\n".join(sorted(titles))
         assert released.n_features == n
-        values = list(islice(cycle(weights), 2 * n))
+        values = array("d", islice(cycle(weights), 2 * n))
         saved = []
         with tempfile.TemporaryDirectory() as tmp:
             for i, tfidf in enumerate((kept, released)):

@@ -1,6 +1,7 @@
 import math
 import os
 import random
+from array import array
 from fractions import Fraction
 
 import pytest
@@ -54,7 +55,7 @@ def top_k(weighted: WeightedGraph, start: str, targets: set[str], k: int):
 
 def constant_model(bias: float, kind: EdgeKind) -> LinearEdgeModel:
     tfidf = fit_tfidf(["stub"], FeatureSpec(FeatureMode.WORD))
-    zeros = [0.0] * tfidf.n_features, [0.0] * tfidf.n_features
+    zeros = array("d", bytes(8 * tfidf.n_features)), array("d", bytes(8 * tfidf.n_features))
     return LinearEdgeModel(tfidf, zeros, bias, TrainConfig(), kind)
 
 

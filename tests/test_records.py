@@ -9,6 +9,7 @@ their fields; these tests pin what the rest of the library reads of them.
 import json
 import math
 import re
+from array import array
 
 import pytest
 
@@ -150,8 +151,8 @@ def test_config_defaults_read_the_library():
 
 def tiny_model() -> LinearEdgeModel:
     tfidf = fit_tfidf(["ab", "bc"], FeatureSpec(FeatureMode.CHAR_NGRAM, frozenset({2})))
-    zeros = [0.0] * tfidf.n_features
-    return LinearEdgeModel(tfidf, (zeros, list(zeros)), 0.0, TrainConfig(3, 0.5, 0.0, 7),
+    zeros = array("d", bytes(8 * tfidf.n_features))
+    return LinearEdgeModel(tfidf, (zeros, array("d", zeros)), 0.0, TrainConfig(3, 0.5, 0.0, 7),
                            EdgeKind.ENTITY_TO_CATEGORY)
 
 
